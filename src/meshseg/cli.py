@@ -118,8 +118,9 @@ def _dataset_training_arrays(cfg):
     raw = {}
     for lm in meshes:
         entry = {e[0]: e for e in manifest.entries}[lm.mesh_id]
-        fm = cached_features(lm.mesh, entry[1], Path(cfg.output_dir) / "cache")
         graph = build_dual_graph(lm.mesh)
+        fm = cached_features(lm.mesh, entry[1], Path(cfg.output_dir) / "cache",
+                             graph=graph)
         raw[lm.mesh_id] = (fm, multiscale(fm.values, graph, scales,
                                           fm.channel_names).values)
     stats = fit_stats(np.vstack([raw[lm.mesh_id][0].values for lm in meshes]))
@@ -150,8 +151,8 @@ def cmd_segment(args) -> dict:
     model, channel_names = load_checkpoint(args.checkpoint)
     stats = _stats_from_file(args.stats)
     mesh = load_mesh_path(args.mesh)
-    fm = compute_features(mesh, channel_names)
     graph = build_dual_graph(mesh)
+    fm = compute_features(mesh, channel_names, graph=graph)
     msf = multiscale(fm.values, graph, _model_scales(model), channel_names)
     x = (msf.values - stats.mean) / stats.scale
     probs = model.predict_proba(model.prepare_inputs(x))

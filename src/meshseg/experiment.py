@@ -67,11 +67,13 @@ def load_labeled_meshes(manifest: DatasetManifest) -> list:
 
 
 def cached_features(mesh, mesh_path, cache_dir, channels=DEFAULT_CHANNELS,
-                    params: FeatureParams = FeatureParams()) -> FeatureMatrix:
+                    params: FeatureParams = FeatureParams(),
+                    graph=None) -> FeatureMatrix:
     """Compute (or reuse) the raw feature matrix for one mesh.
 
     The cache key hashes the mesh file bytes, channel names, and
     extraction parameters; a stale or foreign cache is recomputed.
+    graph, when given, is the mesh's dual graph and is reused.
     """
     key = content_hash(Path(mesh_path).read_bytes(), "\n".join(channels),
                        repr(params))
@@ -83,7 +85,7 @@ def cached_features(mesh, mesh_path, cache_dir, channels=DEFAULT_CHANNELS,
                 return FeatureMatrix(names, values)
         except Exception:
             pass  # unreadable cache: fall through to recompute
-    fm = compute_features(mesh, channels, params)
+    fm = compute_features(mesh, channels, params, graph)
     Path(cache_dir).mkdir(parents=True, exist_ok=True)
     save_feature_cache(cache_path, fm.channel_names, fm.values, key)
     return fm
@@ -100,9 +102,9 @@ class _MeshBundle:
 def _prepare_bundles(meshes, manifest, cfg, scales, channels, params, threads, log):
     def build(item):
         lm, (mesh_id, mesh_path, _) = item
-        fm = cached_features(lm.mesh, mesh_path, Path(cfg.output_dir) / "cache",
-                             channels, params)
         graph = build_dual_graph(lm.mesh)
+        fm = cached_features(lm.mesh, mesh_path, Path(cfg.output_dir) / "cache",
+                             channels, params, graph)
         msf = multiscale(fm.values, graph, scales, fm.channel_names)
         return _MeshBundle(lm, graph, fm, msf.values)
 

@@ -17,6 +17,8 @@ from scipy.sparse.csgraph import dijkstra
 from meshseg.mesh import DualGraph, Mesh
 
 WEIGHT_GRID_BITS = 30
+# source rows per dijkstra call: memory is O(AGD_BLOCK * F), never F x F
+AGD_BLOCK = 256
 
 
 def quantize_weights(weights: np.ndarray, scale: float) -> np.ndarray:
@@ -47,9 +49,12 @@ def average_geodesic_distance(mesh: Mesh, graph: DualGraph) -> np.ndarray:
         return np.zeros(0)
     w = agd_edge_weights(mesh, graph)
     adj = sp.csr_matrix((w, (graph.edges[:, 0], graph.edges[:, 1])), shape=(n, n))
-    dist = dijkstra(adj, directed=False)
-    finite = np.isfinite(dist)
-    agd = np.where(finite, dist, 0.0).sum(axis=1) / finite.sum(axis=1)
+    agd = np.empty(n)
+    for lo in range(0, n, AGD_BLOCK):
+        rows = np.arange(lo, min(lo + AGD_BLOCK, n))
+        dist = dijkstra(adj, directed=False, indices=rows)
+        finite = np.isfinite(dist)
+        agd[rows] = np.where(finite, dist, 0.0).sum(axis=1) / finite.sum(axis=1)
     peak = float(agd.max())
     if peak <= 0.0:
         return np.zeros(n)

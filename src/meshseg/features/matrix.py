@@ -38,13 +38,17 @@ class FeatureComputation:
     """Lazily materialized shared intermediates for one mesh.
 
     Extractors pull what they need; nothing is computed unless some
-    requested channel uses it.
+    requested channel uses it. A caller that already holds the mesh's
+    dual graph passes it in, so it is not built twice.
     """
 
-    def __init__(self, mesh: Mesh, params: FeatureParams = FeatureParams()):
+    def __init__(self, mesh: Mesh, params: FeatureParams = FeatureParams(),
+                 graph: DualGraph | None = None):
         self.mesh = mesh
         self.params = params
         self.diagnostics: dict = {}
+        if graph is not None:
+            self.graph = graph  # fills the cached property
 
     @cached_property
     def graph(self) -> DualGraph:
@@ -159,12 +163,14 @@ class FeatureMatrix:
 
 
 def compute_features(mesh: Mesh, channels=DEFAULT_CHANNELS,
-                     params: FeatureParams = FeatureParams()) -> FeatureMatrix:
+                     params: FeatureParams = FeatureParams(),
+                     graph: DualGraph | None = None) -> FeatureMatrix:
     """Run the registered extractors and assemble the per-face matrix.
 
+    graph, when given, is the mesh's dual graph and is reused.
     Raises on NaN/Inf with the offending channel and face named.
     """
-    comp = FeatureComputation(mesh, params)
+    comp = FeatureComputation(mesh, params, graph)
     cols = []
     for name in channels:
         if name not in CHANNEL_REGISTRY:

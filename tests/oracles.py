@@ -33,6 +33,59 @@ def agd_reference(mesh, graph) -> np.ndarray:
     return raw / top if top > 0 else np.zeros_like(raw)
 
 
+def sdf_ray_distances(mesh, dirs, eps, faces=None) -> np.ndarray:
+    """Nearest hit along every ray of the given source faces, all-pairs.
+
+    dirs: (F, R, 3) world-space ray directions from each face centroid;
+    faces: optional source-face subset (default all). Every ray is tested
+    against every triangle with Möller–Trumbore; a ray ignores its own
+    face and hits closer than eps. Returns (len(faces), R), inf on a miss.
+    """
+    nf = mesh.n_faces
+    faces = np.arange(nf) if faces is None else np.asarray(faces)
+    n_rays = dirs.shape[1]
+    v0 = mesh.vertices[mesh.faces[:, 0]]
+    e1 = mesh.vertices[mesh.faces[:, 1]] - v0
+    e2 = mesh.vertices[mesh.faces[:, 2]] - v0
+    out = np.empty((len(faces), n_rays))
+    step = max(1, 2_000_000 // max(n_rays * nf, 1))
+    for lo in range(0, len(faces), step):
+        src = faces[lo:lo + step]
+        d = dirs[src]                                     # (S, R, 3)
+        o = mesh.face_centroids[src]                      # (S, 3)
+        h = np.cross(d[:, :, None, :], e2[None, None])    # (S, R, F, 3)
+        a = np.einsum("fk,srfk->srf", e1, h)
+        s = o[:, None, :] - v0[None, :, :]                # (S, F, 3)
+        q = np.cross(s, e1[None])                         # (S, F, 3)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = 1.0 / a
+            u = inv * np.einsum("sfk,srfk->srf", s, h)
+            w = inv * np.einsum("srk,sfk->srf", d, q)
+            t = inv * np.einsum("fk,sfk->sf", e2, q)[:, None, :]
+            ok = ((np.abs(a) > 1e-300) & (u >= 0.0) & (w >= 0.0)
+                  & (u + w <= 1.0) & (t >= eps))
+        ok &= np.arange(nf)[None, None, :] != src[:, None, None]
+        out[lo:lo + step] = np.where(ok, t, np.inf).min(axis=2)
+    return out
+
+
+def sdf_robust_thickness(dist: np.ndarray):
+    """(raw, hit counts) per face with a loop over faces: the mean of the
+    hits within one std of their median, the median if none is, 0 for a
+    face with no hits."""
+    raw = np.zeros(len(dist))
+    hits = np.zeros(len(dist), dtype=np.int64)
+    for f, row in enumerate(dist):
+        dlist = row[np.isfinite(row)]
+        hits[f] = len(dlist)
+        if len(dlist) == 0:
+            continue
+        med = np.median(dlist)
+        keep = np.abs(dlist - med) <= dlist.std()
+        raw[f] = dlist[keep].mean() if keep.any() else med
+    return raw, hits
+
+
 def exhaustive_min_cut(n: int, arcs, source: int, sink: int) -> float:
     """Minimum s-t cut by enumerating every source-side subset."""
     others = [v for v in range(n) if v not in (source, sink)]

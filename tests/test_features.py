@@ -27,9 +27,10 @@ from meshseg.features import (
     target_curvature,
     vertex_to_face,
 )
-from meshseg.features.sdf import tangent_frames
+from meshseg.features import geodesic
+from meshseg.features.sdf import build_bvh, nearest_hits, robust_thickness, tangent_frames
 from conftest import random_small_mesh
-from oracles import agd_reference
+from oracles import agd_reference, sdf_ray_distances, sdf_robust_thickness
 
 
 # ---------------------------------------------------------------- curvature
@@ -191,6 +192,23 @@ def test_agd_matches_all_pairs_oracle():
         assert np.array_equal(got, want)  # identical, not merely close
 
 
+def test_agd_row_blocks_match_all_pairs_oracle(monkeypatch):
+    # 320 faces span two 256-row blocks; a block of 7 rows splits the
+    # small meshes, some of them disconnected, at many places
+    mesh = synth.dumbbell(2)
+    graph = build_dual_graph(mesh)
+    assert graph.n_faces > geodesic.AGD_BLOCK
+    assert np.array_equal(average_geodesic_distance(mesh, graph),
+                          agd_reference(mesh, graph))
+    monkeypatch.setattr(geodesic, "AGD_BLOCK", 7)
+    rng = np.random.default_rng(23)
+    for _ in range(5):
+        mesh = random_small_mesh(rng)
+        graph = build_dual_graph(mesh)
+        assert np.array_equal(average_geodesic_distance(mesh, graph),
+                              agd_reference(mesh, graph))
+
+
 # --------------------------------------------------------------------- sdf
 
 def _robust_mean(values):
@@ -256,6 +274,94 @@ def test_sdf_normalization_is_log_scaled(ico2):
     assert result.normalized == pytest.approx(expected, rel=1e-12)
     assert result.normalized[np.argmin(raw)] == 0.0
     assert result.normalized[np.argmax(raw)] == 1.0
+
+
+def _seeded_dumbbell(subdivisions, seed):
+    rng = np.random.default_rng(seed)
+    return synth.dumbbell(subdivisions, top=rng.uniform(0.9, 1.2),
+                          bottom=rng.uniform(0.55, 0.8),
+                          neck=rng.uniform(0.3, 0.42))
+
+
+SDF_SHAPES = {
+    **{f"dumbbell{sub}-seed{seed}": (lambda sub=sub, seed=seed:
+                                     _seeded_dumbbell(sub, seed))
+       for sub in (1, 2, 3) for seed in (0, 1, 2)},
+    "icosphere2": lambda: synth.icosphere(2),
+    "spiked_sphere": lambda: synth.spiked_sphere(),
+    "cylinder48": lambda: synth.cylinder(48),
+    "cube": synth.cube,
+    "tetrahedron": synth.tetrahedron,
+    "plane_grid3x3": lambda: synth.plane_grid(3, 3),
+    "concave_corner": synth.concave_corner,
+}
+
+
+def _bvh_ray_distances(mesh, dirs, faces, eps):
+    n_rays = dirs.shape[1]
+    return nearest_hits(
+        build_bvh(mesh), np.repeat(mesh.face_centroids[faces], n_rays, axis=0),
+        dirs[faces].reshape(-1, 3), np.repeat(faces, n_rays),
+        eps).reshape(len(faces), n_rays)
+
+
+@pytest.mark.parametrize("name", sorted(SDF_SHAPES))
+def test_sdf_bvh_equals_brute_force(name):
+    mesh = SDF_SHAPES[name]()
+    dirs = _ray_directions(mesh)
+    eps = 1e-6 * mesh.bbox_diagonal()
+    want = sdf_ray_distances(mesh, dirs, eps)
+    got = _bvh_ray_distances(mesh, dirs, np.arange(mesh.n_faces), eps)
+    assert np.array_equal(got, want)  # bit for bit, misses included
+
+    raw, hits = sdf_robust_thickness(want)
+    fallback = np.nonzero(hits == 0)[0]
+    if fallback.size and fallback.size < mesh.n_faces:
+        raw[fallback] = np.median(raw[hits > 0])
+    result = shape_diameter(mesh)
+    assert np.array_equal(result.raw, raw)
+    assert np.array_equal(result.hit_counts, hits)
+    assert np.array_equal(result.fallback_faces, fallback)
+
+
+def test_sdf_bvh_equals_brute_force_at_5120_faces():
+    # the paper's mesh scale: 64 seeded source faces against the all-pairs
+    # sweep restricted to them
+    mesh = synth.dumbbell(4)
+    assert mesh.n_faces == 5120
+    faces = np.sort(np.random.default_rng(64).choice(mesh.n_faces, 64,
+                                                     replace=False))
+    dirs = _ray_directions(mesh)
+    eps = 1e-6 * mesh.bbox_diagonal()
+    want = sdf_ray_distances(mesh, dirs, eps, faces)
+    got = _bvh_ray_distances(mesh, dirs, faces, eps)
+    assert np.isfinite(want).mean() > 0.9
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("make", [lambda: synth.icosphere(2), synth.cube])
+def test_sdf_bvh_skips_the_source_face(make):
+    # with no eps cut-off, a ray meets its own face at t ~ 0; only the
+    # source-face rule keeps it out
+    mesh = make()
+    dirs = _ray_directions(mesh)
+    faces = np.arange(mesh.n_faces)
+    want = sdf_ray_distances(mesh, dirs, 0.0)
+    assert want.min() > 1e-3
+    assert np.array_equal(_bvh_ray_distances(mesh, dirs, faces, 0.0), want)
+
+
+def test_robust_thickness_equals_per_face_loop():
+    rng = np.random.default_rng(3)
+    for miss_rate in (0.0, 0.2, 0.6, 0.95):
+        # rounding to a coarse grid makes ties
+        dist = np.round(rng.uniform(0.1, 2.0, size=(500, 30)), 1)
+        dist[rng.random(dist.shape) < miss_rate] = np.inf
+        dist[:3] = np.inf  # faces with no hits at all
+        raw, hits = robust_thickness(dist)
+        want_raw, want_hits = sdf_robust_thickness(dist)
+        assert np.array_equal(raw, want_raw)
+        assert np.array_equal(hits, want_hits)
 
 
 def test_cone_directions_cover_the_cap():

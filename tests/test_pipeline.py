@@ -70,9 +70,9 @@ def test_cached_features_computes_once(toy_manifest, tmp_path, monkeypatch):
     calls = []
     real = experiment.compute_features
 
-    def counting(mesh, channels, params):
+    def counting(*args):
         calls.append(1)
-        return real(mesh, channels, params)
+        return real(*args)
 
     monkeypatch.setattr(experiment, "compute_features", counting)
     cache_dir = tmp_path / "cache"
@@ -92,9 +92,9 @@ def test_cached_features_recomputes_on_stale_or_garbage(toy_manifest, tmp_path,
     calls = []
     real = experiment.compute_features
 
-    def counting(mesh, channels, params):
+    def counting(*args):
         calls.append(1)
-        return real(mesh, channels, params)
+        return real(*args)
 
     monkeypatch.setattr(experiment, "compute_features", counting)
     cache_dir = tmp_path / "cache"
@@ -188,6 +188,27 @@ def test_threads_do_not_change_the_report(toy_manifest, tmp_path):
     r2 = run_experiment(cfg2, threads=3)
     r1["config"]["output_dir"] = r2["config"]["output_dir"] = ""
     assert r1 == r2
+
+
+def test_dual_graph_built_once_per_mesh(toy_manifest, tmp_path, monkeypatch):
+    import meshseg.features.matrix as matrix
+
+    calls = []
+    real = experiment.build_dual_graph
+
+    def counting(mesh):
+        calls.append(mesh)
+        return real(mesh)
+
+    monkeypatch.setattr(experiment, "build_dual_graph", counting)
+    monkeypatch.setattr(matrix, "build_dual_graph", counting)
+    cfg = _config(toy_manifest, tmp_path / "once",
+                  protocol={"kind": "kfold", "k": 3, "replicates": 1},
+                  model={"kind": "pca-nn"},
+                  train={"epochs": 1, "batch_size": 64})
+    run_experiment(cfg, threads=1)
+    assert len(calls) == 6  # one per mesh: features and refinement share it
+    assert len({id(m) for m in calls}) == 6
 
 
 def test_pca_baseline_runs_leave_one_out(toy_manifest, tmp_path):
