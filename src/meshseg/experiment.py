@@ -226,7 +226,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1, log=None) -> dict:
     report = {
         "format": REPORT_FORMAT,
         "version": REPORT_VERSION,
-        "config": _config_echo(cfg),
+        "config": experiment_config_to_dict(cfg),
         "dataset": {"name": manifest.name, "classes": list(manifest.classes),
                     "n_meshes": len(meshes)},
         "splits": [{"train": list(tr), "test": list(te)} for tr, te in splits],
@@ -244,7 +244,3 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1, log=None) -> dict:
     (out_dir / "report.json").write_text(dump_json(report))
     _ = records  # EvaluationRecord construction enforces the accuracy invariant
     return report
-
-
-def _config_echo(cfg: ExperimentConfig) -> dict:
-    return experiment_config_to_dict(cfg)

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from meshseg.mesh import DualGraph, Mesh, build_dual_graph, face_neighborhood
+from meshseg.mesh import DualGraph, Mesh, build_dual_graph
 from meshseg.smoothing import taubin_smooth
 from meshseg.features.curvature import curvature_field
 from meshseg.features.conformal import conformal_factor_field, vertex_to_face
@@ -200,18 +200,6 @@ class MultiScaleFeatures:
         if not 1 <= k <= self.scales:
             raise ValueError(f"scale {k} outside 1..{self.scales}")
         return self.values[:, k - 1, :]
-
-
-def neighborhood_balls(graph: DualGraph, max_hops: int) -> list:
-    """balls[u][k] = sorted face indices within k hops of u, inclusive."""
-    out = []
-    for u in range(graph.n_faces):
-        per_face = []
-        for k in range(max_hops + 1):
-            per_face.append(np.fromiter(sorted(face_neighborhood(graph, u, k)),
-                                        dtype=np.int64))
-        out.append(per_face)
-    return out
 
 
 def multiscale(values: np.ndarray, graph: DualGraph, scales: int,

@@ -66,6 +66,11 @@ class _Reader:
     def text(self) -> str:
         return self.take(self.u32()).decode("utf-8")
 
+    def finish(self) -> None:
+        extra = len(self.blob) - self.pos
+        if extra:
+            raise FormatError(f"{self.where}: {extra} trailing bytes after the last tensor")
+
     def check_magic(self, magic: bytes, version: int, kind: str) -> None:
         got = self.take(len(magic))
         if got != magic:
@@ -113,6 +118,7 @@ def load_feature_cache(path):
     faces = r.u64()
     source_hash = r.text()
     data = r.take(8 * faces * len(names))
+    r.finish()
     values = np.frombuffer(data, dtype="<f8").reshape(faces, len(names)).copy()
     return names, values, source_hash
 
@@ -138,6 +144,7 @@ def load_probabilities(path) -> np.ndarray:
     faces = r.u64()
     classes = r.u32()
     data = r.take(8 * faces * classes)
+    r.finish()
     return np.frombuffer(data, dtype="<f8").reshape(faces, classes).copy()
 
 
@@ -186,6 +193,7 @@ def load_checkpoint(path):
         count = int(np.prod(shape)) if shape else 1
         arr = np.frombuffer(r.take(8 * count), dtype="<f8").reshape(shape).copy()
         put(arr)
+    r.finish()
     return model, channel_names
 
 

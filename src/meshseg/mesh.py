@@ -141,9 +141,6 @@ class DualGraph:
     edge_length: np.ndarray    # (E,) float64
     neighbors: tuple           # per-face tuple of neighbor-face arrays
 
-    def adjacency_pairs(self):
-        return self.edges
-
 
 def build_dual_graph(mesh: Mesh) -> DualGraph:
     """Build the face dual graph, rejecting edges shared by more than 2 faces.

@@ -216,23 +216,29 @@ def check_layer(kind: str, seed: int, cases: int = 20, coord_cap: int = 40) -> l
     for case in range(cases):
         rng = root.stream(f"{kind}/{case}")
         layer, x, training = _layer_case(kind, rng)
-        upstream_shape = layer.forward(x, training=training).shape
-        proj = rng.normal(size=upstream_shape)
-
-        def loss_fn():
-            return float(np.sum(layer.forward(x, training=training) * proj))
-
-        for p in layer.parameters():
-            p.grad[...] = 0.0
-        layer.forward(x, training=training)
-        gx = layer.backward(proj)
-        pairs = [(f"{kind}/input", x)] + [
-            (f"{kind}/{p.name.split('.')[-1]}", p.value) for p in layer.parameters()]
-        analytic = [gx] + [p.grad for p in layer.parameters()]
-        for entry in _check_tensors(loss_fn, pairs, analytic, rng, coord_cap,
-                                    LAYER_TOL):
+        for entry in check_layer_case(kind, layer, x, training, rng, coord_cap):
             _merge_worst(worst, entry)
     return list(worst.values())
+
+
+def check_layer_case(kind: str, layer, x: np.ndarray, training: bool, rng,
+                     coord_cap: int = 40) -> list:
+    """Finite-difference check of one layer on one input, driven by a
+    random linear functional of its output; one entry per tensor."""
+    upstream_shape = layer.forward(x, training=training).shape
+    proj = rng.normal(size=upstream_shape)
+
+    def loss_fn():
+        return float(np.sum(layer.forward(x, training=training) * proj))
+
+    for p in layer.parameters():
+        p.grad[...] = 0.0
+    layer.forward(x, training=training)
+    gx = layer.backward(proj)
+    pairs = [(f"{kind}/input", x)] + [
+        (f"{kind}/{p.name.split('.')[-1]}", p.value) for p in layer.parameters()]
+    analytic = [gx] + [p.grad for p in layer.parameters()]
+    return _check_tensors(loss_fn, pairs, analytic, rng, coord_cap, LAYER_TOL)
 
 
 def check_network(seed: int, cases: int = 3, coord_cap: int = 16) -> list:

@@ -48,7 +48,10 @@ class Conv1D(Layer):
     """Same-padded 1D convolution; kernel size must be odd.
 
     Weights are (kernel, in_channels, out_channels); output length equals
-    input length via symmetric zero padding.
+    input length via symmetric zero padding. Taps that reach past both
+    ends of a signal for every output position only ever multiply the
+    padding, so both passes run over the live taps alone and the dead
+    taps' weight gradients stay exactly zero.
     """
 
     def __init__(self, kernel: int, in_channels: int, out_channels: int,
@@ -66,35 +69,57 @@ class Conv1D(Layer):
     def parameters(self):
         return [self.weight, self.bias]
 
+    def _live_taps(self, length: int) -> tuple[int, int]:
+        """(first live tap, live tap count): tap j reads input index
+        t + j - kernel//2, which is padding for every t when it is further
+        than length - 1 from the centre."""
+        lo = max(0, self.kernel // 2 - (length - 1))
+        return lo, self.kernel - 2 * lo
+
+    def _unfold(self, xp: np.ndarray, length: int, taps: int) -> np.ndarray:
+        """im2col: read-only (b, length, taps, cin) windows over the padded
+        signal, in the weight layout, unfolded to (b·length, taps·cin)."""
+        b, _, cin = xp.shape
+        s_batch, s_pos, s_chan = xp.strides
+        windows = as_strided(xp, (b, length, taps, cin),
+                             (s_batch, s_pos, s_pos, s_chan), writeable=False)
+        return windows.reshape(b * length, taps * cin)
+
     def forward(self, x, training=False):
         if x.ndim != 3 or x.shape[2] != self.in_channels:
             raise ValueError(
                 f"expected (batch, length, {self.in_channels}) input, got {x.shape}")
         b, length, _ = x.shape
-        pad = self.kernel // 2
+        lo, taps = self._live_taps(length)
+        pad = taps // 2
         xp = np.zeros((b, length + 2 * pad, self.in_channels))
         xp[:, pad:pad + length] = x
-        # im2col: read-only (b, length, k, cin) windows over the padded
-        # signal, in the weight layout, unfolded for one matmul
-        s_batch, s_pos, s_chan = xp.strides
-        windows = as_strided(xp, (b, length, self.kernel, self.in_channels),
-                             (s_batch, s_pos, s_pos, s_chan), writeable=False)
-        cols = windows.reshape(b * length, self.kernel * self.in_channels)
-        w = self.weight.value.reshape(self.kernel * self.in_channels, self.out_channels)
-        y = (cols @ w + self.bias.value).reshape(b, length, self.out_channels)
+        w = self.weight.value[lo:lo + taps].reshape(taps * self.in_channels,
+                                                    self.out_channels)
+        y = self._unfold(xp, length, taps) @ w + self.bias.value
         self._x_padded = xp
         self._length = length
-        return y
+        return y.reshape(b, length, self.out_channels)
 
     def backward(self, grad):
         xp = self._need_cache(self._x_padded, "Conv1D")
         length = self._length
-        pad = self.kernel // 2
-        self.bias.grad += grad.sum(axis=(0, 1))
+        lo, taps = self._live_taps(length)
+        b, _, cin = xp.shape
+        g2 = grad.reshape(b * length, self.out_channels)
+        # one matmul for the live taps' weight gradient; the unfold is
+        # redone here rather than cached, to keep forward's memory small
+        cols = self._unfold(xp, length, taps)
+        self.weight.grad[lo:lo + taps] += (cols.T @ g2).reshape(
+            taps, cin, self.out_channels)
+        self.bias.grad += g2.sum(axis=0)
+        w = self.weight.value[lo:lo + taps].reshape(taps * cin, self.out_channels)
+        dcols = (g2 @ w.T).reshape(b, length, taps, cin)
+        # col2im: each tap's column block lands on its shifted window
         gxp = np.zeros_like(xp)
-        for j in range(self.kernel):
-            self.weight.grad[j] += np.einsum("blc,blo->co", xp[:, j:j + length], grad)
-            gxp[:, j:j + length] += grad @ self.weight.value[j].T
+        for j in range(taps):
+            gxp[:, j:j + length] += dcols[:, :, j]
+        pad = taps // 2
         return gxp[:, pad:pad + length]
 
 

@@ -15,6 +15,9 @@ import numpy as np
 from meshseg.numerics import SeededRng
 from meshseg.neural.layers import mean_squared_error, softmax_cross_entropy
 
+# evaluation batches are padded to a multiple of this many rows
+ROW_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -120,10 +123,21 @@ def train_reconstruction(model, x: np.ndarray, cfg: TrainConfig) -> list:
 
 
 def predict_probabilities(model, x: np.ndarray, batch: int = 1024) -> np.ndarray:
-    """Evaluation-mode class probabilities, one row per sample."""
+    """Evaluation-mode class probabilities, one row per sample.
+
+    Each batch is zero-padded to a multiple of ROW_BLOCK rows and the
+    padding sliced off again. A BLAS matmul may take a different
+    summation path for the rows of a ragged tail block, so without the
+    padding a row's logits could depend on where it sits in the batch.
+    """
     out = []
     for lo in range(0, len(x), batch):
-        logits = model.forward(x[lo:lo + batch], training=False)
+        chunk = x[lo:lo + batch]
+        rows = len(chunk)
+        short = -rows % ROW_BLOCK
+        if short:
+            chunk = np.pad(chunk, [(0, short)] + [(0, 0)] * (chunk.ndim - 1))
+        logits = model.forward(chunk, training=False)[:rows]
         z = logits - logits.max(axis=1, keepdims=True)
         e = np.exp(z)
         out.append(e / e.sum(axis=1, keepdims=True))

@@ -156,6 +156,25 @@ def conv1d_loops(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def conv1d_backward_loops(x: np.ndarray, w: np.ndarray, grad: np.ndarray):
+    """Gradients of conv1d_loops under upstream `grad`, one tap at a time
+    over every tap, padding included.
+
+    Returns (input gradient, weight gradient, bias gradient).
+    """
+    batch, length, cin = x.shape
+    k = w.shape[0]
+    half = k // 2
+    xp = np.zeros((batch, length + 2 * half, cin))
+    xp[:, half:half + length] = x
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for j in range(k):
+        gw[j] = np.einsum("blc,blo->co", xp[:, j:j + length], grad)
+        gxp[:, j:j + length] += grad @ w[j].T
+    return gxp[:, half:half + length], gw, grad.sum(axis=(0, 1))
+
+
 def solve_zero_mean_dense(a_dense: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Least-squares route for the singular system, zero-mean gauge."""
     x, *_ = np.linalg.lstsq(a_dense, b - b.mean(), rcond=None)

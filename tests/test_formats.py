@@ -77,6 +77,14 @@ def test_feature_cache_truncation(tmp_path):
         load_feature_cache(path)
 
 
+def test_feature_cache_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "long.feat"
+    save_feature_cache(path, ("a", "b"), np.ones((5, 2)))
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(FormatError, match="1 trailing bytes"):
+        load_feature_cache(path)
+
+
 def test_feature_cache_shape_validation(tmp_path):
     with pytest.raises(ValueError, match="matching the names"):
         save_feature_cache(tmp_path / "x.feat", ("a", "b"), np.zeros((4, 3)))
@@ -95,6 +103,14 @@ def test_probabilities_reject_feature_file(tmp_path):
     path = tmp_path / "m.feat"
     save_feature_cache(path, ("a",), np.zeros((2, 1)))
     with pytest.raises(FormatError, match="not a probability file"):
+        load_probabilities(path)
+
+
+def test_probabilities_reject_trailing_bytes(tmp_path):
+    path = tmp_path / "long.prob"
+    save_probabilities(path, np.full((3, 2), 0.5))
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(FormatError, match="1 trailing bytes"):
         load_probabilities(path)
 
 
@@ -137,6 +153,15 @@ def test_checkpoint_round_trip_ae(tmp_path):
     save_checkpoint(tmp_path / "m.ckpt", model, ("a",) * 6)
     clone, _ = load_checkpoint(tmp_path / "m.ckpt")
     assert np.array_equal(clone.predict_proba(x), model.predict_proba(x))
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    model, _ = _train_tiny_cnn()
+    path = tmp_path / "long.ckpt"
+    save_checkpoint(path, model, ("c1", "c2", "c3"))
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(FormatError, match="1 trailing bytes"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_untrained_cnn_fails_loudly(tmp_path):

@@ -14,7 +14,7 @@ from meshseg.neural.layers import (
     mean_squared_error,
     softmax_cross_entropy,
 )
-from meshseg.neural.network import branch_output_shape, build_multibranch
+from meshseg.neural.network import Sequential, branch_output_shape, build_multibranch
 from meshseg.neural.training import TrainConfig, predict_probabilities, train_classifier
 from meshseg.neural.models import (
     CnnModel,
@@ -28,8 +28,9 @@ from meshseg.neural.gradcheck import (
     _numeric_grad,
     _stable_numeric_grad,
     check_layer,
+    check_layer_case,
 )
-from oracles import conv1d_loops
+from oracles import conv1d_backward_loops, conv1d_loops
 
 RNG = np.random.default_rng
 
@@ -77,11 +78,17 @@ def test_conv_matches_loop_oracle():
     assert conv.forward(x) == pytest.approx(want, abs=1e-12)
 
 
-@pytest.mark.parametrize("kernel,cin,cout,length", [
+NETWORK_CONV_SHAPES = [
     (15, 1, 16, 9),    # first conv, training signal length
     (15, 1, 16, 32),   # first conv, gradient-check signal length
-    (11, 16, 32, 4),   # second conv after pooling 9: kernel longer than signal
+    (11, 16, 32, 4),   # second conv after pooling 9: taps 0, 1, 9, 10 dead
     (11, 16, 32, 16),  # second conv after pooling 32
+]
+
+
+@pytest.mark.parametrize("kernel,cin,cout,length", NETWORK_CONV_SHAPES + [
+    (11, 16, 32, 2),   # shorter signals: more dead taps
+    (11, 16, 32, 3),
 ])
 def test_conv_matches_loop_oracle_at_network_shapes(kernel, cin, cout, length):
     rng = RNG(5)
@@ -90,6 +97,38 @@ def test_conv_matches_loop_oracle_at_network_shapes(kernel, cin, cout, length):
     x = rng.normal(size=(4, length, cin))
     want = conv1d_loops(x, conv.weight.value, conv.bias.value)
     assert conv.forward(x) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("kernel,cin,cout,length", NETWORK_CONV_SHAPES)
+def test_conv_backward_matches_loop_oracle_at_network_shapes(kernel, cin, cout, length):
+    rng = RNG(7)
+    conv = Conv1D(kernel, cin, cout, rng)
+    x = rng.normal(size=(4, length, cin))
+    grad = rng.normal(size=(4, length, cout))
+    conv.forward(x, training=True)
+    gx = conv.backward(grad)
+    want_x, want_w, want_b = conv1d_backward_loops(x, conv.weight.value, grad)
+    assert gx == pytest.approx(want_x, abs=1e-12)
+    assert conv.weight.grad == pytest.approx(want_w, abs=1e-12)
+    assert conv.bias.grad == pytest.approx(want_b, abs=1e-12)
+    dead = max(0, kernel // 2 - (length - 1))
+    live = np.zeros(kernel, dtype=bool)
+    live[dead:kernel - dead] = True
+    assert not np.any(conv.weight.grad[~live])
+    assert np.all(np.any(conv.weight.grad[live] != 0.0, axis=(1, 2)))
+
+
+@pytest.mark.parametrize("kernel,cin,cout,length", [(11, 16, 32, 4), (7, 2, 3, 2)])
+def test_conv_gradcheck_with_dead_taps(kernel, cin, cout, length):
+    rng = RNG(8)
+    conv = Conv1D(kernel, cin, cout, rng)
+    x = rng.normal(size=(3, length, cin))
+    entries = check_layer_case("conv1d", conv, x, False, rng)
+    assert [e.target for e in entries] == [
+        "conv1d/input", "conv1d/weight", "conv1d/bias"]
+    for entry in entries:
+        assert entry.coords_checked > 0
+        assert entry.passed, entry
 
 
 def test_conv_input_validation():
@@ -374,6 +413,17 @@ def test_predictions_are_probability_rows():
     doubled = np.concatenate([inputs, inputs[:1]], axis=0)
     probs2 = model.predict_proba(doubled)
     assert np.array_equal(probs2[-1], probs2[0])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_prediction_of_a_row_does_not_depend_on_its_position(seed):
+    # 65 rows leave a ragged BLAS tail block; row 64 repeats row 0
+    rng = RNG(seed)
+    net = Sequential([Dense(172, 2, rng)])
+    x = rng.normal(size=(65, 172))
+    x[64] = x[0]
+    probs = predict_probabilities(net, x)
+    assert np.array_equal(probs[64], probs[0])
 
 
 # ------------------------------------------------------------------ models
