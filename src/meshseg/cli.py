@@ -18,20 +18,20 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from meshseg.evaluate import accuracy
-from meshseg.experiment import cached_features, run_experiment
-from meshseg.features import (
-    DEFAULT_CHANNELS,
-    FeatureParams,
-    NormalizationStats,
-    compute_features,
-    multiscale,
+from meshseg.experiment import (
+    _prepare_bundles,
+    feature_cache_key,
+    load_labeled_meshes,
+    mesh_features,
+    normalized_training_set,
+    predict,
+    run_experiment,
+    train_model,
 )
+from meshseg.features import DEFAULT_CHANNELS, compute_features
 from meshseg.formats import (
     FormatError,
-    content_hash,
     export_colored_ply,
     load_checkpoint,
     load_experiment_config,
@@ -47,7 +47,6 @@ from meshseg.formats import (
 from meshseg.graphcut import GraphCutProblem, alpha_expansion
 from meshseg.mesh import MeshError, build_dual_graph, load_mesh_path, save_off
 from meshseg.neural.gradcheck import NETWORK_TOL, full_gradcheck
-from meshseg.neural.models import build_model
 from meshseg.numerics import SolverError
 from meshseg.smoothing import taubin_smooth
 
@@ -69,25 +68,11 @@ def _model_scales(model) -> int:
     return model.net.n_branches if model.kind == "cnn" else 1
 
 
-def _stats_from_file(path) -> NormalizationStats:
-    names, rows, _ = load_feature_cache(path)
-    if rows.shape[0] != 2:
-        raise FormatError(f"{path}: expected mean/scale rows, got {rows.shape[0]}")
-    return NormalizationStats(mean=rows[0], scale=rows[1])
-
-
-def _save_stats(path, channel_names, stats: NormalizationStats) -> None:
-    save_feature_cache(path, channel_names, np.vstack([stats.mean, stats.scale]),
-                       source_hash="normalization-stats")
-
-
 def cmd_features(args) -> dict:
     mesh = load_mesh_path(args.mesh)
-    params = FeatureParams()
-    fm = compute_features(mesh, DEFAULT_CHANNELS, params)
-    key = content_hash(Path(args.mesh).read_bytes(),
-                       "\n".join(DEFAULT_CHANNELS), repr(params))
-    save_feature_cache(args.output, fm.channel_names, fm.values, key)
+    fm = compute_features(mesh)
+    save_feature_cache(args.output, fm.channel_names, fm.values,
+                       feature_cache_key(args.mesh))
     return {"command": "features", "mesh": str(args.mesh),
             "output": str(args.output), "n_faces": mesh.n_faces,
             "channels": list(fm.channel_names),
@@ -106,56 +91,28 @@ def cmd_smooth(args) -> dict:
             "volume_after": smoothed.enclosed_volume()}
 
 
-def _dataset_training_arrays(cfg):
-    """Features, multi-scale stacks, and stacked labels for the whole
-    manifest; normalization fit on everything (no held-out split here)."""
-    from meshseg.experiment import load_labeled_meshes
-    from meshseg.features import fit_stats
-
+def cmd_train(args) -> dict:
+    """One model on every mesh of the dataset; normalization is fitted on
+    all of them (there is no held-out split here)."""
+    cfg = load_experiment_config(args.config)
     manifest = load_manifest(cfg.dataset)
     meshes = load_labeled_meshes(manifest)
-    scales = cfg.branches if cfg.model_kind == "cnn" else 1
-    raw = {}
-    for lm in meshes:
-        entry = {e[0]: e for e in manifest.entries}[lm.mesh_id]
-        graph = build_dual_graph(lm.mesh)
-        fm = cached_features(lm.mesh, entry[1], Path(cfg.output_dir) / "cache",
-                             graph=graph)
-        raw[lm.mesh_id] = (fm, multiscale(fm.values, graph, scales,
-                                          fm.channel_names).values)
-    stats = fit_stats(np.vstack([raw[lm.mesh_id][0].values for lm in meshes]))
-    x = np.concatenate([(raw[lm.mesh_id][1] - stats.mean) / stats.scale
-                        for lm in meshes], axis=0)
-    y = np.concatenate([lm.labels for lm in meshes])
-    return manifest, meshes, stats, x, y
-
-
-def cmd_train(args) -> dict:
-    cfg = load_experiment_config(args.config)
-    manifest, meshes, stats, x, y = _dataset_training_arrays(cfg)
-    model = build_model(cfg.model_kind, cfg.branches, len(DEFAULT_CHANNELS),
-                        len(manifest.classes), cfg.seed, cfg.train)
-    curves = model.fit(model.prepare_inputs(x), y)
+    bundles = _prepare_bundles(meshes, manifest, cfg, _threads(args))
+    stats, x, y = normalized_training_set(bundles, [lm.mesh_id for lm in meshes])
+    model, final_losses = train_model(cfg, len(manifest.classes), cfg.seed, x, y)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(out, model, DEFAULT_CHANNELS)
-    stats_path = out.with_suffix(out.suffix + ".stats")
-    _save_stats(stats_path, DEFAULT_CHANNELS, stats)
+    save_checkpoint(out, model, DEFAULT_CHANNELS, stats)
     return {"command": "train", "config": str(args.config), "seed": cfg.seed,
-            "checkpoint": str(out), "stats": str(stats_path),
-            "n_meshes": len(meshes), "n_faces": int(len(y)),
-            "final_losses": {k: v[-1] for k, v in curves.items()}}
+            "checkpoint": str(out), "n_meshes": len(meshes),
+            "n_faces": int(len(y)), "final_losses": final_losses}
 
 
 def cmd_segment(args) -> dict:
-    model, channel_names = load_checkpoint(args.checkpoint)
-    stats = _stats_from_file(args.stats)
+    model, channel_names, stats = load_checkpoint(args.checkpoint)
     mesh = load_mesh_path(args.mesh)
-    graph = build_dual_graph(mesh)
-    fm = compute_features(mesh, channel_names, graph=graph)
-    msf = multiscale(fm.values, graph, _model_scales(model), channel_names)
-    x = (msf.values - stats.mean) / stats.scale
-    probs = model.predict_proba(model.prepare_inputs(x))
+    _, _, raw = mesh_features(mesh, _model_scales(model), channel_names)
+    probs = predict(model, stats, raw)
     save_probabilities(args.output, probs)
     summary = {"command": "segment", "mesh": str(args.mesh),
                "checkpoint": str(args.checkpoint), "seed": int(model.seed),
@@ -259,8 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("segment", help="per-face class probabilities for one mesh")
     sp.add_argument("mesh")
     sp.add_argument("--checkpoint", required=True)
-    sp.add_argument("--stats", required=True,
-                    help="normalization stats written next to the checkpoint")
     sp.add_argument("-o", "--output", required=True, help="probability grid path")
     sp.add_argument("--labels-out", default="")
     sp.set_defaults(func=cmd_segment)
@@ -309,16 +264,23 @@ _CATEGORIES = (
 )
 
 
+def _category(exc: BaseException):
+    """(exit code, category) of the first exception along the __cause__
+    chain that has one, so a wrapper that adds context keeps the code."""
+    while exc is not None:
+        for types, code, category in _CATEGORIES:
+            if isinstance(exc, types):
+                return code, category
+        exc = exc.__cause__
+    return 1, "internal"
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         summary = args.func(args)
     except Exception as exc:  # map to category codes, keep the message
-        for types, code, category in _CATEGORIES:
-            if isinstance(exc, types):
-                break
-        else:
-            code, category = 1, "internal"
+        code, category = _category(exc)
         print(json.dumps({"status": "error", "category": category,
                           "message": str(exc)}, sort_keys=True),
               file=sys.stderr)

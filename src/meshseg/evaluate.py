@@ -42,24 +42,6 @@ class LabeledMesh:
 
 
 @dataclass(frozen=True)
-class EvaluationRecord:
-    """One test prediction: labels, areas, and the accuracy they imply."""
-
-    mesh_id: str
-    predicted: np.ndarray
-    ground_truth: np.ndarray
-    areas: np.ndarray
-    accuracy: float
-    replicate_seed: int
-
-    def __post_init__(self):
-        check = accuracy(self.predicted, self.ground_truth, self.areas)
-        if abs(check - self.accuracy) > 1e-12:
-            raise ValueError(
-                f"stored accuracy {self.accuracy} does not match recomputation {check}")
-
-
-@dataclass(frozen=True)
 class SplitPlan:
     """Cross-validation protocol: leave-one-out, k-fold, or a fixed file."""
 

@@ -1,6 +1,10 @@
 """Experiment orchestration: features with caching, split-wise training,
 prediction, graph-cut refinement, and a deterministic JSON-ready report.
 
+The stage functions here (`mesh_features`, `normalized_training_set`,
+`train_model`, `predict`) are the one implementation of each step;
+`run_experiment` and the single-step commands of the CLI both call them.
+
 Raw per-face features are split-independent and cached per mesh keyed by
 a content hash of the mesh file and extraction settings. Normalization is
 affine per channel, so it commutes with neighborhood averaging; raw
@@ -15,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from meshseg.evaluate import EvaluationRecord, LabeledMesh, SplitPlan, accuracy, make_splits
+from meshseg.evaluate import LabeledMesh, SplitPlan, accuracy, make_splits
 from meshseg.features import (
     DEFAULT_CHANNELS,
     FeatureMatrix,
@@ -66,18 +70,26 @@ def load_labeled_meshes(manifest: DatasetManifest) -> list:
     return sorted(out, key=lambda lm: lm.mesh_id)
 
 
+def feature_cache_key(mesh_path, channels=DEFAULT_CHANNELS,
+                      params: FeatureParams = FeatureParams()) -> str:
+    """Hash of the mesh file bytes, channel names, and extraction
+    parameters: the raw features are a function of exactly these."""
+    return content_hash(Path(mesh_path).read_bytes(), "\n".join(channels),
+                        repr(params))
+
+
 def cached_features(mesh, mesh_path, cache_dir, channels=DEFAULT_CHANNELS,
                     params: FeatureParams = FeatureParams(),
                     graph=None) -> FeatureMatrix:
     """Compute (or reuse) the raw feature matrix for one mesh.
 
-    The cache key hashes the mesh file bytes, channel names, and
-    extraction parameters; a stale or foreign cache is recomputed.
-    graph, when given, is the mesh's dual graph and is reused.
+    The cache file is named after its key (`feature_cache_key`), so meshes
+    with the same file name in different directories keep separate
+    caches; a stale or foreign cache is recomputed. graph, when given, is
+    the mesh's dual graph and is reused.
     """
-    key = content_hash(Path(mesh_path).read_bytes(), "\n".join(channels),
-                       repr(params))
-    cache_path = Path(cache_dir) / (Path(mesh_path).stem + ".feat")
+    key = feature_cache_key(mesh_path, channels, params)
+    cache_path = Path(cache_dir) / f"{key}.feat"
     if cache_path.exists():
         try:
             names, values, stored = load_feature_cache(cache_path)
@@ -99,26 +111,62 @@ class _MeshBundle:
     raw_multiscale: np.ndarray  # (faces, K, channels), unnormalized
 
 
-def _prepare_bundles(meshes, manifest, cfg, scales, channels, params, threads, log):
-    def build(item):
-        lm, (mesh_id, mesh_path, _) = item
-        graph = build_dual_graph(lm.mesh)
-        fm = cached_features(lm.mesh, mesh_path, Path(cfg.output_dir) / "cache",
-                             channels, params, graph)
-        msf = multiscale(fm.values, graph, scales, fm.channel_names)
-        return _MeshBundle(lm, graph, fm, msf.values)
+def mesh_features(mesh, scales, channels=DEFAULT_CHANNELS, mesh_path=None,
+                  cache_dir=None):
+    """(dual graph, raw features, raw multi-scale stack) of one mesh; the
+    features go through the cache when cache_dir is given."""
+    graph = build_dual_graph(mesh)
+    if cache_dir is None:
+        fm = compute_features(mesh, channels, graph=graph)
+    else:
+        fm = cached_features(mesh, mesh_path, cache_dir, channels, graph=graph)
+    return graph, fm, multiscale(fm.values, graph, scales, fm.channel_names).values
 
-    entries = {e[0]: e for e in manifest.entries}
-    items = [(lm, entries[lm.mesh_id]) for lm in meshes]
+
+def _prepare_bundles(meshes, manifest, cfg, threads, log=None):
+    """Bundle per mesh id, with as many scales as the configured model
+    reads; features are built on `threads` workers through the cache."""
+    scales = cfg.branches if cfg.model_kind == "cnn" else 1
+    paths = {mesh_id: mesh_path for mesh_id, mesh_path, _ in manifest.entries}
+    cache_dir = Path(cfg.output_dir) / "cache"
+
+    def build(lm):
+        return _MeshBundle(lm, *mesh_features(
+            lm.mesh, scales, mesh_path=paths[lm.mesh_id], cache_dir=cache_dir))
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            bundles = list(pool.map(build, items))
+            bundles = list(pool.map(build, meshes))
     else:
-        bundles = [build(item) for item in items]
+        bundles = [build(lm) for lm in meshes]
     for b in bundles:
         if log:
             log(f"features ready: {b.labeled.mesh_id} ({b.labeled.mesh.n_faces} faces)")
     return {b.labeled.mesh_id: b for b in bundles}
+
+
+def normalized_training_set(bundles, mesh_ids):
+    """(stats, x, y): normalization fitted on the raw features of mesh_ids,
+    their normalized multi-scale stacks and their labels, stacked in order."""
+    stats = fit_stats(np.vstack([bundles[m].features.values for m in mesh_ids]))
+    x = np.concatenate([stats.apply(bundles[m].raw_multiscale) for m in mesh_ids],
+                       axis=0)
+    y = np.concatenate([bundles[m].labeled.labels for m in mesh_ids])
+    return stats, x, y
+
+
+def train_model(cfg: ExperimentConfig, n_classes, seed, x, y):
+    """(model, final loss per training stage) of one model fitted on the
+    normalized multi-scale rows x and their labels y."""
+    model = build_model(cfg.model_kind, cfg.branches, x.shape[-1], n_classes,
+                        seed, cfg.train)
+    curves = model.fit(model.prepare_inputs(x), y)
+    return model, {stage: curve[-1] for stage, curve in curves.items()}
+
+
+def predict(model, stats, raw_multiscale) -> np.ndarray:
+    """Class probabilities per face from a raw multi-scale stack."""
+    return model.predict_proba(model.prepare_inputs(stats.apply(raw_multiscale)))
 
 
 def _split_plan(cfg: ExperimentConfig) -> SplitPlan:
@@ -138,48 +186,31 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1, log=None) -> dict:
     manifest = load_manifest(cfg.dataset)
     meshes = load_labeled_meshes(manifest)
     n_classes = len(manifest.classes)
-    channels = DEFAULT_CHANNELS
-    params = FeatureParams()
-    if "agd" not in channels:
-        raise ValueError("refinement requires the 'agd' channel")
-    agd_col = channels.index("agd")
-    scales = cfg.branches if cfg.model_kind == "cnn" else 1
+    agd_col = DEFAULT_CHANNELS.index("agd")  # refinement's feature term
 
     plan = _split_plan(cfg)
     splits = make_splits([lm.mesh_id for lm in meshes], plan, cfg.seed)
-    bundles = _prepare_bundles(meshes, manifest, cfg, scales, channels,
-                               params, threads, log)
+    bundles = _prepare_bundles(meshes, manifest, cfg, threads, log)
 
     out_dir = Path(cfg.output_dir)
     (out_dir / "probs").mkdir(parents=True, exist_ok=True)
     (out_dir / "labels").mkdir(parents=True, exist_ok=True)
     root = SeededRng(cfg.seed)
-    records = []
     record_rows = []
     for si, (train_ids, test_ids) in enumerate(splits):
-        train_rows = np.vstack([bundles[m].features.values for m in train_ids])
-        stats = fit_stats(train_rows)
-
-        def norm_msf(mesh_id):
-            raw = bundles[mesh_id].raw_multiscale
-            return (raw - stats.mean) / stats.scale
-
-        x_train = np.concatenate([norm_msf(m) for m in train_ids], axis=0)
-        y_train = np.concatenate([bundles[m].labeled.labels for m in train_ids])
+        stats, x_train, y_train = normalized_training_set(bundles, train_ids)
         for rep in range(plan.replicates):
             seed = root.derive_seed(f"split{si}/rep{rep}")
-            model = build_model(cfg.model_kind, cfg.branches,
-                                len(channels), n_classes, seed, cfg.train)
             try:
-                curves = model.fit(model.prepare_inputs(x_train), y_train)
+                model, final_losses = train_model(cfg, n_classes, seed,
+                                                  x_train, y_train)
             except Exception as exc:
                 raise RuntimeError(
                     f"training failed on split {si} replicate {rep}: {exc}") from exc
-            final_losses = {stage: curve[-1] for stage, curve in curves.items()}
             for mesh_id in test_ids:
                 b = bundles[mesh_id]
                 try:
-                    probs = model.predict_proba(model.prepare_inputs(norm_msf(mesh_id)))
+                    probs = predict(model, stats, b.raw_multiscale)
                     pred_pre = np.asarray(probs.argmax(axis=1), dtype=np.int64)
                     problem = GraphCutProblem(
                         graph=b.graph, probabilities=probs,
@@ -194,9 +225,6 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1, log=None) -> dict:
                 gt = b.labeled.labels
                 acc_pre = accuracy(pred_pre, gt, areas)
                 acc_post = accuracy(refined.labels, gt, areas)
-                records.append(EvaluationRecord(
-                    mesh_id=mesh_id, predicted=refined.labels, ground_truth=gt,
-                    areas=areas, accuracy=acc_post, replicate_seed=seed))
                 tag = f"{mesh_id}.split{si}.rep{rep}"
                 save_probabilities(out_dir / "probs" / f"{tag}.prob", probs)
                 save_labels(out_dir / "labels" / f"{tag}.seg", refined.labels)
@@ -242,5 +270,4 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1, log=None) -> dict:
         },
     }
     (out_dir / "report.json").write_text(dump_json(report))
-    _ = records  # EvaluationRecord construction enforces the accuracy invariant
     return report

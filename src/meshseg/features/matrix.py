@@ -137,11 +137,10 @@ def fit_stats(values: np.ndarray) -> NormalizationStats:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Raw per-face feature values plus (optionally) normalization stats."""
+    """Raw per-face feature values under their channel names."""
 
     channel_names: tuple
     values: np.ndarray  # (faces, channels), unnormalized
-    stats: NormalizationStats | None = None
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -151,15 +150,6 @@ class FeatureMatrix:
     @property
     def face_count(self) -> int:
         return len(self.values)
-
-    def with_stats(self, stats: NormalizationStats) -> "FeatureMatrix":
-        return FeatureMatrix(self.channel_names, self.values, stats,
-                             self.diagnostics)
-
-    def normalized(self) -> np.ndarray:
-        if self.stats is None:
-            raise ValueError("no normalization stats attached")
-        return self.stats.apply(self.values)
 
 
 def compute_features(mesh: Mesh, channels=DEFAULT_CHANNELS,

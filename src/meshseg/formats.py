@@ -18,11 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
+from meshseg.features.matrix import NormalizationStats
 from meshseg.mesh import Mesh
 from meshseg.neural.models import model_from_descriptor
 from meshseg.neural.training import TrainConfig
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 1  # feature caches and probability grids
+CKPT_VERSION = 2  # 2: normalization stats follow the channel names
 FEATURE_MAGIC = b"MSEGFEAT"
 PROB_MAGIC = b"MSEGPROB"
 CKPT_MAGIC = b"MSEGCKPT"
@@ -152,14 +154,19 @@ def load_probabilities(path) -> np.ndarray:
 # model checkpoint
 
 
-def save_checkpoint(path, model, channel_names) -> None:
-    """Architecture descriptor, seed, channel names, then every state
-    tensor (parameters, batch-norm stats, PCA bases) in declaration order."""
+def save_checkpoint(path, model, channel_names, stats: NormalizationStats) -> None:
+    """Architecture descriptor, seed, channel names, the per-channel
+    normalization mean and scale, then every state tensor (parameters,
+    batch-norm stats, PCA bases) in declaration order."""
+    if not len(stats.mean) == len(stats.scale) == len(channel_names):
+        raise ValueError("normalization stats need one entry per channel")
     slots = model.state_slots()
-    blob = [CKPT_MAGIC, struct.pack("<I", FORMAT_VERSION),
+    blob = [CKPT_MAGIC, struct.pack("<I", CKPT_VERSION),
             _pack_text(model.describe()),
             struct.pack("<Q", int(model.seed)),
             _pack_text("\n".join(channel_names)),
+            struct.pack("<I", len(stats.mean)),
+            _pack_floats(stats.mean), _pack_floats(stats.scale),
             struct.pack("<I", len(slots))]
     for name, get, _ in slots:
         arr = np.asarray(get(), dtype=np.float64)
@@ -171,13 +178,19 @@ def save_checkpoint(path, model, channel_names) -> None:
 
 
 def load_checkpoint(path):
-    """Returns (model, channel names); the model is rebuilt from its
-    descriptor and filled with the stored tensors."""
+    """Returns (model, channel names, normalization stats); the model is
+    rebuilt from its descriptor and filled with the stored tensors."""
     r = _Reader(Path(path).read_bytes(), str(path))
-    r.check_magic(CKPT_MAGIC, FORMAT_VERSION, "checkpoint")
+    r.check_magic(CKPT_MAGIC, CKPT_VERSION, "checkpoint")
     descriptor = r.text()
     seed = r.u64()
     channel_names = tuple(r.text().split("\n"))
+    n_stats = r.u32()
+    if n_stats != len(channel_names):
+        raise FormatError(f"{path}: normalization stats for {n_stats} channels, "
+                          f"checkpoint names {len(channel_names)}")
+    mean, scale = np.frombuffer(r.take(16 * n_stats), dtype="<f8").reshape(2, n_stats).copy()
+    stats = NormalizationStats(mean=mean, scale=scale)
     model = model_from_descriptor(descriptor, seed)
     slots = model.state_slots()
     n = r.u32()
@@ -194,7 +207,7 @@ def load_checkpoint(path):
         arr = np.frombuffer(r.take(8 * count), dtype="<f8").reshape(shape).copy()
         put(arr)
     r.finish()
-    return model, channel_names
+    return model, channel_names, stats
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,16 @@ spawning subprocesses.
 """
 import argparse
 import json
+import struct
 
 import numpy as np
 import pytest
 
+import meshseg.cli as cli
 from meshseg.cli import THREADS_ENV, _threads, main
 from meshseg.features import DEFAULT_CHANNELS
 from meshseg.formats import (
+    CKPT_MAGIC,
     load_feature_cache,
     load_labels,
     load_probabilities,
@@ -108,6 +111,17 @@ def test_smooth_preserves_volume(ws, tmp_path, capsys):
 # ------------------------------------------------- train/segment/... chain
 
 
+@pytest.fixture(scope="module")
+def trained(ws, tmp_path_factory):
+    """Checkpoint of one `train --threads 1` on the toy set."""
+    root = tmp_path_factory.mktemp("trained")
+    cfg = write_config(root / "cfg.json", ws["manifest"], root / "out")
+    ckpt = root / "model.ckpt"
+    assert main(["train", "--config", str(cfg), "-o", str(ckpt),
+                 "--threads", "1"]) == 0
+    return ckpt
+
+
 def test_train_segment_refine_eval_chain(ws, tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", ws["manifest"],
                        tmp_path / "out")
@@ -118,16 +132,13 @@ def test_train_segment_refine_eval_chain(ws, tmp_path, capsys):
     assert code == 0
     assert doc["n_meshes"] == 4
     assert ckpt.exists()
-    stats_path = ckpt.with_suffix(ckpt.suffix + ".stats")
-    assert stats_path.exists()
-    assert doc["stats"] == str(stats_path)
+    assert doc["checkpoint"] == str(ckpt)
     assert all(np.isfinite(v) for v in doc["final_losses"].values())
 
     probs_path = tmp_path / "m0.prob"
     labels_path = tmp_path / "m0.seg"
     code, doc, _ = invoke(["segment", str(ws["mesh0"]),
                            "--checkpoint", str(ckpt),
-                           "--stats", str(stats_path),
                            "-o", str(probs_path),
                            "--labels-out", str(labels_path)], capsys)
     assert code == 0
@@ -158,17 +169,47 @@ def test_train_segment_refine_eval_chain(ws, tmp_path, capsys):
     assert code == 0
     assert 0.0 <= doc["accuracy"] <= 1.0
 
-    # stats sidecar with the wrong number of rows is rejected as input
-    bad_stats = tmp_path / "bad.stats"
-    save_feature_cache(bad_stats, DEFAULT_CHANNELS,
-                       np.zeros((3, len(DEFAULT_CHANNELS))), "x")
-    code, _, err = invoke(["segment", str(ws["mesh0"]),
-                           "--checkpoint", str(ckpt),
-                           "--stats", str(bad_stats),
+
+def test_train_threads_change_no_checkpoint_byte(ws, trained, tmp_path,
+                                                 monkeypatch, capsys):
+    workers = []
+    real = cli._prepare_bundles
+
+    def recording(meshes, manifest, cfg, threads):
+        workers.append(threads)
+        return real(meshes, manifest, cfg, threads)
+
+    monkeypatch.setattr(cli, "_prepare_bundles", recording)
+    cfg = write_config(tmp_path / "cfg.json", ws["manifest"], tmp_path / "out")
+    ckpt = tmp_path / "model.ckpt"
+    code, _, _ = invoke(["train", "--config", str(cfg), "-o", str(ckpt),
+                         "--threads", "2"], capsys)
+    assert code == 0
+    assert workers == [2]
+    assert ckpt.read_bytes() == trained.read_bytes()
+
+
+def test_segment_rejects_stats_channel_mismatch(ws, trained, tmp_path, capsys):
+    names = "\n".join(DEFAULT_CHANNELS).encode()
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(trained.read_bytes().replace(
+        struct.pack("<I", len(names)) + names,
+        struct.pack("<I", len(names) + 6) + names + b"\nextra"))
+    code, _, err = invoke(["segment", str(ws["mesh0"]), "--checkpoint", str(bad),
                            "-o", str(tmp_path / "junk.prob")], capsys)
     assert code == 3
     assert err["category"] == "invalid-input"
-    assert "mean/scale" in err["message"]
+    assert "normalization stats" in err["message"]
+
+
+def test_segment_rejects_version_one_checkpoint(ws, trained, tmp_path, capsys):
+    blob = trained.read_bytes()
+    old = tmp_path / "v1.ckpt"
+    old.write_bytes(CKPT_MAGIC + struct.pack("<I", 1) + blob[len(CKPT_MAGIC) + 4:])
+    code, _, err = invoke(["segment", str(ws["mesh0"]), "--checkpoint", str(old),
+                           "-o", str(tmp_path / "junk.prob")], capsys)
+    assert code == 3
+    assert "regenerate" in err["message"]
 
 
 def test_refine_needs_agd_channel(ws, tmp_path, capsys):
@@ -293,7 +334,6 @@ def test_missing_file_exit_four(tmp_path, capsys):
 def test_missing_checkpoint_exit_four(tmp_path, capsys):
     code, _, err = invoke(["segment", "any.off",
                            "--checkpoint", str(tmp_path / "none.ckpt"),
-                           "--stats", "none.stats",
                            "-o", str(tmp_path / "p.prob")], capsys)
     assert code == 4
     assert err["category"] == "missing-file"
@@ -316,6 +356,59 @@ def test_eval_length_mismatch_exit_three(ws, tmp_path, capsys):
                            "--truth", str(ws["truth0"])], capsys)
     assert code == 3
     assert err["category"] == "invalid-input"
+
+
+def write_manifest(path, ws, mesh0):
+    """The toy manifest with absolute paths and dumbbell-00's mesh replaced."""
+    doc = json.loads(ws["manifest"].read_text())
+    for rec in doc["meshes"]:
+        rec["mesh"] = str(ws["data"] / rec["mesh"])
+        rec["labels"] = str(ws["data"] / rec["labels"])
+    doc["meshes"][0]["mesh"] = str(mesh0)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_run_missing_mesh_exit_four(ws, tmp_path, capsys):
+    manifest = write_manifest(tmp_path / "m.json", ws, tmp_path / "ghost.off")
+    cfg = write_config(tmp_path / "cfg.json", manifest, tmp_path / "out")
+    code, _, err = invoke(["run", "--config", str(cfg)], capsys)
+    assert code == 4
+    assert err["category"] == "missing-file"
+    assert "loading mesh 'dumbbell-00'" in err["message"]
+
+
+def test_train_missing_mesh_exit_four(ws, tmp_path, capsys):
+    manifest = write_manifest(tmp_path / "m.json", ws, tmp_path / "ghost.off")
+    cfg = write_config(tmp_path / "cfg.json", manifest, tmp_path / "out")
+    code, _, err = invoke(["train", "--config", str(cfg),
+                           "-o", str(tmp_path / "m.ckpt")], capsys)
+    assert code == 4
+    assert err["category"] == "missing-file"
+
+
+def test_run_degenerate_mesh_exit_three(ws, tmp_path, capsys):
+    mesh = load_mesh_path(ws["mesh0"])
+    verts = np.vstack([mesh.vertices, mesh.vertices[:2].mean(axis=0)])
+    faces = np.vstack([mesh.faces, [[0, 1, len(verts) - 1]]])  # zero area
+    save_off((verts, faces), tmp_path / "flat.off")
+    manifest = write_manifest(tmp_path / "m.json", ws, tmp_path / "flat.off")
+    cfg = write_config(tmp_path / "cfg.json", manifest, tmp_path / "out")
+    code, _, err = invoke(["run", "--config", str(cfg)], capsys)
+    assert code == 3
+    assert err["category"] == "invalid-input"
+    assert "degenerate" in err["message"]
+
+
+def test_run_diverging_training_exit_five(ws, tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", ws["manifest"], tmp_path / "out",
+                       train={"epochs": 2, "lr_start": 1e200, "lr_end": 1e200,
+                              "batch_size": 64})
+    with np.errstate(all="ignore"):
+        code, _, err = invoke(["run", "--config", str(cfg)], capsys)
+    assert code == 5
+    assert err["category"] == "numeric"
+    assert "training failed on split 0" in err["message"]
 
 
 def test_numeric_failure_exit_five(monkeypatch, capsys):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from meshseg.evaluate import (
-    EvaluationRecord,
     LabeledMesh,
     SplitPlan,
     accuracy,
@@ -59,17 +58,6 @@ def test_labeled_mesh_validation(tet):
         LabeledMesh("tet", tet, np.zeros(3, dtype=int))
     with pytest.raises(ValueError, match="negative label"):
         LabeledMesh("tet", tet, np.array([0, 0, -1, 0]))
-
-
-def test_evaluation_record_checks_accuracy(tet):
-    pred = np.array([0, 0, 1, 1])
-    gt = np.array([0, 0, 0, 1])
-    areas = np.asarray(tet.face_areas)
-    ok = accuracy(pred, gt, areas)
-    record = EvaluationRecord("tet", pred, gt, areas, ok, replicate_seed=7)
-    assert record.accuracy == ok
-    with pytest.raises(ValueError, match="does not match"):
-        EvaluationRecord("tet", pred, gt, areas, ok + 0.01, replicate_seed=7)
 
 
 # ------------------------------------------------------------------ splits

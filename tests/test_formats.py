@@ -1,11 +1,14 @@
 import io
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from meshseg import synth
+from meshseg.features import NormalizationStats
 from meshseg.formats import (
+    CKPT_MAGIC,
     FormatError,
     PALETTE,
     content_hash,
@@ -124,12 +127,19 @@ def _train_tiny_cnn(seed=0):
     return model, x
 
 
+def _stats(n):
+    return NormalizationStats(mean=np.linspace(-1.0, 1.0, n) / 3.0,
+                              scale=np.linspace(0.5, 2.0, n) / 7.0)
+
+
 def test_checkpoint_round_trip_cnn(tmp_path):
     model, x = _train_tiny_cnn()
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, model, ("c1", "c2", "c3"))
-    clone, channels = load_checkpoint(path)
+    save_checkpoint(path, model, ("c1", "c2", "c3"), _stats(3))
+    clone, channels, stats = load_checkpoint(path)
     assert channels == ("c1", "c2", "c3")
+    assert np.array_equal(stats.mean, _stats(3).mean)
+    assert np.array_equal(stats.scale, _stats(3).scale)
     assert clone.describe() == model.describe()
     assert np.array_equal(clone.predict_proba(x), model.predict_proba(x))
 
@@ -139,8 +149,8 @@ def test_checkpoint_round_trip_pca(tmp_path):
     model = PcaNnModel(6, 2, seed=3, train_cfg=TrainConfig(epochs=2, batch_size=8))
     x = rng.normal(size=(30, 6))
     model.fit(x, rng.integers(0, 2, 30))
-    save_checkpoint(tmp_path / "m.ckpt", model, ("a",) * 6)
-    clone, _ = load_checkpoint(tmp_path / "m.ckpt")
+    save_checkpoint(tmp_path / "m.ckpt", model, ("a",) * 6, _stats(6))
+    clone, _, _ = load_checkpoint(tmp_path / "m.ckpt")
     assert np.array_equal(clone.pca_basis, model.pca_basis)
     assert np.array_equal(clone.predict_proba(x), model.predict_proba(x))
 
@@ -150,24 +160,49 @@ def test_checkpoint_round_trip_ae(tmp_path):
     model = StackedAeModel(6, 2, seed=5, train_cfg=TrainConfig(epochs=2, batch_size=8))
     x = rng.normal(size=(30, 6))
     model.fit(x, rng.integers(0, 2, 30))
-    save_checkpoint(tmp_path / "m.ckpt", model, ("a",) * 6)
-    clone, _ = load_checkpoint(tmp_path / "m.ckpt")
+    save_checkpoint(tmp_path / "m.ckpt", model, ("a",) * 6, _stats(6))
+    clone, _, _ = load_checkpoint(tmp_path / "m.ckpt")
     assert np.array_equal(clone.predict_proba(x), model.predict_proba(x))
 
 
 def test_checkpoint_rejects_trailing_bytes(tmp_path):
     model, _ = _train_tiny_cnn()
     path = tmp_path / "long.ckpt"
-    save_checkpoint(path, model, ("c1", "c2", "c3"))
+    save_checkpoint(path, model, ("c1", "c2", "c3"), _stats(3))
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(FormatError, match="1 trailing bytes"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_stats_need_one_entry_per_channel(tmp_path):
+    model, _ = _train_tiny_cnn()
+    with pytest.raises(ValueError, match="one entry per channel"):
+        save_checkpoint(tmp_path / "m.ckpt", model, ("c1", "c2"), _stats(3))
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, ("c1", "c2", "c3"), _stats(3))
+    # a fourth channel name in front of three stats entries
+    names = b"c1\nc2\nc3"
+    path.write_bytes(path.read_bytes().replace(
+        struct.pack("<I", len(names)) + names,
+        struct.pack("<I", len(names) + 3) + names + b"\nc4"))
+    with pytest.raises(FormatError, match="stats for 3 channels, checkpoint names 4"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_version_one_needs_regenerating(tmp_path):
+    model, _ = _train_tiny_cnn()
+    path = tmp_path / "old.ckpt"
+    save_checkpoint(path, model, ("c1", "c2", "c3"), _stats(3))
+    blob = path.read_bytes()
+    path.write_bytes(CKPT_MAGIC + struct.pack("<I", 1) + blob[len(CKPT_MAGIC) + 4:])
+    with pytest.raises(FormatError, match="version 1 unsupported.*regenerate"):
         load_checkpoint(path)
 
 
 def test_checkpoint_untrained_cnn_fails_loudly(tmp_path):
     model = CnnModel(1, 8, 2, seed=0)
     with pytest.raises(ValueError, match="untrained"):
-        save_checkpoint(tmp_path / "m.ckpt", model, ("a",))
+        save_checkpoint(tmp_path / "m.ckpt", model, ("a",), _stats(1))
 
 
 def test_checkpoint_bad_magic(tmp_path):

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 import meshseg.experiment as experiment
-from meshseg.experiment import cached_features, load_labeled_meshes, run_experiment
+from meshseg.experiment import (
+    cached_features,
+    feature_cache_key,
+    load_labeled_meshes,
+    run_experiment,
+)
 from meshseg.formats import load_manifest, parse_experiment_config, save_labels
 from meshseg.synth import make_toy_dataset
 
@@ -99,7 +104,7 @@ def test_cached_features_recomputes_on_stale_or_garbage(toy_manifest, tmp_path,
     monkeypatch.setattr(experiment, "compute_features", counting)
     cache_dir = tmp_path / "cache"
     cached_features(lm.mesh, mesh_path, cache_dir)
-    cache_file = cache_dir / (mesh_path.stem + ".feat")
+    cache_file = cache_dir / (feature_cache_key(mesh_path) + ".feat")
     assert cache_file.exists()
 
     cache_file.write_bytes(b"garbage, not a cache at all")
@@ -109,6 +114,35 @@ def test_cached_features_recomputes_on_stale_or_garbage(toy_manifest, tmp_path,
     # a cache keyed to different settings is also rejected
     cached_features(lm.mesh, mesh_path, cache_dir, channels=("agd", "sdf"))
     assert len(calls) == 3
+
+
+def test_cached_features_same_stem_in_two_directories(toy_manifest, tmp_path,
+                                                      monkeypatch):
+    manifest = load_manifest(toy_manifest)
+    meshes = load_labeled_meshes(manifest)[:2]
+    paths = dict((e[0], e[1]) for e in manifest.entries)
+    copies = []
+    for sub, lm in zip("ab", meshes):
+        path = tmp_path / sub / "chair.off"
+        path.parent.mkdir()
+        path.write_bytes(paths[lm.mesh_id].read_bytes())
+        copies.append((lm, path))
+    calls = []
+    real = experiment.compute_features
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(experiment, "compute_features", counting)
+    cache_dir = tmp_path / "cache"
+    first = [cached_features(lm.mesh, path, cache_dir) for lm, path in copies]
+    assert len(calls) == 2
+    again = [cached_features(lm.mesh, path, cache_dir) for lm, path in copies]
+    assert len(calls) == 2  # neither file overwrote the other's cache
+    for a, b in zip(first, again):
+        assert np.array_equal(a.values, b.values)
+    assert not np.array_equal(first[0].values, first[1].values)
 
 
 # -------------------------------------------------------------- experiment
