@@ -127,10 +127,13 @@ def cmd_segment(args) -> dict:
 def cmd_refine(args) -> dict:
     mesh = load_mesh_path(args.mesh)
     probs = load_probabilities(args.probs)
-    names, values, _ = load_feature_cache(args.features)
+    names, values, key = load_feature_cache(args.features)
     if "agd" not in names:
         raise FormatError(f"{args.features}: no 'agd' channel for the "
                           "feature-distance term")
+    if key != feature_cache_key(args.mesh, names):
+        raise FormatError(f"{args.features}: features of another mesh "
+                          f"(key {key}), not of {args.mesh}")
     graph = build_dual_graph(mesh)
     problem = GraphCutProblem(graph=graph, probabilities=probs,
                               feature=values[:, names.index("agd")],

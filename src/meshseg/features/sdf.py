@@ -8,15 +8,18 @@ robust to rays escaping through holes or grazing long tunnels.
 Nearest hits come from a bounding-volume hierarchy (median split on the
 longest axis of the centroid bounds, at most LEAF_SIZE triangles per
 leaf) stored as flat arrays. Rays walk it breadth-first as a batched
-frontier of (ray, node) pairs: a node is dropped when the ray misses its
-box or enters it beyond the ray's best hit so far. Each surviving
-(ray, triangle) pair runs the Möller–Trumbore test with exactly the
-arithmetic of an all-pairs sweep, and the minimum over accepted pairs is
-taken without arithmetic, so the nearest hits equal brute force bit for
-bit. That needs every hit Möller–Trumbore accepts to lie inside its
-leaf's box, rounding included; each box is therefore padded by
-BOX_PAD times the bounding-box diagonal, orders of magnitude above the
-rounding error of a hit point.
+frontier of (ray, node) pairs, one slab axis at a time: a node is dropped
+when the ray misses its box. Every leaf a ray reaches is collected, with
+no cut at the ray's best hit so far (a median split puts the leaves at
+one depth, so such a cut would almost never fire), and each chunk's
+(ray, triangle) pairs run the Möller–Trumbore test in one batch. That
+test works on per-axis component rows with exactly the arithmetic of an
+all-pairs sweep (np.cross's products, einsum's summation order), and the
+minimum over accepted pairs is taken without arithmetic, so the nearest
+hits equal brute force bit for bit. That needs every hit Möller–Trumbore
+accepts to lie inside its leaf's box, rounding included; each box is
+therefore padded by BOX_PAD times the bounding-box diagonal, orders of
+magnitude above the rounding error of a hit point.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ from meshseg.mesh import Mesh
 
 LEAF_SIZE = 8
 BOX_PAD = 1e-9
-# rays traced per frontier batch; bounds the (ray, node) and
+# rays traced per batch; bounds the (ray, node), (ray, leaf) and
 # (ray, triangle) arrays of one batch
 RAY_CHUNK = 2048
 
@@ -51,9 +54,9 @@ class TriangleBvh:
     lo/hi are the padded boxes of each node's triangles.
     """
 
-    v0: np.ndarray      # (F, 3) first corner
-    e1: np.ndarray      # (F, 3) second corner - first
-    e2: np.ndarray      # (F, 3) third corner - first
+    v0: np.ndarray      # (3, F) first corner, one row per axis
+    e1: np.ndarray      # (3, F) second corner - first
+    e2: np.ndarray      # (3, F) third corner - first
     lo: np.ndarray      # (3, N) box minima, one row per axis
     hi: np.ndarray      # (3, N) box maxima
     child: np.ndarray   # (N,)
@@ -113,10 +116,9 @@ def build_bvh(mesh: Mesh) -> TriangleBvh:
     bounds = np.array(ranges, dtype=np.int64)
     lo = np.array([tri_lo[order[s:e]].min(axis=0) for s, e in ranges]).T - pad
     hi = np.array([tri_hi[order[s:e]].max(axis=0) for s, e in ranges]).T + pad
-    v0 = mesh.vertices[mesh.faces[:, 0]]
+    v0, v1, v2 = np.ascontiguousarray(corners.transpose(1, 2, 0))
     return TriangleBvh(
-        v0=v0, e1=mesh.vertices[mesh.faces[:, 1]] - v0,
-        e2=mesh.vertices[mesh.faces[:, 2]] - v0, lo=lo, hi=hi,
+        v0=v0, e1=v1 - v0, e2=v2 - v0, lo=lo, hi=hi,
         child=np.array(child, dtype=np.int64), start=bounds[:, 0],
         count=bounds[:, 1] - bounds[:, 0], order=order)
 
@@ -130,58 +132,89 @@ def nearest_hits(bvh: TriangleBvh, origins: np.ndarray, dirs: np.ndarray,
     best = np.full(len(origins), np.inf)
     for lo in range(0, len(origins), RAY_CHUNK):
         sl = slice(lo, lo + RAY_CHUNK)
-        _trace(bvh, origins[sl], dirs[sl], source[sl], eps, best[sl])
+        o = np.ascontiguousarray(origins[sl].T)
+        d = np.ascontiguousarray(dirs[sl].T)
+        ray, leaf = _trace(bvh, o, d)
+        _intersect_leaves(bvh, o, d, source[sl], eps, best[sl], ray, leaf)
     return best
 
 
-def _trace(bvh, o, d, src, eps, best):
-    """Breadth-first frontier walk; lowers best (a view) in place."""
+def _trace(bvh, o, d):
+    """Breadth-first frontier walk from (3, R) origin and direction rows;
+    returns the (ray, leaf) pairs whose boxes the rays reach."""
+    rays, leaves = [], []
     with np.errstate(divide="ignore", invalid="ignore"):
-        o_axes = np.ascontiguousarray(o.T)
-        inv_axes = 1.0 / np.ascontiguousarray(d.T)
-        ray = np.arange(len(o))
-        node = np.zeros(len(o), dtype=np.int64)
+        inv_d = 1.0 / d
+        ray = np.arange(o.shape[1])
+        node = np.zeros(len(ray), dtype=np.int64)
         while ray.size:
-            # slab test, one coordinate axis per row; fmin/fmax skip the
-            # NaN of 0 * inf on a zero direction component. A box entered
-            # beyond the ray's best hit so far holds no nearer hit.
-            oo, inv = o_axes[:, ray], inv_axes[:, ray]
-            t1 = (bvh.lo[:, node] - oo) * inv
-            t2 = (bvh.hi[:, node] - oo) * inv
-            tn = np.fmin(t1, t2)
-            tf = np.fmax(t1, t2)
-            near = np.fmax(np.fmax(tn[0], tn[1]), tn[2])
-            far = np.fmin(np.fmin(tf[0], tf[1]), tf[2])
-            live = (near <= far) & (far >= 0.0) & (near <= best[ray])
+            # slab test one axis at a time; fmin/fmax skip the NaN of
+            # 0 * inf on a zero direction component
+            for ax in range(3):
+                oo, inv = o[ax].take(ray), inv_d[ax].take(ray)
+                t1 = bvh.lo[ax].take(node)
+                t1 -= oo
+                t1 *= inv
+                t2 = bvh.hi[ax].take(node)
+                t2 -= oo
+                t2 *= inv
+                tn = np.fmin(t1, t2)
+                tf = np.fmax(t1, t2, out=t1)
+                if ax == 0:
+                    near, far = tn, tf
+                else:
+                    np.fmax(near, tn, out=near)
+                    np.fmin(far, tf, out=far)
+            live = (near <= far) & (far >= 0.0)
             ray, node = ray[live], node[live]
-            kid = bvh.child[node]
+            kid = bvh.child.take(node)
             leaf = kid < 0
-            _intersect_leaves(bvh, o, d, src, eps, best, ray[leaf], node[leaf])
+            rays.append(ray[leaf])
+            leaves.append(node[leaf])
             inner = ~leaf
             ray = np.repeat(ray[inner], 2)
             node = (kid[inner, None] + np.array([0, 1])).ravel()
+    return np.concatenate(rays), np.concatenate(leaves)
 
 
-def _intersect_leaves(bvh, o, d, src, eps, best, ray, node):
-    """Möller–Trumbore on every (ray, triangle) pair of the given leaves."""
-    count = bvh.count[node]
-    first = np.repeat(bvh.start[node] - (np.cumsum(count) - count), count)
+def _dot(x, y):
+    """Row-wise 3-term dot product, summed in the order einsum("pk,pk->p")
+    uses: (x0*y0 + x2*y2) + x1*y1."""
+    r = x[0] * y[0]
+    r += x[2] * y[2]
+    r += x[1] * y[1]
+    return r
+
+
+def _cross(x, y):
+    """Row-wise cross product in np.cross's arithmetic."""
+    return (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2],
+            x[0] * y[1] - x[1] * y[0])
+
+
+def _intersect_leaves(bvh, o, d, src, eps, best, ray, leaf):
+    """Möller–Trumbore on every (ray, triangle) pair of the given leaves;
+    lowers best (a view) in place."""
+    count = bvh.count[leaf]
+    first = np.repeat(bvh.start[leaf] - (np.cumsum(count) - count), count)
     tri = bvh.order[first + np.arange(len(first))]
     ray = np.repeat(ray, count)
-    own = tri == src[ray]
-    ray, tri = ray[~own], tri[~own]
-    dd = d[ray]
-    e1, e2 = bvh.e1[tri], bvh.e2[tri]
-    h = np.cross(dd, e2)
-    a = np.einsum("pk,pk->p", e1, h)
-    s = o[ray] - bvh.v0[tri]
-    q = np.cross(s, e1)
-    inv = 1.0 / a
-    u = inv * np.einsum("pk,pk->p", s, h)
-    w = inv * np.einsum("pk,pk->p", dd, q)
-    t = inv * np.einsum("pk,pk->p", e2, q)
-    ok = ((np.abs(a) > 1e-300) & (u >= 0.0) & (w >= 0.0)
-          & (u + w <= 1.0) & (t >= eps))
+    other = tri != src[ray]
+    ray, tri = ray[other], tri[other]
+    dd = [d[k].take(ray) for k in range(3)]
+    e1 = [bvh.e1[k].take(tri) for k in range(3)]
+    e2 = [bvh.e2[k].take(tri) for k in range(3)]
+    s = [o[k].take(ray) - bvh.v0[k].take(tri) for k in range(3)]
+    h = _cross(dd, e2)
+    q = _cross(s, e1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = _dot(e1, h)
+        inv = 1.0 / a
+        u = inv * _dot(s, h)
+        w = inv * _dot(dd, q)
+        t = inv * _dot(e2, q)
+        ok = ((np.abs(a) > 1e-300) & (u >= 0.0) & (w >= 0.0)
+              & (u + w <= 1.0) & (t >= eps))
     np.minimum.at(best, ray[ok], t[ok])
 
 

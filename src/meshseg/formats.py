@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
+import uuid
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -94,6 +96,21 @@ def _pack_floats(arr: np.ndarray) -> bytes:
     return np.ascontiguousarray(arr, dtype="<f8").tobytes()
 
 
+def _write_atomic(path, parts) -> None:
+    """Write the byte parts to a fresh file beside path, then rename it
+    over path, so a write that fails partway leaves any old file intact."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            for part in parts:
+                f.write(part)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 # ---------------------------------------------------------------------------
 # feature cache
 
@@ -108,7 +125,7 @@ def save_feature_cache(path, channel_names, values: np.ndarray,
             struct.pack("<Q", len(values)),
             _pack_text(source_hash),
             _pack_floats(values)]
-    Path(path).write_bytes(b"".join(blob))
+    _write_atomic(path, blob)
 
 
 def load_feature_cache(path):
@@ -137,7 +154,7 @@ def save_probabilities(path, probs: np.ndarray) -> None:
             struct.pack("<Q", len(probs)),
             struct.pack("<I", probs.shape[1]),
             _pack_floats(probs)]
-    Path(path).write_bytes(b"".join(blob))
+    _write_atomic(path, blob)
 
 
 def load_probabilities(path) -> np.ndarray:
@@ -160,21 +177,24 @@ def save_checkpoint(path, model, channel_names, stats: NormalizationStats) -> No
     batch-norm stats, PCA bases) in declaration order."""
     if not len(stats.mean) == len(stats.scale) == len(channel_names):
         raise ValueError("normalization stats need one entry per channel")
+    _write_atomic(path, _checkpoint_parts(model, channel_names, stats))
+
+
+def _checkpoint_parts(model, channel_names, stats):
     slots = model.state_slots()
-    blob = [CKPT_MAGIC, struct.pack("<I", CKPT_VERSION),
-            _pack_text(model.describe()),
-            struct.pack("<Q", int(model.seed)),
-            _pack_text("\n".join(channel_names)),
-            struct.pack("<I", len(stats.mean)),
-            _pack_floats(stats.mean), _pack_floats(stats.scale),
-            struct.pack("<I", len(slots))]
+    yield from (CKPT_MAGIC, struct.pack("<I", CKPT_VERSION),
+                _pack_text(model.describe()),
+                struct.pack("<Q", int(model.seed)),
+                _pack_text("\n".join(channel_names)),
+                struct.pack("<I", len(stats.mean)),
+                _pack_floats(stats.mean), _pack_floats(stats.scale),
+                struct.pack("<I", len(slots)))
     for name, get, _ in slots:
         arr = np.asarray(get(), dtype=np.float64)
-        blob.append(_pack_text(name))
-        blob.append(struct.pack("<I", arr.ndim))
-        blob.extend(struct.pack("<Q", d) for d in arr.shape)
-        blob.append(_pack_floats(arr))
-    Path(path).write_bytes(b"".join(blob))
+        yield _pack_text(name)
+        yield struct.pack("<I", arr.ndim)
+        yield from (struct.pack("<Q", d) for d in arr.shape)
+        yield _pack_floats(arr)
 
 
 def load_checkpoint(path):

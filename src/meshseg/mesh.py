@@ -35,7 +35,6 @@ class Mesh:
     face_areas : (F,) float64, strictly positive
     face_centroids : (F, 3) float64
     face_normals : (F, 3) float64, unit length
-    vertex_face_incidence : list of int64 arrays, faces incident to each vertex
     """
 
     def __init__(self, vertices, faces, _face_lines=None):
@@ -52,11 +51,14 @@ class Mesh:
         def face_line(f):
             return None if _face_lines is None else _face_lines[f]
 
-        for f, (a, b, c) in enumerate(faces):
-            if a == b or b == c or a == c:
+        a, b, c = faces.T
+        repeats = (a == b) | (b == c) | (a == c)
+        bad = np.nonzero(repeats | ((faces < 0) | (faces >= nv)).any(axis=1))[0]
+        if bad.size:  # the first bad face; a repeat wins within one face
+            f = int(bad[0])
+            if repeats[f]:
                 raise MeshError(f"face {f} repeats a vertex index", face_line(f))
-            if min(a, b, c) < 0 or max(a, b, c) >= nv:
-                raise MeshError(f"face {f} references vertex out of range [0, {nv})", face_line(f))
+            raise MeshError(f"face {f} references vertex out of range [0, {nv})", face_line(f))
 
         e1 = vertices[faces[:, 1]] - vertices[faces[:, 0]]
         e2 = vertices[faces[:, 2]] - vertices[faces[:, 0]]
@@ -73,18 +75,11 @@ class Mesh:
             f = int(degenerate[0])
             raise MeshError(f"face {f} is degenerate (zero area)", face_line(f))
 
-        incidence = [[] for _ in range(nv)]
-        for f, (a, b, c) in enumerate(faces):
-            incidence[a].append(f)
-            incidence[b].append(f)
-            incidence[c].append(f)
-
         self.vertices = vertices
         self.faces = faces
         self.face_areas = areas
         self.face_centroids = vertices[faces].mean(axis=1)
         self.face_normals = cross / cross_norm[:, None]
-        self.vertex_face_incidence = [np.array(fs, dtype=np.int64) for fs in incidence]
         for arr in (self.vertices, self.faces, self.face_areas,
                     self.face_centroids, self.face_normals):
             arr.flags.writeable = False

@@ -20,6 +20,7 @@ from meshseg.formats import (
     load_labels,
     load_probabilities,
     save_feature_cache,
+    save_probabilities,
 )
 from meshseg.mesh import load_mesh_path, save_off
 from meshseg.neural.gradcheck import CheckEntry, GradCheckReport
@@ -225,6 +226,24 @@ def test_refine_needs_agd_channel(ws, tmp_path, capsys):
                            "-o", str(tmp_path / "r.seg")], capsys)
     assert code == 3
     assert "agd" in err["message"]
+
+
+def test_refine_rejects_features_of_another_mesh(ws, tmp_path, capsys):
+    probs_path = tmp_path / "uniform.prob"
+    save_probabilities(probs_path, np.full((80, 2), 0.5))
+    feat_path = tmp_path / "m1.feat"
+    assert main(["features", str(ws["data"] / "dumbbell-01.off"),
+                 "-o", str(feat_path)]) == 0
+    capsys.readouterr()
+    # same face count, so only the stored key tells the meshes apart
+    code, _, err = invoke(["refine", str(ws["mesh0"]),
+                           "--probs", str(probs_path),
+                           "--features", str(feat_path),
+                           "-o", str(tmp_path / "r.seg")], capsys)
+    assert code == 3
+    assert err["category"] == "invalid-input"
+    assert "another mesh" in err["message"]
+    assert not (tmp_path / "r.seg").exists()
 
 
 # --------------------------------------------------------------------- run

@@ -27,7 +27,7 @@ from meshseg.features import (
     target_curvature,
     vertex_to_face,
 )
-from meshseg.features import geodesic
+from meshseg.features import geodesic, sdf
 from meshseg.features.sdf import build_bvh, nearest_hits, robust_thickness, tangent_frames
 from conftest import random_small_mesh
 from oracles import agd_reference, sdf_ray_distances, sdf_robust_thickness
@@ -349,6 +349,37 @@ def test_sdf_bvh_skips_the_source_face(make):
     want = sdf_ray_distances(mesh, dirs, 0.0)
     assert want.min() > 1e-3
     assert np.array_equal(_bvh_ray_distances(mesh, dirs, faces, 0.0), want)
+
+
+def test_sdf_bvh_axis_aligned_rays_on_the_cube():
+    # every direction with exact zero components (the 6 axes and the 12
+    # edge diagonals), cast from every face: inward along the normal,
+    # grazing along the face plane and outward. Zero components give
+    # infinite inverse directions and 0 * inf in the slab test.
+    mesh = synth.cube()
+    axes = np.array([v for v in np.ndindex(3, 3, 3) if v != (1, 1, 1)
+                     and sum(c != 1 for c in v) <= 2], dtype=float) - 1.0
+    assert len(axes) == 18
+    dirs = np.repeat((axes / np.linalg.norm(axes, axis=1)[:, None])[None],
+                     mesh.n_faces, axis=0)
+    eps = 1e-6 * mesh.bbox_diagonal()
+    want = sdf_ray_distances(mesh, dirs, eps)
+    got = _bvh_ray_distances(mesh, dirs, np.arange(mesh.n_faces), eps)
+    assert np.array_equal(got, want)
+    inward = [np.flatnonzero((axes == -n).all(axis=1))[0] for n in mesh.face_normals]
+    assert np.array_equal(want[np.arange(mesh.n_faces), inward],
+                          np.full(mesh.n_faces, 2.0))
+
+
+def test_sdf_bvh_ray_chunk_does_not_change_hits(monkeypatch):
+    mesh = synth.dumbbell(2)
+    dirs = _ray_directions(mesh)
+    eps = 1e-6 * mesh.bbox_diagonal()
+    faces = np.arange(mesh.n_faces)
+    want = _bvh_ray_distances(mesh, dirs, faces, eps)
+    monkeypatch.setattr(sdf, "RAY_CHUNK", 7)
+    assert np.array_equal(_bvh_ray_distances(mesh, dirs, faces, eps), want)
+    assert np.isfinite(want).all()
 
 
 def test_robust_thickness_equals_per_face_loop():

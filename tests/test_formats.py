@@ -1,11 +1,12 @@
 import io
 import json
+import os
 import struct
 
 import numpy as np
 import pytest
 
-from meshseg import synth
+from meshseg import formats, synth
 from meshseg.features import NormalizationStats
 from meshseg.formats import (
     CKPT_MAGIC,
@@ -210,6 +211,46 @@ def test_checkpoint_bad_magic(tmp_path):
     path.write_bytes(b"MSEGJUNK" + b"\x00" * 32)
     with pytest.raises(FormatError, match="not a checkpoint file"):
         load_checkpoint(path)
+
+
+# ------------------------------------------------------------ atomic writes
+
+def test_checkpoint_failing_partway_keeps_the_old_file(tmp_path):
+    # an untrained CNN raises at its first batch-norm running stat, after
+    # the header and the first conv tensors have been written
+    model, _ = _train_tiny_cnn()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, ("c1", "c2", "c3"), _stats(3))
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="untrained"):
+        save_checkpoint(path, CnnModel(2, 8, 3, seed=1), ("c1", "c2", "c3"),
+                        _stats(3))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.ckpt"]
+
+
+@pytest.mark.parametrize("save", [
+    lambda p: save_feature_cache(p, ("a", "b"), np.ones((4, 2)), "key"),
+    lambda p: save_probabilities(p, np.full((4, 2), 0.5)),
+    lambda p: save_checkpoint(p, _train_tiny_cnn()[0], ("c1", "c2", "c3"),
+                              _stats(3)),
+], ids=["feature-cache", "probabilities", "checkpoint"])
+def test_failed_write_keeps_the_old_file(save, tmp_path, monkeypatch):
+    path = tmp_path / "artifact.bin"
+    path.write_bytes(b"old contents")
+
+    def fail(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(formats.os, "replace", fail)
+    with pytest.raises(OSError, match="no space"):
+        save(path)
+    assert path.read_bytes() == b"old contents"
+    assert os.listdir(tmp_path) == ["artifact.bin"]
+    monkeypatch.undo()
+    save(path)
+    assert path.read_bytes() != b"old contents"
+    assert os.listdir(tmp_path) == ["artifact.bin"]
 
 
 # ------------------------------------------------------------------- labels

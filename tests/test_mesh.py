@@ -112,6 +112,35 @@ def test_edge_with_three_faces_rejected():
         build_dual_graph(Mesh(verts, faces))
 
 
+def _grid_off(bad_faces):
+    """OFF text of plane_grid(3, 3) with some faces' indices replaced."""
+    grid = plane_grid(3, 3)
+    faces = grid.faces.tolist()
+    for f, idx in bad_faces.items():
+        faces[f] = idx
+    return "\n".join(["OFF", f"{grid.n_vertices} {len(faces)} 0",
+                      *(" ".join(map(str, v)) for v in grid.vertices),
+                      *(f"3 {a} {b} {c}" for a, b, c in faces)]) + "\n"
+
+
+def test_first_bad_face_is_reported_with_its_line():
+    # face 3 is out of range and face 7 repeats an index: face 3 comes
+    # first, on line 2 + 16 vertices + 4 = 22
+    text = _grid_off({3: [0, 1, 99], 7: [4, 4, 5]})
+    with pytest.raises(MeshError, match=r"line 22: face 3 references vertex "
+                                        r"out of range \[0, 16\)"):
+        load_mesh(io.StringIO(text), "off")
+    with pytest.raises(MeshError, match="line 22: face 3 repeats"):
+        load_mesh(io.StringIO(_grid_off({3: [7, 7, 5], 7: [0, 1, 99]})), "off")
+
+
+def test_repeat_wins_over_range_within_one_face():
+    with pytest.raises(MeshError, match="face 2 repeats a vertex index"):
+        load_mesh(io.StringIO(_grid_off({2: [-1, -1, 3]})), "off")
+    with pytest.raises(MeshError, match="face 0 references vertex out of range"):
+        Mesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, -1]])
+
+
 def test_degenerate_face_rejected():
     with pytest.raises(MeshError, match="degenerate"):
         Mesh([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [[0, 1, 2]])
