@@ -26,6 +26,7 @@ from meshseg.experiment import (
     mesh_features,
     normalized_training_set,
     predict,
+    refine_labels,
     run_experiment,
     train_model,
 )
@@ -44,7 +45,6 @@ from meshseg.formats import (
     save_labels,
     save_probabilities,
 )
-from meshseg.graphcut import GraphCutProblem, alpha_expansion
 from meshseg.mesh import MeshError, build_dual_graph, load_mesh_path, save_off
 from meshseg.neural.gradcheck import NETWORK_TOL, full_gradcheck
 from meshseg.numerics import SolverError
@@ -134,11 +134,8 @@ def cmd_refine(args) -> dict:
     if key != feature_cache_key(args.mesh, names):
         raise FormatError(f"{args.features}: features of another mesh "
                           f"(key {key}), not of {args.mesh}")
-    graph = build_dual_graph(mesh)
-    problem = GraphCutProblem(graph=graph, probabilities=probs,
-                              feature=values[:, names.index("agd")],
-                              lam=args.lam, omega=args.omega)
-    result = alpha_expansion(problem)
+    result = refine_labels(build_dual_graph(mesh), probs,
+                           values[:, names.index("agd")], args.lam, args.omega)
     save_labels(args.output, result.labels)
     return {"command": "refine", "mesh": str(args.mesh),
             "output": str(args.output),

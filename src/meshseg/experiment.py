@@ -2,8 +2,9 @@
 prediction, graph-cut refinement, and a deterministic JSON-ready report.
 
 The stage functions here (`mesh_features`, `normalized_training_set`,
-`train_model`, `predict`) are the one implementation of each step;
-`run_experiment` and the single-step commands of the CLI both call them.
+`train_model`, `predict`, `refine_labels`) are the one implementation of
+each step; `run_experiment` and the single-step commands of the CLI both
+call them.
 
 Raw per-face features are split-independent and cached per mesh keyed by
 a content hash of the mesh file and extraction settings. Normalization is
@@ -169,6 +170,13 @@ def predict(model, stats, raw_multiscale) -> np.ndarray:
     return model.predict_proba(model.prepare_inputs(stats.apply(raw_multiscale)))
 
 
+def refine_labels(graph, probs, agd, lam, omega):
+    """Alpha-expansion result of the graph-cut refinement of per-face
+    probabilities, with AGD as the feature-distance term."""
+    return alpha_expansion(GraphCutProblem(graph=graph, probabilities=probs,
+                                           feature=agd, lam=lam, omega=omega))
+
+
 def _split_plan(cfg: ExperimentConfig) -> SplitPlan:
     fixed = None
     if cfg.protocol == "fixed":
@@ -212,11 +220,9 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1, log=None) -> dict:
                 try:
                     probs = predict(model, stats, b.raw_multiscale)
                     pred_pre = np.asarray(probs.argmax(axis=1), dtype=np.int64)
-                    problem = GraphCutProblem(
-                        graph=b.graph, probabilities=probs,
-                        feature=b.features.values[:, agd_col],
-                        lam=cfg.lam, omega=cfg.omega)
-                    refined = alpha_expansion(problem)
+                    refined = refine_labels(b.graph, probs,
+                                            b.features.values[:, agd_col],
+                                            cfg.lam, cfg.omega)
                 except Exception as exc:
                     raise RuntimeError(
                         f"inference failed on split {si} replicate {rep} "

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from meshseg.mesh import DualGraph, Mesh, build_dual_graph
+from meshseg.mesh import DualGraph, Mesh, build_dual_graph, face_balls
 from meshseg.smoothing import taubin_smooth
 from meshseg.features.curvature import curvature_field
 from meshseg.features.conformal import conformal_factor_field, vertex_to_face
@@ -197,7 +197,7 @@ def multiscale(values: np.ndarray, graph: DualGraph, scales: int,
     """Stack the K neighborhood-averaged copies of the rows.
 
     Scale 1 is the row itself; scale k is the unweighted mean over the
-    inclusive ball of radius k-1.
+    inclusive ball of radius k-1, summed in ascending face order.
     """
     if not 1 <= scales <= 4:
         raise ValueError("scales must be in 1..4")
@@ -206,20 +206,9 @@ def multiscale(values: np.ndarray, graph: DualGraph, scales: int,
         raise ValueError("row count does not match face count")
     out = np.zeros((len(values), scales, values.shape[1]))
     out[:, 0, :] = values
-    for u in range(graph.n_faces):
-        ball = {u}
-        frontier = [u]
-        for k in range(1, scales):
-            nxt = []
-            for f in frontier:
-                for g in graph.neighbors[f]:
-                    g = int(g)
-                    if g not in ball:
-                        ball.add(g)
-                        nxt.append(g)
-            frontier = nxt
-            idx = np.fromiter(ball, dtype=np.int64)
-            out[u, k, :] = values[idx].mean(axis=0)
+    for k in range(1, scales):
+        balls = face_balls(graph, k)
+        out[:, k, :] = (balls @ values) / np.diff(balls.indptr)[:, None]
     if channel_names is None:
         channel_names = tuple(f"c{i}" for i in range(values.shape[1]))
     return MultiScaleFeatures(scales=scales, channel_names=tuple(channel_names),

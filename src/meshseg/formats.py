@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 import uuid
@@ -68,7 +69,10 @@ class _Reader:
         return struct.unpack("<Q", self.take(8))[0]
 
     def text(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+        try:
+            return self.take(self.u32()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{self.where}: text field is not UTF-8: {exc.reason}") from None
 
     def finish(self) -> None:
         extra = len(self.blob) - self.pos
@@ -211,7 +215,10 @@ def load_checkpoint(path):
                           f"checkpoint names {len(channel_names)}")
     mean, scale = np.frombuffer(r.take(16 * n_stats), dtype="<f8").reshape(2, n_stats).copy()
     stats = NormalizationStats(mean=mean, scale=scale)
-    model = model_from_descriptor(descriptor, seed)
+    try:
+        model = model_from_descriptor(descriptor, seed)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     slots = model.state_slots()
     n = r.u32()
     if n != len(slots):
@@ -223,9 +230,11 @@ def load_checkpoint(path):
             raise FormatError(f"{path}: tensor {stored!r} where {name!r} expected")
         ndim = r.u32()
         shape = tuple(r.u64() for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(r.take(8 * count), dtype="<f8").reshape(shape).copy()
-        put(arr)
+        arr = np.frombuffer(r.take(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
+        try:
+            put(arr)
+        except ValueError as exc:
+            raise FormatError(f"{path}: tensor {name!r}: {exc}") from None
     r.finish()
     return model, channel_names, stats
 

@@ -3,7 +3,7 @@
 Meshes are immutable after construction (arrays are marked read-only) and
 safe to share across threads. OFF and OBJ text formats are supported;
 faces must be triangles and are validated at load with line numbers in
-every parse error.
+every parse error. Half-edges are paired once per mesh, in one sorted table.
 """
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 
 class MeshError(ValueError):
@@ -35,6 +36,8 @@ class Mesh:
     face_areas : (F,) float64, strictly positive
     face_centroids : (F, 3) float64
     face_normals : (F, 3) float64, unit length
+    half_edges : (3F, 3) int64, rows (i, j, face) with i < j, sorted
+    edge_start : (E + 1,) int64, first half-edge row of each mesh edge
     """
 
     def __init__(self, vertices, faces, _face_lines=None):
@@ -80,8 +83,17 @@ class Mesh:
         self.face_areas = areas
         self.face_centroids = vertices[faces].mean(axis=1)
         self.face_normals = cross / cross_norm[:, None]
+        # undirected edge e owns half_edges[edge_start[e]:edge_start[e + 1]]
+        nxt = np.roll(faces, -1, axis=1)
+        half = np.column_stack([np.minimum(faces, nxt).ravel(), np.maximum(faces, nxt).ravel(),
+                                np.repeat(np.arange(len(faces)), 3)])
+        self.half_edges = half = half[np.lexsort(half.T[::-1])]
+        new_edge = np.ones(len(half), dtype=bool)
+        new_edge[1:] = (half[1:, :2] != half[:-1, :2]).any(axis=1)
+        self.edge_start = np.append(np.nonzero(new_edge)[0], len(half))
         for arr in (self.vertices, self.faces, self.face_areas,
-                    self.face_centroids, self.face_normals):
+                    self.face_centroids, self.face_normals,
+                    self.half_edges, self.edge_start):
             arr.flags.writeable = False
 
     @property
@@ -96,22 +108,14 @@ class Mesh:
         ext = self.vertices.max(axis=0) - self.vertices.min(axis=0)
         return float(np.linalg.norm(ext))
 
-    def edge_face_map(self) -> dict[tuple[int, int], list[int]]:
-        """Map each undirected mesh edge (i<j) to the faces containing it."""
-        edges: dict[tuple[int, int], list[int]] = {}
-        for f, (a, b, c) in enumerate(self.faces):
-            for i, j in ((a, b), (b, c), (c, a)):
-                key = (i, j) if i < j else (j, i)
-                edges.setdefault(key, []).append(f)
-        return edges
+    def edges_with_faces(self, count: int) -> np.ndarray:
+        """First half-edge row of each undirected edge in `count` faces."""
+        return self.edge_start[:-1][np.diff(self.edge_start) == count]
 
     def boundary_vertices(self) -> np.ndarray:
         """Boolean mask of vertices lying on a boundary edge (1 incident face)."""
         mask = np.zeros(self.n_vertices, dtype=bool)
-        for (i, j), fs in self.edge_face_map().items():
-            if len(fs) == 1:
-                mask[i] = True
-                mask[j] = True
+        mask[self.half_edges[self.edges_with_faces(1), :2]] = True
         return mask
 
     def enclosed_volume(self) -> float:
@@ -134,7 +138,12 @@ class DualGraph:
     edges: np.ndarray          # (E, 2) int64, u < v
     edge_dihedral: np.ndarray  # (E,) float64, in (0, 2*pi)
     edge_length: np.ndarray    # (E,) float64
-    neighbors: tuple           # per-face tuple of neighbor-face arrays
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products, one BLAS dot per row like a 1-D `a @ b`
+    (einsum sums in another order and differs in the last bits)."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def build_dual_graph(mesh: Mesh) -> DualGraph:
@@ -143,66 +152,59 @@ def build_dual_graph(mesh: Mesh) -> DualGraph:
     Concavity convention: with alpha the angle between the two outward face
     normals, an edge is concave when the opposite face's centroid lies on
     this face's outward-normal side; then dihedral = pi - alpha, else
-    pi + alpha. Boundary mesh edges produce no dual edge.
+    pi + alpha. Boundary mesh edges produce no dual edge. Dual edges come
+    in the sorted (i, j) order of their mesh edges.
     """
-    pairs = []
-    dihedrals = []
-    lengths = []
-    verts = mesh.vertices
-    for (i, j), fs in sorted(mesh.edge_face_map().items()):
-        if len(fs) > 2:
-            raise MeshError(f"non-manifold mesh edge ({i}, {j}) shared by {len(fs)} faces")
-        if len(fs) != 2:
-            continue
-        u, v = min(fs), max(fs)
-        nu, nv = mesh.face_normals[u], mesh.face_normals[v]
-        cosang = float(np.clip(nu @ nv, -1.0, 1.0))
-        sinang = float(np.linalg.norm(np.cross(nu, nv)))
-        alpha = math.atan2(sinang, cosang)  # in [0, pi]
-        concave = float((mesh.face_centroids[v] - mesh.face_centroids[u]) @ nu) > 0.0
-        theta = math.pi - alpha if concave else math.pi + alpha
-        pairs.append((u, v))
-        dihedrals.append(theta)
-        lengths.append(float(np.linalg.norm(verts[i] - verts[j])))
-
-    edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    neigh = [[] for _ in range(mesh.n_faces)]
-    for u, v in pairs:
-        neigh[u].append(v)
-        neigh[v].append(u)
-    neighbors = tuple(np.array(sorted(ns), dtype=np.int64) for ns in neigh)
+    counts = np.diff(mesh.edge_start)
+    if (counts > 2).any():
+        e = np.argmax(counts > 2)  # the first offending edge
+        i, j = mesh.half_edges[mesh.edge_start[e], :2]
+        raise MeshError(f"non-manifold mesh edge ({i}, {j}) shared by {counts[e]} faces")
+    rows = mesh.edges_with_faces(2)
+    i, j, u = mesh.half_edges[rows].T
+    v = mesh.half_edges[rows + 1, 2]
+    nu, nv = mesh.face_normals[u], mesh.face_normals[v]
+    cosang = np.clip(_row_dot(nu, nv), -1.0, 1.0)
+    cross = np.cross(nu, nv)
+    sinang = np.sqrt(_row_dot(cross, cross))
+    # math.atan2, not np.arctan2: the two differ in the last bit on some edges
+    alpha = np.fromiter(map(math.atan2, sinang.tolist(), cosang.tolist()),
+                        dtype=np.float64, count=len(rows))  # in [0, pi]
+    concave = _row_dot(mesh.face_centroids[v] - mesh.face_centroids[u], nu) > 0.0
+    span = mesh.vertices[i] - mesh.vertices[j]
     graph = DualGraph(
         n_faces=mesh.n_faces,
-        edges=edges,
-        edge_dihedral=np.array(dihedrals),
-        edge_length=np.array(lengths),
-        neighbors=neighbors,
+        edges=np.column_stack([u, v]),
+        edge_dihedral=np.where(concave, math.pi - alpha, math.pi + alpha),
+        edge_length=np.sqrt(_row_dot(span, span)),
     )
     for arr in (graph.edges, graph.edge_dihedral, graph.edge_length):
         arr.flags.writeable = False
     return graph
 
 
-def face_neighborhood(graph: DualGraph, u: int, hops: int) -> set[int]:
-    """BFS ball of the given radius around face u, inclusive of u."""
-    if not 0 <= u < graph.n_faces:
-        raise ValueError(f"face {u} not in graph with {graph.n_faces} faces")
+def face_balls(graph: DualGraph, hops: int) -> sp.csr_matrix:
+    """Boolean (F, F) matrix whose row u marks the faces within `hops`
+    dual-graph steps of face u, u included: (I + A)^hops reachability,
+    with each row's column indices in ascending order."""
     if hops < 0:
         raise ValueError("hops must be nonnegative")
-    seen = {u}
-    frontier = [u]
+    n = graph.n_faces
+    adj = sp.csr_matrix((np.ones(len(graph.edges), dtype=bool), graph.edges.T), shape=(n, n))
+    balls = sp.identity(n, dtype=bool, format="csr")
+    step = balls + adj + adj.T
     for _ in range(hops):
-        nxt = []
-        for f in frontier:
-            for g in graph.neighbors[f]:
-                g = int(g)
-                if g not in seen:
-                    seen.add(g)
-                    nxt.append(g)
-        if not nxt:
-            break
-        frontier = nxt
-    return seen
+        balls = balls @ step
+    balls.sort_indices()
+    return balls
+
+
+def face_neighborhood(graph: DualGraph, u: int, hops: int) -> set[int]:
+    """Ball of the given radius around face u, inclusive of u: row u of
+    face_balls."""
+    if not 0 <= u < graph.n_faces:
+        raise ValueError(f"face {u} not in graph with {graph.n_faces} faces")
+    return set(face_balls(graph, hops)[u].indices.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -285,10 +285,11 @@ def build_model(kind: str, n_branches: int, input_length: int, n_classes: int,
     raise ValueError(f"unknown model kind {kind!r} (expected cnn, pca-nn, ae-nn)")
 
 
+_N = r"([1-9]\d*)"  # a size: zero is no architecture
 _DESC_RE = {
-    "cnn": re.compile(r"multibranch\(K=(\d+),L=(\d+),Cin=(\d+),classes=(\d+)\)"),
-    "pca-nn": re.compile(r"pca-nn\(d=(\d+),p=(\d+),classes=(\d+)\)"),
-    "ae-nn": re.compile(r"ae-nn\(d=(\d+),h1=(\d+),h2=(\d+),classes=(\d+)\)"),
+    "cnn": re.compile(rf"multibranch\(K={_N},L={_N},Cin={_N},classes={_N}\)"),
+    "pca-nn": re.compile(rf"pca-nn\(d={_N},p={_N},classes={_N}\)"),
+    "ae-nn": re.compile(rf"ae-nn\(d={_N},h1={_N},h2={_N},classes={_N}\)"),
 }
 
 

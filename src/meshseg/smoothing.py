@@ -39,13 +39,8 @@ def umbrella_operator(mesh: Mesh) -> sp.csr_matrix:
     Isolated vertices (none in a valid mesh, but kept safe) map to 0.
     """
     n = mesh.n_vertices
-    pairs = set()
-    for a, b, c in mesh.faces:
-        for i, j in ((a, b), (b, c), (c, a)):
-            pairs.add((int(i), int(j)))
-            pairs.add((int(j), int(i)))
-    rows = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=len(pairs))
-    cols = np.fromiter((p[1] for p in pairs), dtype=np.int64, count=len(pairs))
+    i, j = mesh.half_edges[mesh.edge_start[:-1], :2].T  # each edge once
+    rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
     deg = np.bincount(rows, minlength=n).astype(np.float64)
     inv = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
     adj = sp.csr_matrix((inv[rows], (rows, cols)), shape=(n, n))

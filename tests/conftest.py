@@ -56,16 +56,11 @@ def random_small_mesh(rng, max_faces=50):
 def synthetic_graph(n_faces, edges, dihedrals):
     """Face-adjacency graph with unit edge lengths, built directly."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    neighbors = [[] for _ in range(n_faces)]
-    for u, v in edges:
-        neighbors[u].append(v)
-        neighbors[v].append(u)
     return DualGraph(
         n_faces=n_faces,
         edges=edges,
         edge_dihedral=np.asarray(dihedrals, dtype=np.float64),
         edge_length=np.ones(len(edges)),
-        neighbors=tuple(np.array(sorted(a), dtype=np.int64) for a in neighbors),
     )
 
 

@@ -4,8 +4,10 @@ Everything here is deliberately naive (dense, exhaustive, loop-based) and
 shares no code with the implementations under test.
 """
 import itertools
+import math
 
 import numpy as np
+import scipy.sparse as sp
 
 
 def floyd_warshall(n: int, edges, weights) -> np.ndarray:
@@ -179,3 +181,95 @@ def solve_zero_mean_dense(a_dense: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Least-squares route for the singular system, zero-mean gauge."""
     x, *_ = np.linalg.lstsq(a_dense, b - b.mean(), rcond=None)
     return x - x.mean()
+
+
+def edge_face_map(mesh) -> dict:
+    """Each undirected mesh edge (i < j) mapped to the faces containing it,
+    in face order."""
+    edges: dict = {}
+    for f, (a, b, c) in enumerate(mesh.faces):
+        for i, j in ((a, b), (b, c), (c, a)):
+            key = (int(min(i, j)), int(max(i, j)))
+            edges.setdefault(key, []).append(f)
+    return edges
+
+
+def boundary_vertices_loops(mesh) -> np.ndarray:
+    """Vertices on a mesh edge with exactly one incident face."""
+    mask = np.zeros(mesh.n_vertices, dtype=bool)
+    for (i, j), fs in edge_face_map(mesh).items():
+        if len(fs) == 1:
+            mask[i] = mask[j] = True
+    return mask
+
+
+def dual_graph_loops(mesh):
+    """(edges, dihedrals, lengths) of the dual graph with scalar arithmetic
+    per mesh edge, in sorted (i, j) order; a mesh edge in more than two
+    faces raises the package's MeshError."""
+    from meshseg.mesh import MeshError
+
+    pairs, dihedrals, lengths = [], [], []
+    for (i, j), fs in sorted(edge_face_map(mesh).items()):
+        if len(fs) > 2:
+            raise MeshError(f"non-manifold mesh edge ({i}, {j}) shared by {len(fs)} faces")
+        if len(fs) != 2:
+            continue
+        u, v = min(fs), max(fs)
+        nu, nv = mesh.face_normals[u], mesh.face_normals[v]
+        cosang = float(np.clip(nu @ nv, -1.0, 1.0))
+        sinang = float(np.linalg.norm(np.cross(nu, nv)))
+        alpha = math.atan2(sinang, cosang)
+        concave = float((mesh.face_centroids[v] - mesh.face_centroids[u]) @ nu) > 0.0
+        pairs.append((u, v))
+        dihedrals.append(math.pi - alpha if concave else math.pi + alpha)
+        lengths.append(float(np.linalg.norm(mesh.vertices[i] - mesh.vertices[j])))
+    return (np.array(pairs, dtype=np.int64).reshape(-1, 2), np.array(dihedrals),
+            np.array(lengths))
+
+
+def umbrella_operator_pairs(mesh) -> sp.csr_matrix:
+    """Uniform-weight vertex Laplacian from a set of directed vertex pairs."""
+    n = mesh.n_vertices
+    pairs = set()
+    for a, b, c in mesh.faces:
+        for i, j in ((a, b), (b, c), (c, a)):
+            pairs.add((int(i), int(j)))
+            pairs.add((int(j), int(i)))
+    rows = np.array([p[0] for p in pairs], dtype=np.int64)
+    cols = np.array([p[1] for p in pairs], dtype=np.int64)
+    deg = np.bincount(rows, minlength=n).astype(np.float64)
+    inv = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
+    adj = sp.csr_matrix((inv[rows], (rows, cols)), shape=(n, n))
+    return adj - sp.diags((deg > 0).astype(np.float64))
+
+
+def bfs_balls(graph, hops: int) -> list:
+    """Per face, the sorted faces within `hops` dual-graph steps, by BFS."""
+    neighbors = [[] for _ in range(graph.n_faces)]
+    for a, b in graph.edges.tolist():
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    balls = []
+    for u in range(graph.n_faces):
+        seen, frontier = {u}, [u]
+        for _ in range(hops):
+            nxt = []
+            for f in frontier:
+                for g in neighbors[f]:
+                    if g not in seen:
+                        seen.add(g)
+                        nxt.append(g)
+            frontier = nxt
+        balls.append(sorted(seen))
+    return balls
+
+
+def multiscale_bfs(values: np.ndarray, graph, scales: int) -> np.ndarray:
+    """(faces, scales, channels): scale k is the mean of each face's BFS
+    ball of radius k - 1, taken over the ball in ascending face order."""
+    out = np.zeros((len(values), scales, values.shape[1]))
+    for k in range(scales):
+        for u, ball in enumerate(bfs_balls(graph, k)):
+            out[u, k] = values[ball].mean(axis=0)
+    return out

@@ -213,6 +213,18 @@ def test_segment_rejects_version_one_checkpoint(ws, trained, tmp_path, capsys):
     assert "regenerate" in err["message"]
 
 
+def test_segment_rejects_zero_size_descriptor(ws, trained, tmp_path, capsys):
+    blob = trained.read_bytes()
+    assert blob.count(b"pca-nn(d=9,") == 1
+    bad = tmp_path / "d0.ckpt"
+    bad.write_bytes(blob.replace(b"pca-nn(d=9,", b"pca-nn(d=0,"))
+    code, _, err = invoke(["segment", str(ws["mesh0"]), "--checkpoint", str(bad),
+                           "-o", str(tmp_path / "junk.prob")], capsys)
+    assert code == 3
+    assert err["category"] == "invalid-input"
+    assert str(bad) in err["message"] and "d=0" in err["message"]
+
+
 def test_refine_needs_agd_channel(ws, tmp_path, capsys):
     probs = np.full((80, 2), 0.5)
     probs_path = tmp_path / "uniform.prob"

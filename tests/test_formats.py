@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from meshseg import formats, synth
 from meshseg.features import NormalizationStats
@@ -251,6 +253,92 @@ def test_failed_write_keeps_the_old_file(save, tmp_path, monkeypatch):
     save(path)
     assert path.read_bytes() != b"old contents"
     assert os.listdir(tmp_path) == ["artifact.bin"]
+
+
+# ------------------------------------------------------- corrupted artifacts
+
+def _pca_checkpoint(path):
+    rng = np.random.default_rng(2)
+    model = PcaNnModel(4, 2, seed=3, train_cfg=TrainConfig(epochs=2, batch_size=8))
+    model.fit(rng.normal(size=(30, 4)), rng.integers(0, 2, 30))
+    save_checkpoint(path, model, ("a", "b", "c", "d"), _stats(4))
+
+
+CORRUPTIBLE = {  # writer and loader of each binary format
+    "feature-cache": (
+        lambda p: save_feature_cache(p, ("gc", "agd"), np.ones((3, 2)), "key"),
+        load_feature_cache),
+    "probabilities": (
+        lambda p: save_probabilities(p, np.full((3, 2), 0.5)), load_probabilities),
+    "checkpoint-pca": (_pca_checkpoint, load_checkpoint),
+    "checkpoint-cnn": (
+        lambda p: save_checkpoint(p, _train_tiny_cnn()[0], ("c1", "c2", "c3"),
+                                  _stats(3)),
+        load_checkpoint),
+}
+
+
+@pytest.fixture(scope="module")
+def corrupt_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("corrupt")
+
+
+def _pristine(kind, corrupt_dir):
+    """(pristine bytes, loader, scratch path for corrupted copies)."""
+    write, load = CORRUPTIBLE[kind]
+    path = corrupt_dir / kind
+    if not path.exists():
+        write(path)
+    return path.read_bytes(), load, corrupt_dir / f"{kind}.bad"
+
+
+@pytest.fixture(scope="module", params=list(CORRUPTIBLE))
+def artifact(request, corrupt_dir):
+    return _pristine(request.param, corrupt_dir)
+
+
+def _flip(blob: bytes, bit: int) -> bytes:
+    out = bytearray(blob)
+    out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+@pytest.mark.parametrize("kind, marker, offset, bit", [
+    ("feature-cache", b"gc", 0, 7),         # channel name not UTF-8
+    ("checkpoint-cnn", b"multi", 0, 7),     # descriptor not UTF-8
+    ("checkpoint-pca", b"d=4", 2, 2),       # d=0: no input features
+    ("checkpoint-pca", b"d=4", 2, 0),       # d=5 against p=4
+    ("checkpoint-pca", b"pca.basis", 13, 0),  # basis (5, 4), model (4, 4)
+    ("checkpoint-pca", b"pca.basis", 20, 6),  # basis (4 + 2**62, 4)
+], ids=["name-utf8", "descriptor-utf8", "zero-size", "bad-size", "wrong-shape",
+        "huge-dim"])
+def test_known_bit_flips_are_format_errors(corrupt_dir, kind, marker, offset, bit):
+    blob, load, bad = _pristine(kind, corrupt_dir)
+    bad.write_bytes(_flip(blob, 8 * (blob.index(marker) + offset) + bit))
+    with pytest.raises(FormatError, match=str(bad)):
+        load(bad)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_truncation_is_a_format_error(artifact, data):
+    blob, load, bad = artifact
+    bad.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
+    with pytest.raises(FormatError):
+        load(bad)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_bit_flip_loads_or_is_a_format_error(artifact, data):
+    blob, load, bad = artifact
+    bad.write_bytes(_flip(blob, data.draw(st.integers(0, 8 * len(blob) - 1))))
+    try:
+        load(bad)
+    except FormatError:
+        pass
 
 
 # ------------------------------------------------------------------- labels

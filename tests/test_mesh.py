@@ -153,11 +153,13 @@ def test_neighborhood_zero_hops(tet_graph):
 def test_neighborhood_planar_interior():
     mesh = plane_grid(4, 4)
     graph = build_dual_graph(mesh)
-    interior = [u for u in range(graph.n_faces) if len(graph.neighbors[u]) == 3]
-    assert interior
-    u = interior[0]
+    degree = np.bincount(graph.edges.ravel(), minlength=graph.n_faces)
+    interior = np.nonzero(degree == 3)[0]
+    assert interior.size
+    u = int(interior[0])
+    neighbors = {int(b if a == u else a) for a, b in graph.edges if u in (a, b)}
     ball = face_neighborhood(graph, u, 1)
-    assert ball == {u, *graph.neighbors[u]}
+    assert ball == {u, *neighbors}
     assert len(ball) == 4
 
 

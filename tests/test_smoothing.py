@@ -101,11 +101,10 @@ def test_umbrella_row_semantics():
     x = np.array(mesh.vertices[:, 0])
     out = op @ x
     # rows compute mean-of-neighbors minus self
-    edges = mesh.edge_face_map()
     neigh = {v: set() for v in range(mesh.n_vertices)}
-    for (i, j) in edges:
-        neigh[i].add(j)
-        neigh[j].add(i)
+    for face in mesh.faces:
+        for i in face:
+            neigh[int(i)].update(int(j) for j in face if j != i)
     for v in range(mesh.n_vertices):
         expected = np.mean([x[u] for u in sorted(neigh[v])]) - x[v]
         assert out[v] == pytest.approx(expected, abs=1e-12)
