@@ -32,6 +32,7 @@ from meshseg.features import (
 from meshseg.formats import (
     DatasetManifest,
     ExperimentConfig,
+    FormatError,
     content_hash,
     dump_json,
     experiment_config_to_dict,
@@ -96,7 +97,7 @@ def cached_features(mesh, mesh_path, cache_dir, channels=DEFAULT_CHANNELS,
             names, values, stored = load_feature_cache(cache_path)
             if stored == key and names == tuple(channels):
                 return FeatureMatrix(names, values)
-        except Exception:
+        except (FormatError, OSError):
             pass  # unreadable cache: fall through to recompute
     fm = compute_features(mesh, channels, params, graph)
     Path(cache_dir).mkdir(parents=True, exist_ok=True)

@@ -20,6 +20,16 @@ hits equal brute force bit for bit. That needs every hit Möller–Trumbore
 accepts to lie inside its leaf's box, rounding included; each box is
 therefore padded by BOX_PAD times the bounding-box diagonal, orders of
 magnitude above the rounding error of a hit point.
+
+Every array the walk and the test fill, one entry per (ray, node) or per
+(ray, triangle) pair, is a view of a scratch array that one nearest_hits
+call allocates and reuses for all its chunks: gathers write into it with
+take(..., out=, mode="clip") and the arithmetic with ufunc out=. With a
+fresh array per temporary, each chunk's arrays went back to the operating
+system when it ended and were paged in again by the next: SDF on 24
+dumbbells of 320 faces took about 340k minor page faults and a third of
+its time in the kernel. The scratch lives in one call and is never shared,
+so feature threads stay independent.
 """
 from __future__ import annotations
 
@@ -32,9 +42,15 @@ from meshseg.mesh import Mesh
 
 LEAF_SIZE = 8
 BOX_PAD = 1e-9
-# rays traced per batch; bounds the (ray, node), (ray, leaf) and
-# (ray, triangle) arrays of one batch
+# rays traced per batch, and (ray, triangle) pairs per Möller–Trumbore
+# batch. They bound the scratch arrays, about 3.5 MB that each call pages
+# in once: a batch of rays reaches up to 13 frontier entries per ray at
+# one level. Measured on 2 vCPUs (24 dumbbells of 320 faces on 2 threads;
+# one of 20,480 faces), 2048 rays beat 512 and 1024 by making fewer numpy
+# calls per ray at each level; 8192 pairs beat 4096 (more calls), and
+# 16384 faulted in more pages per call for no clear gain.
 RAY_CHUNK = 2048
+PAIR_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -130,91 +146,164 @@ def nearest_hits(bvh: TriangleBvh, origins: np.ndarray, dirs: np.ndarray,
     A ray ignores its source triangle and hits closer than eps.
     """
     best = np.full(len(origins), np.inf)
+    o_all = np.ascontiguousarray(origins.T)
+    d_all = np.ascontiguousarray(dirs.T)
+    with np.errstate(divide="ignore"):
+        inv_all = 1.0 / d_all
+    scratch = _Scratch()  # one per call: concurrent calls never share it
     for lo in range(0, len(origins), RAY_CHUNK):
         sl = slice(lo, lo + RAY_CHUNK)
-        o = np.ascontiguousarray(origins[sl].T)
-        d = np.ascontiguousarray(dirs[sl].T)
-        ray, leaf = _trace(bvh, o, d)
-        _intersect_leaves(bvh, o, d, source[sl], eps, best[sl], ray, leaf)
+        o, d = o_all[:, sl], d_all[:, sl]
+        ray, leaf = _trace(bvh, o, inv_all[:, sl], scratch)
+        # Möller–Trumbore in batches of about PAIR_CHUNK (ray, triangle)
+        # pairs; pairs[-1:].sum() is the chunk's pair count, 0 with no leaf
+        pairs = np.cumsum(bvh.count.take(leaf))
+        cuts = np.searchsorted(pairs, np.arange(PAIR_CHUNK, pairs[-1:].sum(), PAIR_CHUNK),
+                               side="right")
+        for a, b in zip([0, *cuts], [*cuts, len(leaf)]):
+            _intersect_leaves(bvh, o, d, source[sl], eps, best[sl], ray[a:b], leaf[a:b], scratch)
     return best
 
 
-def _trace(bvh, o, d):
-    """Breadth-first frontier walk from (3, R) origin and direction rows;
-    returns the (ray, leaf) pairs whose boxes the rays reach."""
+class _Scratch:
+    """Work arrays of one nearest_hits call, reused by all its ray chunks.
+
+    scratch(name, (..., n), dtype) returns an array of that shape. It is a
+    view of the array kept under name, which is reallocated only when a
+    batch needs more than it holds, at 4 times the length asked: np.empty
+    leaves the pages nothing writes unmapped, so spare length costs address
+    space, not memory, and a frontier that widens level by level regrows,
+    and pages in a fresh array, less often.
+    """
+
+    def __init__(self):
+        self._arrays = {}
+
+    def __call__(self, name, shape, dtype=np.float64):
+        *lead, n = shape
+        arr = self._arrays.get(name)
+        if arr is None or arr.shape[-1] < n:
+            arr = self._arrays[name] = np.empty((*lead, 4 * n), dtype)
+        return arr[..., :n]
+
+
+def _trace(bvh, o, inv_d, scratch):
+    """Breadth-first frontier walk from (3, R) origin and inverse direction
+    rows; returns the (ray, leaf) pairs whose boxes the rays reach."""
     rays, leaves = [], []
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_d = 1.0 / d
-        ray = np.arange(o.shape[1])
-        node = np.zeros(len(ray), dtype=np.int64)
+    ray = np.arange(o.shape[1])
+    node = np.zeros(len(ray), dtype=np.int64)
+    level = 0
+    with np.errstate(invalid="ignore"):
         while ray.size:
+            m = len(ray)
+            near, far, oo, inv, t1, t2 = scratch("slab", (6, m))
             # slab test one axis at a time; fmin/fmax skip the NaN of
             # 0 * inf on a zero direction component
             for ax in range(3):
-                oo, inv = o[ax].take(ray), inv_d[ax].take(ray)
-                t1 = bvh.lo[ax].take(node)
+                o[ax].take(ray, out=oo, mode="clip")
+                inv_d[ax].take(ray, out=inv, mode="clip")
+                bvh.lo[ax].take(node, out=t1, mode="clip")
                 t1 -= oo
                 t1 *= inv
-                t2 = bvh.hi[ax].take(node)
+                bvh.hi[ax].take(node, out=t2, mode="clip")
                 t2 -= oo
                 t2 *= inv
-                tn = np.fmin(t1, t2)
-                tf = np.fmax(t1, t2, out=t1)
                 if ax == 0:
-                    near, far = tn, tf
+                    np.fmin(t1, t2, out=near)
+                    np.fmax(t1, t2, out=far)
                 else:
-                    np.fmax(near, tn, out=near)
-                    np.fmin(far, tf, out=far)
-            live = (near <= far) & (far >= 0.0)
-            ray, node = ray[live], node[live]
-            kid = bvh.child.take(node)
-            leaf = kid < 0
+                    np.fmax(near, np.fmin(t1, t2, out=oo), out=near)
+                    np.fmin(far, np.fmax(t1, t2, out=oo), out=far)
+            inner, leaf = scratch("node_masks", (2, m), bool)
+            np.less_equal(near, far, out=inner)
+            inner &= np.greater_equal(far, 0.0, out=leaf)  # live nodes so far
+            kid = bvh.child.take(node, out=scratch("kid", (m,), np.int64), mode="clip")
+            np.logical_and(inner, np.less(kid, 0, out=leaf), out=leaf)  # live leaves
+            inner ^= leaf  # live inner nodes
             rays.append(ray[leaf])
             leaves.append(node[leaf])
-            inner = ~leaf
-            ray = np.repeat(ray[inner], 2)
-            node = (kid[inner, None] + np.array([0, 1])).ravel()
+            # both children of each live inner node, the two frontiers of
+            # consecutive levels in separate scratch arrays
+            ray_in, kid_in = ray[inner], kid[inner]
+            level += 1
+            ray, node = scratch(f"frontier{level % 2}", (2, 2 * len(ray_in)), np.int64)
+            ray[0::2] = ray_in
+            ray[1::2] = ray_in
+            node[0::2] = kid_in
+            np.add(kid_in, 1, out=node[1::2])
     return np.concatenate(rays), np.concatenate(leaves)
 
 
-def _dot(x, y):
-    """Row-wise 3-term dot product, summed in the order einsum("pk,pk->p")
-    uses: (x0*y0 + x2*y2) + x1*y1."""
-    r = x[0] * y[0]
-    r += x[2] * y[2]
-    r += x[1] * y[1]
-    return r
+def _runs(first, count, step, out):
+    """Fill out with back-to-back runs, run l being the count[l] values
+    first[l], first[l] + step, first[l] + 2 * step, ... (np.repeat at step
+    0, consecutive ids at step 1), as a running sum of per-entry steps."""
+    out.fill(step)
+    jump = first.copy()
+    jump[1:] -= first[:-1] + step * (count[:-1] - 1)
+    out[np.cumsum(count) - count] = jump
+    np.cumsum(out, out=out)
 
 
-def _cross(x, y):
-    """Row-wise cross product in np.cross's arithmetic."""
-    return (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2],
-            x[0] * y[1] - x[1] * y[0])
+def _dot(x, y, out, tmp):
+    """Row-wise 3-term dot product into out, summed in the order
+    einsum("pk,pk->p") uses: (x0*y0 + x2*y2) + x1*y1."""
+    np.multiply(x[0], y[0], out=out)
+    out += np.multiply(x[2], y[2], out=tmp)
+    out += np.multiply(x[1], y[1], out=tmp)
 
 
-def _intersect_leaves(bvh, o, d, src, eps, best, ray, leaf):
-    """Möller–Trumbore on every (ray, triangle) pair of the given leaves;
-    lowers best (a view) in place."""
-    count = bvh.count[leaf]
-    first = np.repeat(bvh.start[leaf] - (np.cumsum(count) - count), count)
-    tri = bvh.order[first + np.arange(len(first))]
-    ray = np.repeat(ray, count)
-    other = tri != src[ray]
-    ray, tri = ray[other], tri[other]
-    dd = [d[k].take(ray) for k in range(3)]
-    e1 = [bvh.e1[k].take(tri) for k in range(3)]
-    e2 = [bvh.e2[k].take(tri) for k in range(3)]
-    s = [o[k].take(ray) - bvh.v0[k].take(tri) for k in range(3)]
-    h = _cross(dd, e2)
-    q = _cross(s, e1)
+def _cross(x, y, out, tmp):
+    """Row-wise cross product into out, in np.cross's arithmetic."""
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(x[j], y[k], out=out[i])
+        out[i] -= np.multiply(x[k], y[j], out=tmp)
+    return out
+
+
+def _intersect_leaves(bvh, o, d, src, eps, best, ray_l, leaf_l, scratch):
+    """Möller–Trumbore on every (ray, triangle) pair of the given (ray,
+    leaf) pairs; lowers best (a view) in place.
+
+    Every pair-sized array is a scratch view, and every gather is a
+    take(..., out=, mode="clip"): numpy buffers out under mode="raise".
+    """
+    count = bvh.count.take(leaf_l)
+    n = int(count.sum())
+    if n == 0:
+        return
+    ray, idx, tri = scratch("ids", (3, n), np.int64)
+    _runs(ray_l, count, 0, ray)
+    _runs(bvh.start.take(leaf_l), count, 1, idx)
+    bvh.order.take(idx, out=tri, mode="clip")
+    dd, e1, e2, s, h = scratch("vectors", (5, 3, n))
+    a, u, w, t, tmp = scratch("scalars", (5, n))
+    for k in range(3):
+        d[k].take(ray, out=dd[k], mode="clip")
+        bvh.e1[k].take(tri, out=e1[k], mode="clip")
+        bvh.e2[k].take(tri, out=e2[k], mode="clip")
+        o[k].take(ray, out=s[k], mode="clip")
+        s[k] -= bvh.v0[k].take(tri, out=tmp, mode="clip")
+    _cross(dd, e2, h, tmp)
+    _dot(e1, h, a, tmp)
+    _dot(s, h, u, tmp)
+    q = _cross(s, e1, h, tmp)  # h is used up
+    _dot(dd, q, w, tmp)
+    _dot(e2, q, t, tmp)
+    ok, test = scratch("pair_masks", (2, n), bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        a = _dot(e1, h)
-        inv = 1.0 / a
-        u = inv * _dot(s, h)
-        w = inv * _dot(dd, q)
-        t = inv * _dot(e2, q)
-        ok = ((np.abs(a) > 1e-300) & (u >= 0.0) & (w >= 0.0)
-              & (u + w <= 1.0) & (t >= eps))
+        inv = np.divide(1.0, a, out=tmp)
+        u *= inv  # u = inv * (s . h); IEEE products commute
+        w *= inv
+        t *= inv
+        np.greater(np.abs(a, out=a), 1e-300, out=ok)
+        ok &= np.greater_equal(u, 0.0, out=test)
+        ok &= np.greater_equal(w, 0.0, out=test)
+        ok &= np.less_equal(np.add(u, w, out=u), 1.0, out=test)
+        ok &= np.greater_equal(t, eps, out=test)
+    src_face = src.take(ray, out=idx, mode="clip")  # idx is used up
+    ok &= np.not_equal(tri, src_face, out=test)
     np.minimum.at(best, ray[ok], t[ok])
 
 

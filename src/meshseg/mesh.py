@@ -26,6 +26,11 @@ class MeshError(ValueError):
         self.line = line
 
 
+def _check_finite(vertices):
+    if not np.isfinite(vertices).all():
+        raise MeshError("non-finite vertex coordinate")
+
+
 class Mesh:
     """Indexed triangle mesh with per-face derived geometry.
 
@@ -47,8 +52,7 @@ class Mesh:
             raise MeshError("vertices must be an array of 3D points")
         if faces.ndim != 2 or faces.shape[1] != 3:
             raise MeshError("faces must be vertex-index triples")
-        if not np.isfinite(vertices).all():
-            raise MeshError("non-finite vertex coordinate")
+        _check_finite(vertices)
         nv = len(vertices)
 
         def face_line(f):
@@ -63,12 +67,42 @@ class Mesh:
                 raise MeshError(f"face {f} repeats a vertex index", face_line(f))
             raise MeshError(f"face {f} references vertex out of range [0, {nv})", face_line(f))
 
+        self._set_geometry(vertices, faces, face_line)
+        # undirected edge e owns half_edges[edge_start[e]:edge_start[e + 1]]
+        nxt = np.roll(faces, -1, axis=1)
+        half = np.column_stack([np.minimum(faces, nxt).ravel(), np.maximum(faces, nxt).ravel(),
+                                np.repeat(np.arange(len(faces)), 3)])
+        self.half_edges = half = half[np.lexsort(half.T[::-1])]
+        new_edge = np.ones(len(half), dtype=bool)
+        new_edge[1:] = (half[1:, :2] != half[:-1, :2]).any(axis=1)
+        self.edge_start = np.append(np.nonzero(new_edge)[0], len(half))
+        self._freeze()
+
+    def with_vertices(self, vertices) -> Mesh:
+        """This mesh's connectivity at new vertex positions. The faces and
+        the half-edge table are shared, not rechecked or re-sorted; only
+        the checks that depend on positions run (finite coordinates,
+        degenerate faces)."""
+        vertices = np.ascontiguousarray(vertices, dtype=np.float64)
+        if vertices.shape != self.vertices.shape:
+            raise MeshError(f"expected vertices of shape {self.vertices.shape}, "
+                            f"got {vertices.shape}")
+        _check_finite(vertices)
+        mesh = object.__new__(Mesh)
+        mesh._set_geometry(vertices, self.faces, lambda f: None)
+        mesh.half_edges, mesh.edge_start = self.half_edges, self.edge_start
+        mesh._freeze()
+        return mesh
+
+    def _set_geometry(self, vertices, faces, face_line):
+        """Set the vertices, faces and per-face geometry, rejecting
+        degenerate faces."""
         e1 = vertices[faces[:, 1]] - vertices[faces[:, 0]]
         e2 = vertices[faces[:, 2]] - vertices[faces[:, 0]]
         cross = np.cross(e1, e2)
         cross_norm = np.linalg.norm(cross, axis=1)
         areas = 0.5 * cross_norm
-        if nv:
+        if len(vertices):
             bbox = vertices.max(axis=0) - vertices.min(axis=0)
             scale2 = max(float(bbox @ bbox), 1.0)
         else:
@@ -83,14 +117,8 @@ class Mesh:
         self.face_areas = areas
         self.face_centroids = vertices[faces].mean(axis=1)
         self.face_normals = cross / cross_norm[:, None]
-        # undirected edge e owns half_edges[edge_start[e]:edge_start[e + 1]]
-        nxt = np.roll(faces, -1, axis=1)
-        half = np.column_stack([np.minimum(faces, nxt).ravel(), np.maximum(faces, nxt).ravel(),
-                                np.repeat(np.arange(len(faces)), 3)])
-        self.half_edges = half = half[np.lexsort(half.T[::-1])]
-        new_edge = np.ones(len(half), dtype=bool)
-        new_edge[1:] = (half[1:, :2] != half[:-1, :2]).any(axis=1)
-        self.edge_start = np.append(np.nonzero(new_edge)[0], len(half))
+
+    def _freeze(self):
         for arr in (self.vertices, self.faces, self.face_areas,
                     self.face_centroids, self.face_normals,
                     self.half_edges, self.edge_start):

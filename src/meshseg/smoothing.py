@@ -20,7 +20,7 @@ class SmoothedMeshSequence:
     """Cumulatively smoothed copies of a base mesh.
 
     levels[i] is the result of i+1 smoothing iterations; all levels share
-    the base mesh's face list, only vertex positions differ.
+    the base mesh's faces and half-edge table, only vertex positions differ.
     """
 
     base: Mesh
@@ -68,6 +68,6 @@ def taubin_smooth(mesh: Mesh, iterations: int = 5, lambda_shrink: float = 0.5,
         if not np.isfinite(v).all():
             raise FloatingPointError(
                 f"smoothing diverged at iteration {it + 1}: non-finite coordinates")
-        levels.append(Mesh(v, mesh.faces))
+        levels.append(mesh.with_vertices(v))
     return SmoothedMeshSequence(base=mesh, levels=tuple(levels),
                                 iteration_params=(lambda_shrink, mu_inflate))

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -380,6 +382,111 @@ def test_sdf_bvh_ray_chunk_does_not_change_hits(monkeypatch):
     monkeypatch.setattr(sdf, "RAY_CHUNK", 7)
     assert np.array_equal(_bvh_ray_distances(mesh, dirs, faces, eps), want)
     assert np.isfinite(want).all()
+
+
+class _GrowthSpy(sdf._Scratch):
+    """Scratch that counts reallocations of arrays it already held."""
+
+    regrown = []
+
+    def __call__(self, name, shape, dtype=np.float64):
+        held = self._arrays.get(name)
+        view = super().__call__(name, shape, dtype)
+        if held is not None and self._arrays[name] is not held:
+            self.regrown.append(name)
+        return view
+
+
+def _pairs_per_ray(bvh, origins, dirs):
+    ray, leaf = sdf._trace(bvh, np.ascontiguousarray(origins.T),
+                           1.0 / np.ascontiguousarray(dirs.T), sdf._Scratch())
+    return np.bincount(ray, weights=bvh.count[leaf], minlength=len(origins))
+
+
+@pytest.mark.parametrize("ray_chunk, pair_chunk, grows",
+                         [(1, 8192, True), (7, 8192, True), (256, 10**6, True),
+                          (512, 1, False), (10**6, 8192, False), (10**6, 100, False)])
+def test_sdf_scratch_reuse_across_chunks_equals_brute_force(monkeypatch, ray_chunk,
+                                                            pair_chunk, grows):
+    # 40 faces of dumbbell(2), each casting its fan outward and inward,
+    # the rays sorted by how many (ray, triangle) pairs they reach (5 to
+    # 70): the first batch needs the fewest, so with whole ray chunks as
+    # batches a later one outgrows the scratch arrays the first sized
+    mesh = synth.dumbbell(2)
+    bvh = build_bvh(mesh)
+    faces = np.sort(np.random.default_rng(40).choice(mesh.n_faces, 40, replace=False))
+    inward = _ray_directions(mesh)
+    dirs = np.concatenate([-inward, inward], axis=1)  # (F, 60, 3)
+    eps = 1e-6 * mesh.bbox_diagonal()
+    want = sdf_ray_distances(mesh, dirs, eps, faces).ravel()
+    assert np.isfinite(want).mean() == 0.5  # every inward ray hits, no outward one
+
+    origins = np.repeat(mesh.face_centroids[faces], 60, axis=0)
+    flat_dirs = dirs[faces].reshape(-1, 3)
+    with np.errstate(divide="ignore"):
+        order = np.argsort(_pairs_per_ray(bvh, origins, flat_dirs), kind="stable")
+    monkeypatch.setattr(sdf, "RAY_CHUNK", ray_chunk)
+    monkeypatch.setattr(sdf, "PAIR_CHUNK", pair_chunk)
+    monkeypatch.setattr(sdf, "_Scratch", _GrowthSpy)
+    monkeypatch.setattr(_GrowthSpy, "regrown", [])
+    got = np.empty(len(order))
+    got[order] = nearest_hits(bvh, origins[order], flat_dirs[order],
+                              np.repeat(faces, 60)[order], eps)
+    assert np.array_equal(got, want)
+    if grows:
+        assert "vectors" in _GrowthSpy.regrown  # pair-sized arrays grew mid-call
+
+
+def test_sdf_rays_that_reach_no_leaf_miss():
+    # rays from outside the cube pointing away from it reach no box at all
+    bvh = build_bvh(synth.cube())
+    origins = np.tile([10.0, 10.0, 10.0], (5, 1))
+    dirs = np.tile([1.0, 0.0, 0.0], (5, 1))
+    got = nearest_hits(bvh, origins, dirs, np.zeros(5, dtype=np.int64), 1e-9)
+    assert np.array_equal(got, np.full(5, np.inf))
+
+
+def test_sdf_concurrent_calls_equal_serial_calls():
+    meshes = [_seeded_dumbbell(2, 1), synth.icosphere(3)]
+    serial = [shape_diameter(m) for m in meshes]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        threaded = list(pool.map(shape_diameter, meshes))
+    for a, b in zip(serial, threaded):
+        assert a.raw.tobytes() == b.raw.tobytes()
+        assert a.normalized.tobytes() == b.normalized.tobytes()
+        assert a.hit_counts.tobytes() == b.hit_counts.tobytes()
+
+
+def test_sdf_warm_scratch_allocates_no_pair_sized_array(monkeypatch):
+    # with 32-triangle leaves, one float row per (ray, triangle) pair is
+    # about 20 times the size of a row per (ray, leaf) pair, so a gather
+    # that allocates its output shows against the leaf-sized index work
+    monkeypatch.setattr(sdf, "LEAF_SIZE", 32)
+    mesh = synth.dumbbell(2)
+    bvh = build_bvh(mesh)
+    dirs = _ray_directions(mesh).reshape(-1, 3)[:512]
+    origins = np.repeat(mesh.face_centroids, 30, axis=0)[:512]
+    source = np.repeat(np.arange(mesh.n_faces), 30)[:512]
+    eps = 1e-6 * mesh.bbox_diagonal()
+    o, d = np.ascontiguousarray(origins.T), np.ascontiguousarray(dirs.T)
+    scratch = sdf._Scratch()
+    ray, leaf = sdf._trace(bvh, o, 1.0 / d, scratch)
+    pairs = int(bvh.count[leaf].sum())
+    assert pairs > 15 * len(leaf)
+    best = np.full(512, np.inf)
+    sdf._intersect_leaves(bvh, o, d, source, eps, best, ray, leaf, scratch)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        again = np.full(512, np.inf)
+        sdf._intersect_leaves(bvh, o, d, source, eps, again, ray, leaf, scratch)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * pairs // 2
+    assert np.array_equal(again, best)
+    want = sdf_ray_distances(mesh, _ray_directions(mesh), eps).ravel()[:512]
+    assert np.array_equal(best, want)
 
 
 def test_robust_thickness_equals_per_face_loop():

@@ -116,6 +116,23 @@ def test_cached_features_recomputes_on_stale_or_garbage(toy_manifest, tmp_path,
     assert len(calls) == 3
 
 
+def test_cached_features_propagates_loader_bugs(toy_manifest, tmp_path, monkeypatch):
+    # only an unreadable cache (FormatError, OSError) is recomputed; any
+    # other error from the loader is a bug and surfaces
+    manifest = load_manifest(toy_manifest)
+    lm = load_labeled_meshes(manifest)[0]
+    mesh_path = dict((e[0], e[1]) for e in manifest.entries)[lm.mesh_id]
+    cache_dir = tmp_path / "cache"
+    cached_features(lm.mesh, mesh_path, cache_dir)
+
+    def broken(path):
+        raise TypeError("loader bug")
+
+    monkeypatch.setattr(experiment, "load_feature_cache", broken)
+    with pytest.raises(TypeError, match="loader bug"):
+        cached_features(lm.mesh, mesh_path, cache_dir)
+
+
 def test_cached_features_same_stem_in_two_directories(toy_manifest, tmp_path,
                                                       monkeypatch):
     manifest = load_manifest(toy_manifest)

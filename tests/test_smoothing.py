@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from meshseg.mesh import Mesh
+from meshseg.mesh import Mesh, MeshError
 from meshseg.smoothing import SmoothedMeshSequence, taubin_smooth, umbrella_operator
-from meshseg.synth import icosphere, plane_grid, spiked_sphere
+from meshseg.synth import dumbbell, icosphere, plane_grid, spiked_sphere, tetrahedron
 
 
 def laplacian_smooth(mesh, iterations, step=0.5):
@@ -75,6 +75,40 @@ def test_levels_are_cumulative():
     assert seq.levels[2].vertices == pytest.approx(again.vertices, abs=1e-12)
     for lvl in seq.levels:
         assert np.array_equal(lvl.faces, mesh.faces)
+
+
+def test_levels_share_the_base_topology():
+    mesh = dumbbell(2)
+    for lvl in taubin_smooth(mesh, iterations=5).levels:
+        assert lvl.faces is mesh.faces
+        assert lvl.half_edges is mesh.half_edges
+        assert lvl.edge_start is mesh.edge_start
+        fresh = Mesh(lvl.vertices, mesh.faces)
+        for name in ("vertices", "faces", "face_areas", "face_centroids",
+                     "face_normals", "half_edges", "edge_start"):
+            assert getattr(lvl, name).tobytes() == getattr(fresh, name).tobytes(), name
+            assert not getattr(lvl, name).flags.writeable, name
+
+
+def test_level_that_degenerates_raises():
+    # shrinking a tetrahedron by lambda = 3/4 moves every vertex onto the
+    # centroid: all four faces of the first level have zero area
+    with pytest.raises(MeshError, match="face 0 is degenerate"):
+        taubin_smooth(tetrahedron(), iterations=1, lambda_shrink=0.75, mu_inflate=-0.8)
+
+
+def test_with_vertices_checks_positions():
+    mesh = tetrahedron()
+    bad = np.array(mesh.vertices)
+    bad[2, 1] = np.nan
+    with pytest.raises(MeshError, match="non-finite"):
+        mesh.with_vertices(bad)
+    with pytest.raises(MeshError, match="shape"):
+        mesh.with_vertices(mesh.vertices[:3])
+    merged = np.array(mesh.vertices)
+    merged[3] = merged[0]  # faces holding both vertices lose their area
+    with pytest.raises(MeshError, match="degenerate"):
+        mesh.with_vertices(merged)
 
 
 def test_parameter_precondition():
