@@ -40,10 +40,16 @@ class Sequential(Layer):
             x = layer.forward(x, training=training)
         return x
 
-    def backward(self, grad):
-        for layer in reversed(self.layers):
+    def backward(self, grad, input_grad=True):
+        """Backpropagate through every layer. With `input_grad` False the
+        first layer (a Conv1D or Dense) skips its input gradient and None
+        is returned."""
+        first, *rest = self.layers
+        for layer in reversed(rest):
             grad = layer.backward(grad)
-        return grad
+        if input_grad:
+            return first.backward(grad)
+        return first.backward(grad, input_grad=False)
 
 
 def _branch(rng: np.random.Generator, in_channels: int, tag: str) -> Sequential:
@@ -101,16 +107,20 @@ class MultiBranchNet:
         merged = np.concatenate(outs, axis=2)
         return self.head.forward(merged, training=training)
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
+        """Backpropagate into every parameter; return the gradient with
+        respect to the network input, or None without computing it when
+        `input_grad` is False."""
         if self._split is None:
             raise RuntimeError("MultiBranchNet.backward called before forward")
         gmerged = self.head.backward(grad)
         grads = []
         offset = 0
         for width, branch in zip(self._split, self.branches):
-            grads.append(branch.backward(gmerged[:, :, offset:offset + width]))
+            grads.append(branch.backward(gmerged[:, :, offset:offset + width],
+                                         input_grad=input_grad))
             offset += width
-        return np.stack(grads, axis=1)
+        return np.stack(grads, axis=1) if input_grad else None
 
     def dropout_layers(self):
         return [l for l in self.head.layers if isinstance(l, Dropout)]

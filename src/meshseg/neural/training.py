@@ -69,7 +69,8 @@ def _epoch(model, x, pick_target, n, cfg, loss_fn, order, lr, params, tag):
         if not np.isfinite(loss):
             raise FloatingPointError(f"non-finite loss at {tag}, batch {bi + 1}")
         if lr is not None:
-            model.backward(grad)
+            # training reads parameter gradients only, never the input's
+            model.backward(grad, input_grad=False)
             sgd_step(params, lr, cfg.momentum)
         total += loss * (hi - lo)
     return total / n

@@ -273,3 +273,99 @@ def multiscale_bfs(values: np.ndarray, graph, scales: int) -> np.ndarray:
         for u, ball in enumerate(bfs_balls(graph, k)):
             out[u, k] = values[ball].mean(axis=0)
     return out
+
+
+# Layer kernels in their select-and-temporary forms. Each takes the layer
+# as its first argument, so a test can patch it onto the layer class.
+
+def leaky_relu_where_forward(layer, x, training=False):
+    layer._mask = x > 0.0
+    return np.where(layer._mask, x, layer.slope * x)
+
+
+def leaky_relu_where_backward(layer, grad):
+    return np.where(layer._mask, grad, layer.slope * grad)
+
+
+def maxpool_where_forward(layer, x, training=False):
+    b, length, c = x.shape
+    half = length // 2
+    if half == 0:
+        raise ValueError("sequence too short to pool")
+    pairs = x[:, :2 * half].reshape(b, half, 2, c)
+    first, second = pairs[:, :, 0, :], pairs[:, :, 1, :]
+    take_second = ~(first >= second) & (first == first)
+    layer._cache = (take_second, x.shape)
+    return np.where(take_second, second, first)
+
+
+def maxpool_where_backward(layer, grad):
+    take_second, shape = layer._cache
+    b, length, c = shape
+    half = length // 2
+    gx = np.zeros(shape)
+    gpairs = gx[:, :2 * half].reshape(b, half, 2, c)
+    gpairs[:, :, 0, :] = np.where(take_second, 0.0, grad)
+    gpairs[:, :, 1, :] = np.where(take_second, grad, 0.0)
+    return gx
+
+
+def batchnorm_temporaries_forward(layer, x, training=False):
+    """Batch norm as written out term by term, one fresh array per term."""
+    axes = tuple(range(x.ndim - 1))
+    if training:
+        n = x.size // layer.channels
+        mean = x.sum(axis=axes) / n
+        dev = x - mean
+        var = (dev * dev).sum(axis=axes) / n
+        if layer.running_mean is None:
+            layer.running_mean = mean.copy()
+            layer.running_var = var.copy()
+        else:
+            m = layer.momentum
+            layer.running_mean = m * layer.running_mean + (1.0 - m) * mean
+            layer.running_var = m * layer.running_var + (1.0 - m) * var
+    else:
+        dev = x - layer.running_mean
+        var = layer.running_var
+    inv_std = 1.0 / np.sqrt(var + layer.eps)
+    xhat = dev * inv_std
+    layer._cache = (xhat, inv_std, axes, training)
+    return layer.gamma.value * xhat + layer.beta.value
+
+
+def batchnorm_temporaries_backward(layer, grad):
+    xhat, inv_std, axes, training = layer._cache
+    layer.gamma.grad += (grad * xhat).sum(axis=axes)
+    layer.beta.grad += grad.sum(axis=axes)
+    gxhat = grad * layer.gamma.value
+    if not training:
+        return gxhat * inv_std
+    n = xhat.size // xhat.shape[-1]
+    return (inv_std / n) * (
+        n * gxhat - gxhat.sum(axis=axes) - xhat * (gxhat * xhat).sum(axis=axes))
+
+
+
+def train_epoch_reference(model, x, pick_target, n, cfg, loss_fn, order, lr,
+                          params, tag):
+    """One epoch of momentum SGD that backpropagates every batch down to
+    the network input; returns the mean batch loss. The signature is
+    `meshseg.neural.training._epoch`'s."""
+    total = 0.0
+    starts = list(range(0, n, max(cfg.batch_size, 2)))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    for lo in starts:
+        hi = n if lo == starts[-1] else lo + cfg.batch_size
+        idx = order[lo:hi]
+        loss, grad = loss_fn(model.forward(x[idx], training=True), pick_target(idx))
+        if lr is not None:
+            model.backward(grad)
+            for p in params:
+                p.velocity *= cfg.momentum
+                p.velocity -= lr * p.grad
+                p.value += p.velocity
+                p.grad[...] = 0.0
+        total += loss * (hi - lo)
+    return total / n

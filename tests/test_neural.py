@@ -14,6 +14,7 @@ from meshseg.neural.layers import (
     mean_squared_error,
     softmax_cross_entropy,
 )
+from meshseg.neural import training
 from meshseg.neural.network import Sequential, branch_output_shape, build_multibranch
 from meshseg.neural.training import TrainConfig, predict_probabilities, train_classifier
 from meshseg.neural.models import (
@@ -30,7 +31,17 @@ from meshseg.neural.gradcheck import (
     check_layer,
     check_layer_case,
 )
-from oracles import conv1d_backward_loops, conv1d_loops
+from oracles import (
+    batchnorm_temporaries_backward,
+    batchnorm_temporaries_forward,
+    conv1d_backward_loops,
+    conv1d_loops,
+    leaky_relu_where_backward,
+    leaky_relu_where_forward,
+    maxpool_where_backward,
+    maxpool_where_forward,
+    train_epoch_reference,
+)
 
 RNG = np.random.default_rng
 
@@ -281,6 +292,127 @@ def test_mean_squared_error_value_and_grad():
     assert grad == pytest.approx(np.array([[1.0, -2.0]]))
 
 
+# ----------------------------------------- select-free kernels vs np.where
+
+# few distinct values, so that pairs tie often, +0.0 against -0.0 included
+SPECIALS = np.array([0.0, -0.0, 1.5, -1.5, 3.0, np.nan, np.inf, -np.inf])
+
+# flat lengths 1..67 run numpy's SIMD loop bodies and their scalar tails;
+# the last two are the shapes pooling and activation see in the network
+KERNEL_SHAPES = [(n,) for n in range(1, 68)] + [(256, 9, 16), (256, 4, 32)]
+
+
+def _special_array(rng, shape):
+    x = rng.normal(size=shape)
+    pick = rng.random(shape) < 0.5
+    x[pick] = rng.choice(SPECIALS, size=int(pick.sum()))
+    return x
+
+
+def _as_pool_input(x):
+    """(batch, length, channels) with an odd length where the size allows,
+    so the dropped tail is covered too."""
+    if x.ndim == 3:
+        return x
+    n = x.size
+    return x.reshape(1, n, 1) if n % 2 else x.reshape(1, 2, n // 2)
+
+
+def _equal_with_signs(got, want):
+    """Equal values, NaN in the same places, and equal sign bits, so that
+    -0.0 and +0.0 count as different."""
+    return (np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.isnan(got), np.isnan(want))
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=str)
+def test_leaky_relu_matches_where_oracle(shape):
+    rng = RNG(sum(shape))
+    x = _special_array(rng, shape)
+    grad = rng.normal(size=shape)
+    relu, ref = LeakyReLU(0.2), LeakyReLU(0.2)
+    assert _equal_with_signs(relu.forward(x), leaky_relu_where_forward(ref, x))
+    assert _equal_with_signs(relu.backward(grad), leaky_relu_where_backward(ref, grad))
+    # the factor is exactly 1 or slope, so non-finite gradients match too
+    grad = _special_array(rng, shape)
+    assert _equal_with_signs(relu.backward(grad), leaky_relu_where_backward(ref, grad))
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES[1:], ids=str)
+def test_maxpool_matches_where_oracle(shape):
+    rng = RNG(sum(shape))
+    x = _as_pool_input(_special_array(rng, shape))
+    pool, ref = MaxPool1D(), MaxPool1D()
+    y = pool.forward(x)
+    assert _equal_with_signs(y, maxpool_where_forward(ref, x))
+    grad = rng.normal(size=y.shape)
+    grad[rng.random(y.shape) < 0.2] = 0.0
+    # finite upstream gradients: equal values (a losing slot may hold -0.0)
+    assert np.array_equal(pool.backward(grad), maxpool_where_backward(ref, grad))
+
+
+def test_maxpool_losing_slot_of_a_nonfinite_gradient_is_nan():
+    pool = MaxPool1D()
+    pool.forward(np.array([[[1.0, 5.0, -2.0], [2.0, 4.0, -2.0]]]))
+    # winners: second slot, first slot, first slot (a tie)
+    with np.errstate(invalid="ignore"):
+        gx = pool.backward(np.array([[[np.inf, -np.inf, np.nan]]]))[0]
+    assert np.isnan(gx[0, 0]) and gx[1, 0] == np.inf
+    assert gx[0, 1] == -np.inf and np.isnan(gx[1, 1])
+    assert np.isnan(gx[:, 2]).all()
+
+
+@pytest.mark.parametrize("slope", [0.0, 1.0, -0.2, 1.5, np.nan, np.inf])
+def test_leaky_relu_rejects_slope_outside_unit_interval(slope):
+    with pytest.raises(ValueError, match="slope"):
+        LeakyReLU(slope)
+
+
+@pytest.mark.parametrize("shape", [(256, 9, 16), (256, 4, 32), (7, 5, 3), (64, 172)],
+                         ids=str)
+@pytest.mark.parametrize("training", [True, False])
+def test_batchnorm_matches_temporaries_oracle(shape, training):
+    rng = RNG(len(shape) + shape[0])
+    c = shape[-1]
+    bn, ref = BatchNorm(c), BatchNorm(c)
+    gamma, beta = rng.uniform(0.5, 2.0, c), rng.normal(size=c)
+    for layer in (bn, ref):
+        layer.gamma.value[...] = gamma
+        layer.beta.value[...] = beta
+    # a first training batch sets the running stats both forms start from
+    warm = rng.normal(size=shape)
+    bn.forward(warm, training=True)
+    batchnorm_temporaries_forward(ref, warm, training=True)
+    x = rng.normal(loc=1.0, scale=3.0, size=shape)
+    grad = rng.normal(size=shape)
+    assert np.array_equal(bn.forward(x, training=training),
+                          batchnorm_temporaries_forward(ref, x, training=training))
+    assert np.array_equal(bn.running_mean, ref.running_mean)
+    assert np.array_equal(bn.running_var, ref.running_var)
+    assert np.array_equal(bn.backward(grad), batchnorm_temporaries_backward(ref, grad))
+    assert np.array_equal(bn.gamma.grad, ref.gamma.grad)
+    assert np.array_equal(bn.beta.grad, ref.beta.grad)
+
+
+@pytest.mark.parametrize("layer, shape", [
+    (lambda: Conv1D(15, 1, 16, RNG(0)), (32, 9, 1)),
+    (lambda: Dense(12, 5, RNG(0)), (32, 12)),
+    (lambda: Sequential([Dense(12, 5, RNG(0)), LeakyReLU(0.2), Dense(5, 2, RNG(1))]),
+     (32, 12)),
+    (lambda: build_multibranch(2, 9, 3, seed=0), (32, 2, 9, 1)),
+], ids=["conv1d", "dense", "sequential", "multibranch"])
+def test_backward_without_input_grad_accumulates_the_same(layer, shape):
+    full, lean = layer(), layer()
+    x = RNG(1).normal(size=shape)
+    grad = RNG(2).normal(size=full.forward(x, training=True).shape)
+    lean.forward(x, training=True)
+    assert full.backward(grad) is not None
+    assert lean.backward(grad, input_grad=False) is None
+    for a, b in zip(full.parameters(), lean.parameters()):
+        assert np.array_equal(a.grad, b.grad)
+
+
 # ------------------------------------------------------------ architecture
 
 def test_multibranch_shape_contract():
@@ -424,6 +556,50 @@ def test_prediction_of_a_row_does_not_depend_on_its_position(seed):
     x[64] = x[0]
     probs = predict_probabilities(net, x)
     assert np.array_equal(probs[64], probs[0])
+
+
+def _patch_reference_training(monkeypatch):
+    """Patch in the np.where and one-temporary-per-term kernels, and an
+    epoch loop that backpropagates down to the network input."""
+    for cls, fwd, bwd in (
+            (LeakyReLU, leaky_relu_where_forward, leaky_relu_where_backward),
+            (MaxPool1D, maxpool_where_forward, maxpool_where_backward),
+            (BatchNorm, batchnorm_temporaries_forward,
+             batchnorm_temporaries_backward)):
+        monkeypatch.setattr(cls, "forward", fwd)
+        monkeypatch.setattr(cls, "backward", bwd)
+    monkeypatch.setattr(training, "_epoch", train_epoch_reference)
+
+
+def _trained_state(make_model, inputs, labels):
+    model = make_model()
+    x = model.prepare_inputs(inputs)
+    curves = model.fit(x, labels)
+    slots = [(name, get().copy()) for name, get, _ in model.state_slots()]
+    return slots, model.predict_proba(x), curves
+
+
+@pytest.mark.parametrize("kind", ["cnn", "pca-nn", "ae-nn"])
+def test_training_is_bit_identical_to_reference_kernels(kind, monkeypatch):
+    rng = RNG(12)
+    inputs = rng.normal(size=(300, 3, 9))
+    labels = ((inputs[:, 0, :3].sum(axis=1) > 0).astype(int)
+              + (inputs[:, 1, 4] > 0.7))
+    if kind != "cnn":
+        inputs = inputs.reshape(300, 27)
+
+    def make_model():
+        return build_model(kind, 3, inputs.shape[-1], 3, seed=11,
+                           train_cfg=TrainConfig(epochs=3, batch_size=64))
+
+    fast = _trained_state(make_model, inputs, labels)
+    _patch_reference_training(monkeypatch)
+    reference = _trained_state(make_model, inputs, labels)
+    assert [name for name, _ in fast[0]] == [name for name, _ in reference[0]]
+    for (name, got), (_, want) in zip(fast[0], reference[0]):
+        assert np.array_equal(got, want), name
+    assert np.array_equal(fast[1], reference[1])
+    assert fast[2] == reference[2]
 
 
 # ------------------------------------------------------------------ models
