@@ -192,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_threads(sp):
         sp.add_argument("--threads", type=int, default=0,
-                        help=f"worker count (default: ${THREADS_ENV} or 1)")
+                        help="worker processes for per-mesh features, at most "
+                             f"one per mesh (default: ${THREADS_ENV} or 1)")
 
     sp = sub.add_parser("features", help="compute the per-face feature matrix")
     sp.add_argument("mesh")

@@ -14,8 +14,10 @@ applied per split.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -125,22 +127,37 @@ def mesh_features(mesh, scales, channels=DEFAULT_CHANNELS, mesh_path=None,
     return graph, fm, multiscale(fm.values, graph, scales, fm.channel_names).values
 
 
+def _bundle_parts(mesh_path, labeled, scales, cache_dir):
+    """`mesh_features` of one labeled mesh; module-level so that a worker
+    process can run it and send back only the graph and features."""
+    return mesh_features(labeled.mesh, scales, mesh_path=mesh_path,
+                         cache_dir=cache_dir)
+
+
 def _prepare_bundles(meshes, manifest, cfg, threads, log=None):
     """Bundle per mesh id, with as many scales as the configured model
-    reads; features are built on `threads` workers through the cache."""
+    reads; features are built through the cache on up to `threads` worker
+    processes, never more than there are meshes.
+
+    The workers are forked: spawn and forkserver re-import `__main__`,
+    which fails in a caller script without a `__main__` guard, and fork
+    skips re-importing numpy and scipy. Where fork is missing, or one
+    worker would do, the features are built in this process. Bundles come
+    out in the order of `meshes` either way.
+    """
     scales = cfg.branches if cfg.model_kind == "cnn" else 1
     paths = {mesh_id: mesh_path for mesh_id, mesh_path, _ in manifest.entries}
-    cache_dir = Path(cfg.output_dir) / "cache"
-
-    def build(lm):
-        return _MeshBundle(lm, *mesh_features(
-            lm.mesh, scales, mesh_path=paths[lm.mesh_id], cache_dir=cache_dir))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            bundles = list(pool.map(build, meshes))
+    mesh_paths = [paths[lm.mesh_id] for lm in meshes]
+    build = partial(_bundle_parts, scales=scales,
+                    cache_dir=Path(cfg.output_dir) / "cache")
+    workers = min(threads, len(meshes))
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        with ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            parts = list(pool.map(build, mesh_paths, meshes))
     else:
-        bundles = [build(lm) for lm in meshes]
+        parts = map(build, mesh_paths, meshes)
+    bundles = [_MeshBundle(lm, *p) for lm, p in zip(meshes, parts)]
     for b in bundles:
         if log:
             log(f"features ready: {b.labeled.mesh_id} ({b.labeled.mesh.n_faces} faces)")
@@ -188,6 +205,10 @@ def _split_plan(cfg: ExperimentConfig) -> SplitPlan:
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1, log=None) -> dict:
     """Execute the full protocol and return the report dict.
+
+    Per-mesh features are built on up to `threads` worker processes (see
+    `_prepare_bundles`); everything after them runs in this process, and
+    the report and artifacts are the same at any worker count.
 
     Artifacts land under cfg.output_dir: feature caches, per-run
     probability grids and refined label files, and report.json.

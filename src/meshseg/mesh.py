@@ -167,6 +167,16 @@ class DualGraph:
     edge_dihedral: np.ndarray  # (E,) float64, in (0, 2*pi)
     edge_length: np.ndarray    # (E,) float64
 
+    def __post_init__(self):
+        for arr in (self.edges, self.edge_dihedral, self.edge_length):
+            arr.flags.writeable = False
+
+    def __reduce__(self):
+        # unpickle through __init__, so a graph sent back by a worker
+        # process is read-only too
+        return DualGraph, (self.n_faces, self.edges, self.edge_dihedral,
+                           self.edge_length)
+
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products, one BLAS dot per row like a 1-D `a @ b`
@@ -200,15 +210,12 @@ def build_dual_graph(mesh: Mesh) -> DualGraph:
                         dtype=np.float64, count=len(rows))  # in [0, pi]
     concave = _row_dot(mesh.face_centroids[v] - mesh.face_centroids[u], nu) > 0.0
     span = mesh.vertices[i] - mesh.vertices[j]
-    graph = DualGraph(
+    return DualGraph(
         n_faces=mesh.n_faces,
         edges=np.column_stack([u, v]),
         edge_dihedral=np.where(concave, math.pi - alpha, math.pi + alpha),
         edge_length=np.sqrt(_row_dot(span, span)),
     )
-    for arr in (graph.edges, graph.edge_dihedral, graph.edge_length):
-        arr.flags.writeable = False
-    return graph
 
 
 def face_balls(graph: DualGraph, hops: int) -> sp.csr_matrix:

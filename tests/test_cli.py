@@ -6,16 +6,20 @@ spawning subprocesses.
 """
 import argparse
 import json
+import multiprocessing
+import os
 import struct
 
 import numpy as np
 import pytest
 
 import meshseg.cli as cli
+import meshseg.experiment as experiment
 from meshseg.cli import THREADS_ENV, _threads, main
 from meshseg.features import DEFAULT_CHANNELS
 from meshseg.formats import (
     CKPT_MAGIC,
+    FormatError,
     load_feature_cache,
     load_labels,
     load_probabilities,
@@ -440,6 +444,35 @@ def test_run_diverging_training_exit_five(ws, tmp_path, capsys):
     assert code == 5
     assert err["category"] == "numeric"
     assert "training failed on split 0" in err["message"]
+
+
+@pytest.mark.parametrize("error, code, category", [
+    (SolverError("conformal solve did not converge"), 5, "numeric"),
+    (FormatError("feature channel out of range"), 3, "invalid-input"),
+])
+def test_feature_worker_failure_keeps_exit_code(ws, tmp_path, monkeypatch, capsys,
+                                                error, code, category):
+    errors, pids = {}, {}
+    for threads in ("1", "2"):
+        record = tmp_path / f"pids{threads}"
+
+        def failing(*args, record=record):
+            with open(record, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            raise error
+
+        monkeypatch.setattr(experiment, "compute_features", failing)
+        cfg = write_config(tmp_path / f"cfg{threads}.json", ws["manifest"],
+                           tmp_path / f"out{threads}")
+        got, _, errors[threads] = invoke(["run", "--config", str(cfg),
+                                          "--threads", threads], capsys)
+        assert got == code
+        pids[threads] = {int(pid) for pid in record.read_text().split()}
+    assert errors["1"] == errors["2"] == {
+        "status": "error", "category": category, "message": str(error)}
+    assert multiprocessing.active_children() == []
+    assert pids["1"] == {os.getpid()}
+    assert pids["2"] and os.getpid() not in pids["2"]
 
 
 def test_numeric_failure_exit_five(monkeypatch, capsys):

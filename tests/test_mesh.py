@@ -1,5 +1,6 @@
 import io
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -193,3 +194,13 @@ def test_enclosed_volume_of_box():
 def test_writes_are_blocked(tet):
     with pytest.raises(ValueError):
         tet.vertices[0, 0] = 5.0
+
+
+def test_dual_graph_stays_read_only_through_pickle(ico2):
+    # feature worker processes send dual graphs back pickled
+    graph = build_dual_graph(ico2)
+    copy = pickle.loads(pickle.dumps(graph))
+    for name in ("edges", "edge_dihedral", "edge_length"):
+        assert np.array_equal(getattr(copy, name), getattr(graph, name))
+        assert not getattr(copy, name).flags.writeable, name
+    assert copy.n_faces == graph.n_faces

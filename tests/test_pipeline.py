@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -232,13 +233,69 @@ def test_rerun_is_byte_identical(toy_report):
     assert (out / "report.json").read_bytes() == before
 
 
+def _artifacts(out_dir):
+    """Bytes of every feature cache, probability grid and label file under
+    out_dir, by path relative to it."""
+    return {str(p.relative_to(out_dir)): p.read_bytes()
+            for p in sorted(out_dir.rglob("*"))
+            if p.suffix in (".feat", ".prob", ".seg")}
+
+
 def test_threads_do_not_change_the_report(toy_manifest, tmp_path):
     cfg1 = _config(toy_manifest, tmp_path / "a")
-    cfg2 = _config(toy_manifest, tmp_path / "b", output_dir=str(tmp_path / "b"))
+    cfg2 = _config(toy_manifest, tmp_path / "b")
     r1 = run_experiment(cfg1, threads=1)
     r2 = run_experiment(cfg2, threads=3)
     r1["config"]["output_dir"] = r2["config"]["output_dir"] = ""
     assert r1 == r2
+    a, b = _artifacts(tmp_path / "a"), _artifacts(tmp_path / "b")
+    assert len(a) == 6 + 12 + 12  # caches, then a .prob and a .seg per record
+    assert a == b
+
+
+def test_no_more_workers_than_meshes(tmp_path, monkeypatch):
+    manifest_path = make_toy_dataset(tmp_path / "pair", n_meshes=2,
+                                     subdivisions=1, seed=0)
+    started = []
+    real_pool = experiment.ProcessPoolExecutor
+
+    def recording_pool(workers, **kwargs):
+        started.append(workers)
+        return real_pool(workers, **kwargs)
+
+    pids = tmp_path / "pids"
+    real_features = experiment.compute_features
+
+    def recording_features(*args):
+        with open(pids, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return real_features(*args)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", recording_pool)
+    monkeypatch.setattr(experiment, "compute_features", recording_features)
+    over = dict(protocol={"kind": "kfold", "k": 2, "replicates": 1},
+                model={"kind": "pca-nn"}, train={"epochs": 2, "batch_size": 64})
+    cfg1 = _config(manifest_path, tmp_path / "one", **over)
+    cfg5 = _config(manifest_path, tmp_path / "five", **over)
+    r1 = run_experiment(cfg1, threads=1)
+    pids.unlink()
+    r5 = run_experiment(cfg5, threads=5)
+    assert started == [2]
+    worker_pids = {int(pid) for pid in pids.read_text().split()}
+    assert worker_pids and os.getpid() not in worker_pids
+    r1["config"]["output_dir"] = r5["config"]["output_dir"] = ""
+    assert r1 == r5
+    assert _artifacts(tmp_path / "one") == _artifacts(tmp_path / "five")
+
+    # one mesh leaves one worker: the features are built in this process
+    pids.unlink()
+    manifest = load_manifest(manifest_path)
+    lone = load_labeled_meshes(manifest)[:1]
+    cfg = _config(manifest_path, tmp_path / "lone", **over)
+    bundles = experiment._prepare_bundles(lone, manifest, cfg, threads=4)
+    assert list(bundles) == [lone[0].mesh_id]
+    assert started == [2]
+    assert pids.read_text().split() == [str(os.getpid())]
 
 
 def test_dual_graph_built_once_per_mesh(toy_manifest, tmp_path, monkeypatch):
