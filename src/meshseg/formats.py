@@ -414,6 +414,10 @@ class ExperimentConfig:
             raise ValueError("branches must be in 1..4")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if not (math.isfinite(self.lam) and self.lam >= 0.0):
+            raise ValueError(f"lambda must be finite and nonnegative, got {self.lam}")
+        if not math.isfinite(self.omega):
+            raise ValueError(f"omega must be finite, got {self.omega}")
 
 
 _TRAIN_KEYS = ("epochs", "lr_start", "lr_end", "momentum", "batch_size")

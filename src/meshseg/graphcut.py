@@ -3,7 +3,10 @@
 The energy combines a per-face data term (negative log probability) with
 a pairwise term that is cheap across concave, feature-dissimilar edges
 and expensive across flat or convex ones. Each expansion move reduces to
-a binary s-t min cut, solved exactly with Dinic's algorithm.
+a binary s-t min cut, solved with scipy's Dinic max-flow on capacities
+quantized to a power-of-two grid. The cut is exact on that grid, so its
+cost under the float capacities is within one grid step per arc of the
+minimum.
 """
 from __future__ import annotations
 
@@ -11,128 +14,57 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from meshseg.mesh import DualGraph
 
 P_MIN = 1e-10
-RESIDUAL_EPS = 1e-12
+CAPACITY_LIMIT = 2**31  # scipy holds capacities in int32 and wraps past it
 
 
 class FlowNetwork:
-    """Directed flow network with residual bookkeeping.
+    """Directed flow network given as arc arrays; parallel arcs add up.
 
-    add_edge inserts an arc and its reverse (default reverse capacity 0);
-    max_flow runs Dinic's algorithm. Phases are bounded by the node count,
-    so termination does not depend on capacities being integral.
+    The float capacities are scaled by the largest power of two that keeps
+    their rounded sum below 2**31, so no capacity, flow or residual can
+    wrap, and `grid` is the capacity of one integer step.
     """
 
-    def __init__(self, n_nodes: int):
+    def __init__(self, n_nodes: int, tails, heads, caps):
+        caps = np.asarray(caps, dtype=np.float64)
         if n_nodes < 2:
             raise ValueError("need at least two nodes")
-        self.n_nodes = n_nodes
-        # arc storage: to[i], cap[i]; arc i^1 is the reverse of arc i
-        self.to: list[int] = []
-        self.cap: list[float] = []
-        self.adj: list[list[int]] = [[] for _ in range(n_nodes)]
-
-    def add_edge(self, u: int, v: int, cap: float, rev_cap: float = 0.0) -> None:
-        if cap < 0.0 or rev_cap < 0.0:
-            raise ValueError("capacities must be nonnegative")
-        if not (math.isfinite(cap) and math.isfinite(rev_cap)):
+        if not np.isfinite(caps).all():
             raise ValueError("capacities must be finite")
-        self.adj[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(float(cap))
-        self.adj[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(float(rev_cap))
-
-    def _levels(self, source: int, sink: int):
-        level = [-1] * self.n_nodes
-        level[source] = 0
-        frontier = [source]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for a in self.adj[u]:
-                    v = self.to[a]
-                    if level[v] < 0 and self.cap[a] > RESIDUAL_EPS:
-                        level[v] = level[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        return level if level[sink] >= 0 else None
+        if (caps < 0.0).any():
+            raise ValueError("capacities must be nonnegative")
+        self.n_nodes = n_nodes
+        # start where the unrounded sum reaches 2**31, then step down
+        exponent = 32 - math.frexp(caps.sum())[1]
+        while np.rint(np.ldexp(caps, exponent)).sum() >= CAPACITY_LIMIT:
+            exponent -= 1
+        self.grid = math.ldexp(1.0, -exponent)
+        scaled = np.rint(np.ldexp(caps, exponent)).astype(np.int32)
+        self.caps = sp.csr_matrix((scaled, (tails, heads)),
+                                  shape=(n_nodes, n_nodes))
+        self.residual = self.caps
 
     def max_flow(self, source: int, sink: int) -> float:
         if source == sink:
             raise ValueError("source and sink must differ")
-        total = 0.0
-        while True:
-            level = self._levels(source, sink)
-            if level is None:
-                return total
-            it = [0] * self.n_nodes
-            path: list[int] = []  # arcs of the current partial path
-            u = source
-            while True:
-                if u == sink:
-                    bottleneck = min(self.cap[a] for a in path)
-                    total += bottleneck
-                    for a in path:
-                        self.cap[a] -= bottleneck
-                        self.cap[a ^ 1] += bottleneck
-                    # retreat to just before the first saturated arc (the
-                    # bottleneck arc zeroes exactly, so one always exists)
-                    first_sat = next(i for i, a in enumerate(path)
-                                     if self.cap[a] <= RESIDUAL_EPS)
-                    del path[first_sat:]
-                    u = source if not path else self.to[path[-1]]
-                    continue
-                advanced = False
-                while it[u] < len(self.adj[u]):
-                    a = self.adj[u][it[u]]
-                    v = self.to[a]
-                    if self.cap[a] > RESIDUAL_EPS and level[v] == level[u] + 1:
-                        path.append(a)
-                        u = v
-                        advanced = True
-                        break
-                    it[u] += 1
-                if not advanced:
-                    if u == source:
-                        break  # blocking flow complete for this phase
-                    level[u] = -1  # dead end, prune from the level graph
-                    u = self.to[path.pop() ^ 1]
+        result = maximum_flow(self.caps, source, sink, method="dinic")
+        self.residual = self.caps - result.flow
+        return float(result.flow_value) * self.grid
 
     def source_side(self, source: int) -> np.ndarray:
         """Nodes reachable from the source in the residual graph; with the
         flow maximal, this is a minimum cut's source component."""
+        open_arcs = self.residual > 0
         seen = np.zeros(self.n_nodes, dtype=bool)
-        seen[source] = True
-        frontier = [source]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for a in self.adj[u]:
-                    v = self.to[a]
-                    if not seen[v] and self.cap[a] > RESIDUAL_EPS:
-                        seen[v] = True
-                        nxt.append(v)
-            frontier = nxt
+        seen[breadth_first_order(open_arcs, source,
+                                 return_predecessors=False)] = True
         return seen
-
-
-def smoothness_cost(theta: float, f_u: float, f_v: float, omega: float) -> float:
-    """Cost of letting the two faces across an edge keep different labels.
-
-    Concave edges (theta < pi) are natural segment boundaries, yet under
-    this term they are the expensive ones to disagree across unless the
-    feature distance discounts them; flat and convex edges cost nothing.
-    The result is clamped at zero so min-cut capacities stay valid.
-    """
-    angle = min(theta, math.pi)
-    if angle <= 0.0:
-        raise ValueError("dihedral angle must be positive")
-    return max(0.0, -math.log(angle / math.pi) - omega * abs(f_u - f_v))
 
 
 @dataclass(frozen=True)
@@ -154,8 +86,12 @@ class GraphCutProblem:
             raise ValueError("feature length must match face count")
         if (p < 0).any() or not np.allclose(p.sum(axis=1), 1.0, atol=1e-6):
             raise ValueError("probability rows must be nonnegative and sum to 1")
-        if self.lam < 0.0:
-            raise ValueError("lambda must be nonnegative")
+        if not (math.isfinite(self.lam) and self.lam >= 0.0):
+            raise ValueError(f"lambda must be finite and nonnegative, got {self.lam}")
+        if not math.isfinite(self.omega):
+            raise ValueError(f"omega must be finite, got {self.omega}")
+        if not np.isfinite(self.feature).all():
+            raise ValueError("feature values must be finite")
 
     @property
     def n_classes(self) -> int:
@@ -165,14 +101,24 @@ class GraphCutProblem:
         return -np.log(np.maximum(self.probabilities, P_MIN))
 
     def edge_costs(self) -> np.ndarray:
-        """lambda-scaled pairwise cost per dual edge."""
+        """lambda-scaled cost per dual edge of letting its two faces keep
+        different labels.
+
+        Concave edges (dihedral below pi) are natural segment boundaries,
+        yet under this term they are the expensive ones to disagree across
+        unless the feature distance discounts them; flat and convex edges
+        cost nothing. The cost is clamped at zero so min-cut capacities
+        stay valid. The log is math.log per edge because np.log differs
+        from it in the last bit on some angles, which can move labels.
+        """
         g = self.graph
-        out = np.zeros(len(g.edges))
-        for e, (u, v) in enumerate(g.edges):
-            out[e] = self.lam * smoothness_cost(
-                float(g.edge_dihedral[e]), float(self.feature[u]),
-                float(self.feature[v]), self.omega)
-        return out
+        angle = np.minimum(g.edge_dihedral, math.pi)
+        if (angle <= 0.0).any():
+            raise ValueError("dihedral angle must be positive")
+        log_ratio = np.array([math.log(r) for r in (angle / math.pi).tolist()])
+        f = np.asarray(self.feature, dtype=np.float64)[g.edges]
+        cost = -log_ratio - self.omega * np.abs(f[:, 0] - f[:, 1])
+        return self.lam * np.maximum(cost, 0.0)
 
 
 def labeling_energy(problem: GraphCutProblem, labels: np.ndarray,
@@ -199,43 +145,36 @@ def _expansion_move(problem: GraphCutProblem, labels: np.ndarray, alpha: int,
     """One binary min-cut: each face not already labeled alpha chooses
     between keeping its label (source side) and switching (sink side)."""
     free = np.nonzero(labels != alpha)[0]
-    if len(free) == 0:
+    n = len(free)
+    if n == 0:
         return labels
-    node_of = -np.ones(problem.graph.n_faces, dtype=np.int64)
-    node_of[free] = np.arange(len(free))
-    source = len(free)
-    sink = source + 1
-    net = FlowNetwork(len(free) + 2)
+    source, sink = n, n + 1
+    node_of = np.full(problem.graph.n_faces, -1)
+    node_of[free] = np.arange(n)
+    u, v = node_of[problem.graph.edges.T]
+    u_free, v_free = u >= 0, v >= 0
+    both = u_free & v_free & (pair > 0.0)
+    old_u, old_v = labels[problem.graph.edges.T]
+    same = both & (old_u == old_v)
+    # different old labels cost w unless both switch:
+    # w*[u keeps] + w*[u switches, v keeps]
+    split = both & (old_u != old_v)
+    # extra cost of keeping the old label, summed in edge order
+    t_link = data[free, labels[free]]
+    keeps = (u_free != v_free) | split
+    np.add.at(t_link, np.where(u_free, u, v)[keeps], pair[keeps])
 
-    t_link = np.zeros(len(free))  # extra cost of keeping the old label
-    for i, u in enumerate(free):
-        net.add_edge(source, int(i), float(data[u, alpha]))
-        t_link[i] += float(data[u, labels[u]])
-
-    for e, (u, v) in enumerate(problem.graph.edges):
-        w = float(pair[e])
-        if w == 0.0:
-            continue
-        u_free, v_free = labels[u] != alpha, labels[v] != alpha
-        if u_free and v_free:
-            if labels[u] == labels[v]:
-                net.add_edge(int(node_of[u]), int(node_of[v]), w, w)
-            else:
-                # cost w unless both switch: w*[u keeps] + w*[u switches, v keeps]
-                t_link[node_of[u]] += w
-                net.add_edge(int(node_of[v]), int(node_of[u]), w)
-        elif u_free:
-            t_link[node_of[u]] += w  # v is already alpha
-        elif v_free:
-            t_link[node_of[v]] += w
-
-    for i in range(len(free)):
-        net.add_edge(int(i), sink, float(t_link[i]))
-
+    tails = np.concatenate([np.full(n, source), u[same], v[same], v[split],
+                            np.arange(n)])
+    heads = np.concatenate([np.arange(n), v[same], u[same], u[split],
+                            np.full(n, sink)])
+    caps = np.concatenate([data[free, alpha], pair[same], pair[same],
+                           pair[split], t_link])
+    net = FlowNetwork(n + 2, tails, heads, caps)
     net.max_flow(source, sink)
     keep = net.source_side(source)
     out = labels.copy()
-    out[free[~keep[:len(free)]]] = alpha
+    out[free[~keep[:n]]] = alpha
     return out
 
 

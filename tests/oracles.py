@@ -100,6 +100,184 @@ def exhaustive_min_cut(n: int, arcs, source: int, sink: int) -> float:
     return float(best)
 
 
+RESIDUAL_EPS = 1e-12
+
+
+class DinicFlowNetwork:
+    """Directed flow network with residual bookkeeping, on float
+    capacities: the pure-Python Dinic that `meshseg.graphcut.FlowNetwork`
+    replaced.
+
+    add_edge inserts an arc and its reverse (default reverse capacity 0);
+    max_flow runs Dinic's algorithm. Phases are bounded by the node count,
+    so termination does not depend on capacities being integral.
+    """
+
+    def __init__(self, n_nodes: int):
+        if n_nodes < 2:
+            raise ValueError("need at least two nodes")
+        self.n_nodes = n_nodes
+        # arc storage: to[i], cap[i]; arc i^1 is the reverse of arc i
+        self.to: list[int] = []
+        self.cap: list[float] = []
+        self.adj: list[list[int]] = [[] for _ in range(n_nodes)]
+
+    def add_edge(self, u: int, v: int, cap: float, rev_cap: float = 0.0) -> None:
+        if cap < 0.0 or rev_cap < 0.0:
+            raise ValueError("capacities must be nonnegative")
+        if not (math.isfinite(cap) and math.isfinite(rev_cap)):
+            raise ValueError("capacities must be finite")
+        self.adj[u].append(len(self.to))
+        self.to.append(v)
+        self.cap.append(float(cap))
+        self.adj[v].append(len(self.to))
+        self.to.append(u)
+        self.cap.append(float(rev_cap))
+
+    def _levels(self, source: int, sink: int):
+        level = [-1] * self.n_nodes
+        level[source] = 0
+        frontier = [source]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for a in self.adj[u]:
+                    v = self.to[a]
+                    if level[v] < 0 and self.cap[a] > RESIDUAL_EPS:
+                        level[v] = level[u] + 1
+                        nxt.append(v)
+            frontier = nxt
+        return level if level[sink] >= 0 else None
+
+    def max_flow(self, source: int, sink: int) -> float:
+        if source == sink:
+            raise ValueError("source and sink must differ")
+        total = 0.0
+        while True:
+            level = self._levels(source, sink)
+            if level is None:
+                return total
+            it = [0] * self.n_nodes
+            path: list[int] = []  # arcs of the current partial path
+            u = source
+            while True:
+                if u == sink:
+                    bottleneck = min(self.cap[a] for a in path)
+                    total += bottleneck
+                    for a in path:
+                        self.cap[a] -= bottleneck
+                        self.cap[a ^ 1] += bottleneck
+                    # retreat to just before the first saturated arc (the
+                    # bottleneck arc zeroes exactly, so one always exists)
+                    first_sat = next(i for i, a in enumerate(path)
+                                     if self.cap[a] <= RESIDUAL_EPS)
+                    del path[first_sat:]
+                    u = source if not path else self.to[path[-1]]
+                    continue
+                advanced = False
+                while it[u] < len(self.adj[u]):
+                    a = self.adj[u][it[u]]
+                    v = self.to[a]
+                    if self.cap[a] > RESIDUAL_EPS and level[v] == level[u] + 1:
+                        path.append(a)
+                        u = v
+                        advanced = True
+                        break
+                    it[u] += 1
+                if not advanced:
+                    if u == source:
+                        break  # blocking flow complete for this phase
+                    level[u] = -1  # dead end, prune from the level graph
+                    u = self.to[path.pop() ^ 1]
+
+    def source_side(self, source: int) -> np.ndarray:
+        """Nodes reachable from the source in the residual graph; with the
+        flow maximal, this is a minimum cut's source component."""
+        seen = np.zeros(self.n_nodes, dtype=bool)
+        seen[source] = True
+        frontier = [source]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for a in self.adj[u]:
+                    v = self.to[a]
+                    if not seen[v] and self.cap[a] > RESIDUAL_EPS:
+                        seen[v] = True
+                        nxt.append(v)
+            frontier = nxt
+        return seen
+
+
+def smoothness_cost(theta: float, f_u: float, f_v: float, omega: float) -> float:
+    """Cost of letting the two faces across an edge keep different labels.
+
+    Concave edges (theta < pi) are natural segment boundaries, yet under
+    this term they are the expensive ones to disagree across unless the
+    feature distance discounts them; flat and convex edges cost nothing.
+    The result is clamped at zero so min-cut capacities stay valid.
+    """
+    angle = min(theta, math.pi)
+    if angle <= 0.0:
+        raise ValueError("dihedral angle must be positive")
+    return max(0.0, -math.log(angle / math.pi) - omega * abs(f_u - f_v))
+
+
+def edge_costs_loop(problem) -> np.ndarray:
+    """lambda-scaled pairwise cost per dual edge, one edge at a time."""
+    g = problem.graph
+    out = np.zeros(len(g.edges))
+    for e, (u, v) in enumerate(g.edges):
+        out[e] = problem.lam * smoothness_cost(
+            float(g.edge_dihedral[e]), float(problem.feature[u]),
+            float(problem.feature[v]), problem.omega)
+    return out
+
+
+def expansion_move_dinic(problem, labels, alpha, data, pair) -> np.ndarray:
+    """One expansion move built one arc at a time and cut by the float
+    Dinic: each face not already labeled alpha chooses between keeping its
+    label (source side) and switching (sink side)."""
+    free = np.nonzero(labels != alpha)[0]
+    if len(free) == 0:
+        return labels
+    node_of = -np.ones(problem.graph.n_faces, dtype=np.int64)
+    node_of[free] = np.arange(len(free))
+    source = len(free)
+    sink = source + 1
+    net = DinicFlowNetwork(len(free) + 2)
+
+    t_link = np.zeros(len(free))  # extra cost of keeping the old label
+    for i, u in enumerate(free):
+        net.add_edge(source, int(i), float(data[u, alpha]))
+        t_link[i] += float(data[u, labels[u]])
+
+    for e, (u, v) in enumerate(problem.graph.edges):
+        w = float(pair[e])
+        if w == 0.0:
+            continue
+        u_free, v_free = labels[u] != alpha, labels[v] != alpha
+        if u_free and v_free:
+            if labels[u] == labels[v]:
+                net.add_edge(int(node_of[u]), int(node_of[v]), w, w)
+            else:
+                # cost w unless both switch: w*[u keeps] + w*[u switches, v keeps]
+                t_link[node_of[u]] += w
+                net.add_edge(int(node_of[v]), int(node_of[u]), w)
+        elif u_free:
+            t_link[node_of[u]] += w  # v is already alpha
+        elif v_free:
+            t_link[node_of[v]] += w
+
+    for i in range(len(free)):
+        net.add_edge(int(i), sink, float(t_link[i]))
+
+    net.max_flow(source, sink)
+    keep = net.source_side(source)
+    out = labels.copy()
+    out[free[~keep[:len(free)]]] = alpha
+    return out
+
+
 def labeling_energy_reference(problem, labels) -> float:
     """Potts-style energy computed with plain loops from first principles."""
     probs = np.maximum(problem.probabilities, 1e-10)

@@ -216,8 +216,8 @@ def test_conformal_factor_suite():
 # ------------------------------------------------------------ criterion 6
 
 def test_max_flow_matches_exhaustive_cuts():
-    # capacities on a 1/1024 grid make every residual update exact in
-    # binary64, so the comparison can demand equality rather than closeness
+    # capacities on a 1/1024 grid land exactly on the solver's integer
+    # grid, so the comparison can demand equality rather than closeness
     rng = np.random.default_rng(61)
     for case in range(100):
         n = int(rng.integers(2, 9))
@@ -226,10 +226,8 @@ def test_max_flow_matches_exhaustive_cuts():
             u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
             if u != v:
                 arcs.append((u, v, int(rng.integers(0, 2049)) / 1024.0))
-        net = FlowNetwork(n)
-        for u, v, cap in arcs:
-            net.add_edge(u, v, cap)
-        flow = net.max_flow(0, n - 1)
+        tails, heads, caps = ([a[k] for a in arcs] for k in range(3))
+        flow = FlowNetwork(n, tails, heads, caps).max_flow(0, n - 1)
         assert flow == exhaustive_min_cut(n, arcs, 0, n - 1), f"case {case}"
     _line("max flow", "equals exhaustive min cut exactly on 100 graphs")
 

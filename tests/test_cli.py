@@ -383,6 +383,36 @@ def test_bad_config_exit_three(ws, tmp_path, capsys):
     assert "bogus" in err["message"]
 
 
+@pytest.mark.parametrize("key, value", [("omega", float("nan")),
+                                        ("lambda", -1.0)])
+def test_run_rejects_bad_refinement_weight_before_any_work(ws, tmp_path, capsys,
+                                                          key, value):
+    # json writes and reads NaN, so the loader must reject it itself
+    cfg = write_config(tmp_path / "cfg.json", ws["manifest"],
+                       tmp_path / "out", **{key: value})
+    code, _, err = invoke(["run", "--config", str(cfg)], capsys)
+    assert code == 3
+    assert err["category"] == "invalid-input"
+    assert key in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_refine_rejects_nan_omega(ws, tmp_path, capsys):
+    probs_path = tmp_path / "uniform.prob"
+    save_probabilities(probs_path, np.full((80, 2), 0.5))
+    feat_path = tmp_path / "m0.feat"
+    assert main(["features", str(ws["mesh0"]), "-o", str(feat_path)]) == 0
+    capsys.readouterr()
+    code, _, err = invoke(["refine", str(ws["mesh0"]),
+                           "--probs", str(probs_path),
+                           "--features", str(feat_path),
+                           "--omega", "nan",
+                           "-o", str(tmp_path / "r.seg")], capsys)
+    assert code == 3
+    assert "omega" in err["message"]
+    assert not (tmp_path / "r.seg").exists()
+
+
 def test_eval_length_mismatch_exit_three(ws, tmp_path, capsys):
     short = tmp_path / "short.seg"
     short.write_text("0\n1\n")

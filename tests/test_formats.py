@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import struct
 
@@ -513,6 +514,15 @@ def test_config_semantic_errors_carry_location():
         parse_experiment_config({"dataset": "d", "model": {"branches": 9}})
     with pytest.raises(FormatError, match="split file"):
         parse_experiment_config({"dataset": "d", "protocol": {"kind": "fixed"}})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("omega", math.nan), ("omega", math.inf), ("lambda", math.nan),
+    ("lambda", -math.inf), ("lambda", math.inf), ("lambda", -1.0),
+])
+def test_config_rejects_bad_refinement_weights(key, value):
+    with pytest.raises(FormatError, match=key):
+        parse_experiment_config({"dataset": "d", key: value}, where="cfg.json")
 
 
 def test_load_experiment_config_from_file(tmp_path):

@@ -5,68 +5,80 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import meshseg.graphcut as graphcut
 from meshseg.mesh import build_dual_graph
 from meshseg.graphcut import (
+    CAPACITY_LIMIT,
     ExpansionResult,
     FlowNetwork,
     GraphCutProblem,
     alpha_expansion,
     labeling_energy,
-    smoothness_cost,
 )
 from meshseg import synth
 from conftest import random_problem, synthetic_graph
 from oracles import (
+    DinicFlowNetwork,
+    edge_costs_loop,
     exhaustive_best_labeling,
     exhaustive_min_cut,
+    expansion_move_dinic,
     labeling_energy_reference,
 )
 
 
 # ---------------------------------------------------------- smoothness cost
 
+def one_edge_cost(theta, f_u, f_v, omega):
+    """edge_costs of the one edge of a two-face problem, at lambda 1."""
+    graph = synthetic_graph(2, [(0, 1)], [theta])
+    problem = GraphCutProblem(graph, np.full((2, 2), 0.5),
+                              np.array([f_u, f_v]), lam=1.0, omega=omega)
+    return problem.edge_costs()[0]
+
+
 def test_smoothness_flat_edge_is_free():
-    assert smoothness_cost(math.pi, 0.0, 5.0, 1.0) == 0.0
+    assert one_edge_cost(math.pi, 0.0, 5.0, 1.0) == 0.0
 
 
 def test_smoothness_concave_edge_costs_log():
-    assert smoothness_cost(math.pi / 2, 0.3, 0.3, 1.0) == pytest.approx(math.log(2.0))
+    assert one_edge_cost(math.pi / 2, 0.3, 0.3, 1.0) == pytest.approx(math.log(2.0))
 
 
 def test_smoothness_feature_distance_discounts_to_zero():
     # ln 2 - omega * |df| goes negative and clamps
-    assert smoothness_cost(math.pi / 2, 0.0, 2.0, 1.0) == 0.0
+    assert one_edge_cost(math.pi / 2, 0.0, 2.0, 1.0) == 0.0
 
 
 def test_smoothness_convex_edge_is_free():
-    assert smoothness_cost(1.5 * math.pi, 0.0, 0.0, 1.0) == 0.0
+    assert one_edge_cost(1.5 * math.pi, 0.0, 0.0, 1.0) == 0.0
 
 
 def test_smoothness_rejects_nonpositive_angle():
     with pytest.raises(ValueError):
-        smoothness_cost(0.0, 0.0, 0.0, 1.0)
+        one_edge_cost(0.0, 0.0, 0.0, 1.0)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.floats(1e-3, 2 * math.pi), st.floats(-5, 5), st.floats(-5, 5),
        st.floats(0, 3))
 def test_smoothness_symmetric_and_nonnegative(theta, fu, fv, omega):
-    cost = smoothness_cost(theta, fu, fv, omega)
+    cost = one_edge_cost(theta, fu, fv, omega)
     assert cost >= 0.0
-    assert cost == smoothness_cost(theta, fv, fu, omega)
+    assert cost == one_edge_cost(theta, fv, fu, omega)
 
 
-# ----------------------------------------------------------------- max flow
+# --------------------------------------------- max flow: float Dinic oracle
 
 def test_flow_single_arc():
-    net = FlowNetwork(2)
+    net = DinicFlowNetwork(2)
     net.add_edge(0, 1, 3.0)
     assert net.max_flow(0, 1) == pytest.approx(3.0)
 
 
 def test_flow_diamond():
     # s=0, a=1, b=2, t=3
-    net = FlowNetwork(4)
+    net = DinicFlowNetwork(4)
     net.add_edge(0, 1, 2.0)
     net.add_edge(0, 2, 2.0)
     net.add_edge(1, 3, 2.0)
@@ -80,7 +92,7 @@ def test_flow_matches_exhaustive_cut_on_random_graphs():
     for _ in range(25):
         n = int(rng.integers(3, 9))
         arcs = []
-        net = FlowNetwork(n)
+        net = DinicFlowNetwork(n)
         for u in range(n):
             for v in range(n):
                 if u != v and rng.random() < 0.45:
@@ -95,7 +107,7 @@ def test_flow_source_side_is_a_minimum_cut():
     rng = np.random.default_rng(5)
     n = 7
     arcs = []
-    net = FlowNetwork(n)
+    net = DinicFlowNetwork(n)
     for u in range(n):
         for v in range(n):
             if u != v and rng.random() < 0.5:
@@ -111,14 +123,94 @@ def test_flow_source_side_is_a_minimum_cut():
 
 def test_flow_validation():
     with pytest.raises(ValueError):
-        FlowNetwork(1)
-    net = FlowNetwork(3)
+        DinicFlowNetwork(1)
+    net = DinicFlowNetwork(3)
     with pytest.raises(ValueError):
         net.add_edge(0, 1, -1.0)
     with pytest.raises(ValueError):
         net.add_edge(0, 1, math.inf)
     with pytest.raises(ValueError):
         net.max_flow(1, 1)
+
+
+# ------------------------------------------------ max flow on scipy arrays
+
+def random_arcs(rng, n, draw):
+    """(tails, heads, caps) of a random simple digraph on n nodes."""
+    arcs = [(u, v, draw()) for u in range(n) for v in range(n)
+            if u != v and rng.random() < 0.45]
+    return arcs, FlowNetwork(n, [a[0] for a in arcs], [a[1] for a in arcs],
+                             [a[2] for a in arcs])
+
+
+def cut_value(arcs, seen):
+    return sum(c for u, v, c in arcs if seen[u] and not seen[v])
+
+
+def test_flow_network_exact_on_dyadic_capacities():
+    # capacities on a 1/1024 grid fit the int32 grid exactly, so flow and
+    # cut must equal the exhaustive minimum, not merely approach it
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        n = int(rng.integers(2, 9))
+        arcs, net = random_arcs(rng, n, lambda: int(rng.integers(0, 4097)) / 1024.0)
+        want = exhaustive_min_cut(n, arcs, 0, n - 1)
+        assert net.max_flow(0, n - 1) == want
+        assert cut_value(arcs, net.source_side(0)) == want
+
+
+def test_flow_network_within_grid_on_arbitrary_floats():
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        n = int(rng.integers(3, 9))
+        arcs, net = random_arcs(rng, n, lambda: float(rng.uniform(0.0, 4.0)))
+        want = exhaustive_min_cut(n, arcs, 0, n - 1)
+        assert abs(net.max_flow(0, n - 1) - want) <= len(arcs) * net.grid
+
+
+def test_flow_network_source_side_is_a_minimum_cut():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        n = int(rng.integers(3, 9))
+        arcs, net = random_arcs(rng, n, lambda: float(rng.uniform(0.1, 3.0)))
+        flow = net.max_flow(0, n - 1)
+        seen = net.source_side(0)
+        assert seen[0] and not seen[n - 1]
+        # exact on the quantized capacities the solver saw
+        quantized = net.caps.toarray()
+        assert quantized[seen][:, ~seen].sum() * net.grid == flow
+        want = exhaustive_min_cut(n, arcs, 0, n - 1)
+        assert abs(cut_value(arcs, seen) - want) <= len(arcs) * net.grid
+
+
+def test_flow_network_does_not_wrap_large_capacities():
+    # scipy keeps capacities in int32; unscaled, 2**40 would wrap to a
+    # flow of 0
+    net = FlowNetwork(2, [0], [1], [2.0**40])
+    assert net.max_flow(0, 1) == 2.0**40
+    rng = np.random.default_rng(47)
+    for _ in range(20):
+        n = int(rng.integers(3, 8))
+        arcs, net = random_arcs(rng, n, lambda: float(10.0 ** rng.uniform(-3, 12)))
+        assert 0 <= net.caps.data.min() and net.caps.sum() < CAPACITY_LIMIT
+        want = exhaustive_min_cut(n, arcs, 0, n - 1)
+        assert abs(net.max_flow(0, n - 1) - want) <= len(arcs) * net.grid
+
+
+def test_flow_network_without_arcs():
+    net = FlowNetwork(3, [], [], [])
+    assert net.max_flow(0, 2) == 0.0
+    assert net.source_side(0).tolist() == [True, False, False]
+
+
+def test_flow_network_validation():
+    with pytest.raises(ValueError, match="two nodes"):
+        FlowNetwork(1, [], [], [])
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="capacities"):
+            FlowNetwork(3, [0], [1], [bad])
+    with pytest.raises(ValueError, match="differ"):
+        FlowNetwork(3, [0], [1], [1.0]).max_flow(1, 1)
 
 
 # ------------------------------------------------------------------ problem
@@ -141,6 +233,28 @@ def test_problem_validation(tet, tet_graph):
         GraphCutProblem(tet_graph, good, feat, lam=-1.0)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_problem_rejects_nonfinite_lambda(tet_graph, lam):
+    with pytest.raises(ValueError, match="lambda"):
+        GraphCutProblem(tet_graph, np.full((4, 2), 0.5), np.zeros(4), lam=lam)
+
+
+@pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+def test_problem_rejects_nonfinite_omega(tet_graph, omega):
+    # max(0.0, nan) is 0.0, so a NaN omega would silently zero every edge
+    with pytest.raises(ValueError, match="omega"):
+        GraphCutProblem(tet_graph, np.full((4, 2), 0.5), np.zeros(4),
+                        omega=omega)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_problem_rejects_nonfinite_feature(tet_graph, value):
+    feat = np.zeros(4)
+    feat[2] = value
+    with pytest.raises(ValueError, match="feature values"):
+        GraphCutProblem(tet_graph, np.full((4, 2), 0.5), feat)
+
+
 def test_data_costs_clamp_zero_probabilities(tet_graph):
     probs = np.zeros((4, 2))
     probs[:, 0] = 1.0
@@ -155,6 +269,42 @@ def test_convex_solid_has_free_edges(tet_graph):
     probs = np.full((4, 2), 0.5)
     problem = GraphCutProblem(tet_graph, probs, np.zeros(4), lam=2.0)
     assert np.all(problem.edge_costs() == 0.0)
+
+
+# dihedrals: exactly flat, concave, convex, and anything in (0, 2 pi)
+DIHEDRALS = st.one_of(st.just(math.pi), st.floats(1e-3, math.pi),
+                      st.floats(math.pi, 2 * math.pi),
+                      st.floats(1e-6, 2 * math.pi))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(2, 8), st.one_of(st.just(0.0), st.floats(0, 3)),
+       st.floats(0, 3))
+def test_edge_costs_equal_per_edge_loop(data, n, omega, lam):
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                         st.integers(0, n - 1))
+                               .filter(lambda e: e[0] < e[1]),
+                               max_size=12, unique=True))
+    dihedrals = data.draw(st.lists(DIHEDRALS, min_size=len(pairs),
+                                   max_size=len(pairs)))
+    feature = np.array(data.draw(st.lists(st.floats(-5, 5), min_size=n,
+                                          max_size=n)))
+    problem = GraphCutProblem(synthetic_graph(n, pairs, dihedrals),
+                              np.full((n, 2), 0.5), feature, lam=lam,
+                              omega=omega)
+    # array_equal: signed zeros may differ, nothing else may
+    assert np.array_equal(problem.edge_costs(), edge_costs_loop(problem))
+
+
+def test_edge_costs_equal_per_edge_loop_on_mesh():
+    # np.log would differ from math.log in the last bit on some of these
+    # angles
+    mesh = synth.dumbbell(3)
+    probs = np.full((mesh.n_faces, 2), 0.5)
+    for omega in (0.0, 1.0):
+        problem = GraphCutProblem(build_dual_graph(mesh), probs,
+                                  mesh.face_centroids[:, 2], omega=omega)
+        assert np.array_equal(problem.edge_costs(), edge_costs_loop(problem))
 
 
 def test_labeling_energy_matches_reference():
@@ -221,6 +371,52 @@ def test_expansion_on_edgeless_graph():
     assert result.labels.tolist() == [0, 1, 0]
     assert result.initial_energy == pytest.approx(
         -np.log([0.8, 0.7, 0.6]).sum())
+
+
+@pytest.fixture
+def flow_networks(monkeypatch):
+    """(arc count, grid) of every FlowNetwork the expansion moves build."""
+    built = []
+
+    class Recording(FlowNetwork):
+        def __init__(self, n_nodes, tails, heads, caps):
+            super().__init__(n_nodes, tails, heads, caps)
+            built.append((len(caps), self.grid))
+
+    monkeypatch.setattr(graphcut, "FlowNetwork", Recording)
+    return built
+
+
+def assert_moves_match_dinic(problem, labels, flow_networks):
+    data, pair = problem.data_costs(), problem.edge_costs()
+    for alpha in range(problem.n_classes):
+        flow_networks.clear()
+        got = graphcut._expansion_move(problem, labels, alpha, data, pair)
+        want = expansion_move_dinic(problem, labels, alpha, data, pair)
+        bound = sum(n_arcs * grid for n_arcs, grid in flow_networks)
+        assert (labeling_energy(problem, got, data, pair)
+                <= labeling_energy(problem, want, data, pair) + bound)
+
+
+def test_expansion_moves_match_dinic_on_random_problems(flow_networks):
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        problem = random_problem(rng)
+        for labels in (problem.probabilities.argmax(axis=1),
+                       rng.integers(0, problem.n_classes, problem.graph.n_faces)):
+            assert_moves_match_dinic(problem, labels, flow_networks)
+
+
+@pytest.mark.parametrize("subdivisions", [2, 3, 4])
+def test_expansion_moves_match_dinic_on_dumbbells(subdivisions, flow_networks):
+    mesh = synth.dumbbell(subdivisions)
+    graph = build_dual_graph(mesh)
+    rng = np.random.default_rng(subdivisions)
+    for classes, feature in ((2, np.zeros(mesh.n_faces)),
+                             (3, mesh.face_centroids[:, 2])):
+        probs = rng.dirichlet(np.ones(classes), size=mesh.n_faces)
+        problem = GraphCutProblem(graph, probs, feature)
+        assert_moves_match_dinic(problem, probs.argmax(axis=1), flow_networks)
 
 
 def test_expansion_result_properties():
