@@ -110,8 +110,11 @@ def cmd_train(args) -> dict:
 
 def cmd_segment(args) -> dict:
     model, channel_names, stats = load_checkpoint(args.checkpoint)
+    if channel_names != DEFAULT_CHANNELS:
+        raise FormatError(f"{args.checkpoint}: trained on channels "
+                          f"{list(channel_names)}, not {list(DEFAULT_CHANNELS)}")
     mesh = load_mesh_path(args.mesh)
-    _, _, raw = mesh_features(mesh, _model_scales(model), channel_names)
+    _, _, raw = mesh_features(mesh, _model_scales(model))
     probs = predict(model, stats, raw)
     save_probabilities(args.output, probs)
     summary = {"command": "segment", "mesh": str(args.mesh),
@@ -131,7 +134,7 @@ def cmd_refine(args) -> dict:
     if "agd" not in names:
         raise FormatError(f"{args.features}: no 'agd' channel for the "
                           "feature-distance term")
-    if key != feature_cache_key(args.mesh, names):
+    if key != feature_cache_key(args.mesh):
         raise FormatError(f"{args.features}: features of another mesh "
                           f"(key {key}), not of {args.mesh}")
     result = refine_labels(build_dual_graph(mesh), probs,

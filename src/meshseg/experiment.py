@@ -7,7 +7,7 @@ each step; `run_experiment` and the single-step commands of the CLI both
 call them.
 
 Raw per-face features are split-independent and cached per mesh keyed by
-a content hash of the mesh file and extraction settings. Normalization is
+a content hash of the mesh file and the channel names. Normalization is
 affine per channel, so it commutes with neighborhood averaging; raw
 multi-scale stacks are therefore built once and train-fold statistics are
 applied per split.
@@ -26,7 +26,6 @@ from meshseg.evaluate import LabeledMesh, SplitPlan, accuracy, make_splits
 from meshseg.features import (
     DEFAULT_CHANNELS,
     FeatureMatrix,
-    FeatureParams,
     compute_features,
     fit_stats,
     multiscale,
@@ -74,17 +73,13 @@ def load_labeled_meshes(manifest: DatasetManifest) -> list:
     return sorted(out, key=lambda lm: lm.mesh_id)
 
 
-def feature_cache_key(mesh_path, channels=DEFAULT_CHANNELS,
-                      params: FeatureParams = FeatureParams()) -> str:
-    """Hash of the mesh file bytes, channel names, and extraction
-    parameters: the raw features are a function of exactly these."""
-    return content_hash(Path(mesh_path).read_bytes(), "\n".join(channels),
-                        repr(params))
+def feature_cache_key(mesh_path) -> str:
+    """Hash of the mesh file bytes and the channel names: the raw features
+    are a function of exactly these."""
+    return content_hash(Path(mesh_path).read_bytes(), "\n".join(DEFAULT_CHANNELS))
 
 
-def cached_features(mesh, mesh_path, cache_dir, channels=DEFAULT_CHANNELS,
-                    params: FeatureParams = FeatureParams(),
-                    graph=None) -> FeatureMatrix:
+def cached_features(mesh, mesh_path, cache_dir, graph=None) -> FeatureMatrix:
     """Compute (or reuse) the raw feature matrix for one mesh.
 
     The cache file is named after its key (`feature_cache_key`), so meshes
@@ -92,16 +87,16 @@ def cached_features(mesh, mesh_path, cache_dir, channels=DEFAULT_CHANNELS,
     caches; a stale or foreign cache is recomputed. graph, when given, is
     the mesh's dual graph and is reused.
     """
-    key = feature_cache_key(mesh_path, channels, params)
+    key = feature_cache_key(mesh_path)
     cache_path = Path(cache_dir) / f"{key}.feat"
     if cache_path.exists():
         try:
             names, values, stored = load_feature_cache(cache_path)
-            if stored == key and names == tuple(channels):
+            if stored == key and names == DEFAULT_CHANNELS:
                 return FeatureMatrix(names, values)
         except (FormatError, OSError):
             pass  # unreadable cache: fall through to recompute
-    fm = compute_features(mesh, channels, params, graph)
+    fm = compute_features(mesh, graph)
     Path(cache_dir).mkdir(parents=True, exist_ok=True)
     save_feature_cache(cache_path, fm.channel_names, fm.values, key)
     return fm
@@ -115,16 +110,15 @@ class _MeshBundle:
     raw_multiscale: np.ndarray  # (faces, K, channels), unnormalized
 
 
-def mesh_features(mesh, scales, channels=DEFAULT_CHANNELS, mesh_path=None,
-                  cache_dir=None):
+def mesh_features(mesh, scales, mesh_path=None, cache_dir=None):
     """(dual graph, raw features, raw multi-scale stack) of one mesh; the
     features go through the cache when cache_dir is given."""
     graph = build_dual_graph(mesh)
     if cache_dir is None:
-        fm = compute_features(mesh, channels, graph=graph)
+        fm = compute_features(mesh, graph)
     else:
-        fm = cached_features(mesh, mesh_path, cache_dir, channels, graph=graph)
-    return graph, fm, multiscale(fm.values, graph, scales, fm.channel_names).values
+        fm = cached_features(mesh, mesh_path, cache_dir, graph)
+    return graph, fm, multiscale(fm.values, graph, scales)
 
 
 def _bundle_parts(mesh_path, labeled, scales, cache_dir):

@@ -19,17 +19,12 @@ from meshseg.features.conformal import (
 from meshseg.features.geodesic import agd_edge_weights, average_geodesic_distance, quantize_weights
 from meshseg.features.sdf import SdfResult, cone_directions, shape_diameter
 from meshseg.features.matrix import (
-    CHANNEL_REGISTRY,
     DEFAULT_CHANNELS,
-    FeatureComputation,
     FeatureMatrix,
-    FeatureParams,
-    MultiScaleFeatures,
     NormalizationStats,
     compute_features,
     fit_stats,
     multiscale,
-    register_channel,
 )
 
 __all__ = [
@@ -39,8 +34,6 @@ __all__ = [
     "cotangent_laplacian", "smoothed_conformal_factor", "vertex_to_face",
     "agd_edge_weights", "average_geodesic_distance", "quantize_weights",
     "SdfResult", "cone_directions", "shape_diameter",
-    "CHANNEL_REGISTRY", "DEFAULT_CHANNELS", "FeatureComputation",
-    "FeatureMatrix", "FeatureParams", "MultiScaleFeatures",
-    "NormalizationStats", "compute_features", "fit_stats", "multiscale",
-    "register_channel",
+    "DEFAULT_CHANNELS", "FeatureMatrix", "NormalizationStats",
+    "compute_features", "fit_stats", "multiscale",
 ]

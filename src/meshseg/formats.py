@@ -39,7 +39,7 @@ class FormatError(ValueError):
 
 def content_hash(*parts) -> str:
     """Stable hex digest over byte/str parts; used to key feature caches
-    to their source mesh and extraction settings."""
+    to their source mesh and channel names."""
     h = hashlib.blake2b(digest_size=16)
     for part in parts:
         if isinstance(part, str):
@@ -266,6 +266,7 @@ def load_labels(path) -> np.ndarray:
 
 def parse_fixed_split(text: str, where: str = "<split>"):
     sections: dict[str, list] = {}
+    listed_under: dict[str, str] = {}  # mesh id -> its section
     current = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         s = line.split("#", 1)[0].strip()
@@ -281,7 +282,11 @@ def parse_fixed_split(text: str, where: str = "<split>"):
             current = name
         elif current is None:
             raise FormatError(f"{where}: line {lineno}: mesh id before any section")
+        elif s in listed_under:
+            raise FormatError(f"{where}: line {lineno}: mesh {s!r} already "
+                              f"listed under {listed_under[s]}:")
         else:
+            listed_under[s] = current
             sections[current].append(s)
     for name in ("train", "test"):
         if not sections.get(name):
@@ -442,8 +447,8 @@ def parse_experiment_config(doc: dict, where: str = "<config>") -> ExperimentCon
     _check_keys(model, ("kind", "branches"), f"{where}.model")
     train_doc = doc.get("train", {})
     _check_keys(train_doc, _TRAIN_KEYS, f"{where}.train")
-    train = TrainConfig(**{k: train_doc[k] for k in _TRAIN_KEYS if k in train_doc})
     try:
+        train = TrainConfig(**{k: train_doc[k] for k in _TRAIN_KEYS if k in train_doc})
         return ExperimentConfig(
             dataset=doc["dataset"],
             protocol=proto.get("kind", "kfold"),

@@ -7,6 +7,7 @@ layers see batch statistics; entry 0 simply skips the optimizer step.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -27,6 +28,19 @@ class TrainConfig:
     momentum: float = 0.9
     batch_size: int = 256
     seed: int = 0
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
+        # batch-stat layers need >= 2 samples per batch
+        if self.batch_size < 2:
+            raise ValueError(f"batch_size must be at least 2, got {self.batch_size}")
+        for name in ("lr_start", "lr_end"):
+            lr = getattr(self, name)
+            if not (math.isfinite(lr) and lr > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {lr}")
+        if not (math.isfinite(self.momentum) and 0.0 <= self.momentum < 1.0):
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
 
     def learning_rate(self, epoch: int) -> float:
         """Geometric interpolation: epoch 0 gets lr_start, the final epoch
@@ -52,7 +66,7 @@ def sgd_step(params, lr: float, momentum: float) -> None:
 def _batch_starts(n: int, batch_size: int) -> list:
     # fold a trailing singleton into the previous batch: batch-stat layers
     # need >= 2 samples
-    starts = list(range(0, n, max(batch_size, 2)))
+    starts = list(range(0, n, batch_size))
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
     return starts

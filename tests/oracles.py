@@ -453,6 +453,37 @@ def multiscale_bfs(values: np.ndarray, graph, scales: int) -> np.ndarray:
     return out
 
 
+def feature_matrix_reference(mesh):
+    """(channel names, (faces, 9) values): one column per channel, each
+    extractor called with the pipeline's settings spelled out (5 smoothing
+    levels at 0.5/-0.53, solver tol 1e-8, 30 rays in a 60-degree cone,
+    alpha 4), assembled column by column."""
+    from meshseg.features.conformal import conformal_factor_field, vertex_to_face
+    from meshseg.features.curvature import curvature_field
+    from meshseg.features.geodesic import average_geodesic_distance
+    from meshseg.features.sdf import shape_diameter
+    from meshseg.mesh import build_dual_graph
+    from meshseg.smoothing import taubin_smooth
+
+    smoothed = taubin_smooth(mesh, 5, 0.5, -0.53)
+    curvature = curvature_field(mesh, smoothed)
+    conformal = conformal_factor_field(smoothed, curvature, tol=1e-8)
+    columns = {
+        "gaussian_curvature": vertex_to_face(mesh, curvature.gaussian_curvature),
+        "conformal_factor": vertex_to_face(mesh, conformal.original_cf),
+    }
+    for level in range(5):
+        columns[f"conformal_factor_s{level + 1}"] = vertex_to_face(
+            mesh, conformal.smoothed_cf[level])
+    columns["agd"] = average_geodesic_distance(mesh, build_dual_graph(mesh))
+    columns["sdf"] = shape_diameter(mesh, n_rays=30,
+                                    cone_half_angle=math.radians(60.0),
+                                    alpha=4.0).normalized
+    names = tuple(columns)
+    return names, np.column_stack([np.asarray(columns[n], dtype=np.float64)
+                                   for n in names])
+
+
 # Layer kernels in their select-and-temporary forms. Each takes the layer
 # as its first argument, so a test can patch it onto the layer class.
 

@@ -207,6 +207,19 @@ def test_segment_rejects_stats_channel_mismatch(ws, trained, tmp_path, capsys):
     assert "normalization stats" in err["message"]
 
 
+def test_segment_rejects_foreign_channel_checkpoint(ws, trained, tmp_path, capsys):
+    blob = trained.read_bytes()
+    assert blob.count(b"agd\nsdf") == 1
+    bad = tmp_path / "swapped.ckpt"
+    bad.write_bytes(blob.replace(b"agd\nsdf", b"sdf\nagd"))
+    code, _, err = invoke(["segment", str(ws["mesh0"]), "--checkpoint", str(bad),
+                           "-o", str(tmp_path / "junk.prob")], capsys)
+    assert code == 3
+    assert err["category"] == "invalid-input"
+    assert str(bad) in err["message"] and "channels" in err["message"]
+    assert not (tmp_path / "junk.prob").exists()
+
+
 def test_segment_rejects_version_one_checkpoint(ws, trained, tmp_path, capsys):
     blob = trained.read_bytes()
     old = tmp_path / "v1.ckpt"
@@ -394,6 +407,41 @@ def test_run_rejects_bad_refinement_weight_before_any_work(ws, tmp_path, capsys,
     assert code == 3
     assert err["category"] == "invalid-input"
     assert key in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("epochs", 0), ("epochs", -3), ("batch_size", 1), ("batch_size", 0),
+    ("lr_start", 0.0), ("lr_start", -0.01), ("lr_end", float("inf")),
+    ("momentum", float("nan")), ("momentum", 1.0), ("momentum", -0.1),
+])
+def test_run_rejects_bad_train_values_before_any_work(ws, tmp_path, capsys,
+                                                      key, value):
+    train = {"epochs": 4, "lr_start": 0.01, "lr_end": 0.001, "batch_size": 64,
+             key: value}
+    cfg = write_config(tmp_path / "cfg.json", ws["manifest"], tmp_path / "out",
+                       train=train)
+    code, _, err = invoke(["run", "--config", str(cfg)], capsys)
+    assert code == 3
+    assert err["category"] == "invalid-input"
+    assert str(cfg) in err["message"] and key in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("split", [
+    "train:\ndumbbell-00\ndumbbell-01\ntest:\ndumbbell-01\ndumbbell-02\n",
+    "train:\ndumbbell-00\ndumbbell-00\ntest:\ndumbbell-01\n",
+], ids=["train-and-test", "twice-in-train"])
+def test_run_rejects_mesh_listed_twice_in_split(ws, tmp_path, capsys, split):
+    split_file = tmp_path / "split.txt"
+    split_file.write_text(split)
+    cfg = write_config(tmp_path / "cfg.json", ws["manifest"], tmp_path / "out",
+                       protocol={"kind": "fixed", "file": str(split_file),
+                                 "replicates": 1})
+    code, _, err = invoke(["run", "--config", str(cfg)], capsys)
+    assert code == 3
+    assert err["category"] == "invalid-input"
+    assert str(split_file) in err["message"] and "already listed" in err["message"]
     assert not (tmp_path / "out").exists()
 
 

@@ -11,7 +11,6 @@ from meshseg import synth
 from meshseg.mesh import Mesh, build_dual_graph
 from meshseg.smoothing import taubin_smooth
 from meshseg.features import (
-    CHANNEL_REGISTRY,
     DEFAULT_CHANNELS,
     angle_deficits,
     average_geodesic_distance,
@@ -24,15 +23,19 @@ from meshseg.features import (
     fit_stats,
     gaussian_curvature,
     multiscale,
-    register_channel,
     shape_diameter,
     target_curvature,
     vertex_to_face,
 )
-from meshseg.features import geodesic, sdf
+from meshseg.features import geodesic, matrix, sdf
 from meshseg.features.sdf import build_bvh, nearest_hits, robust_thickness, tangent_frames
 from conftest import random_small_mesh
-from oracles import agd_reference, sdf_ray_distances, sdf_robust_thickness
+from oracles import (
+    agd_reference,
+    feature_matrix_reference,
+    sdf_ray_distances,
+    sdf_robust_thickness,
+)
 
 
 # ---------------------------------------------------------------- curvature
@@ -535,34 +538,32 @@ def test_compute_features_shapes(ico2):
 
 def test_compute_features_reports_fallbacks():
     grid = synth.plane_grid(3, 3)
-    fm = compute_features(grid, channels=("sdf",))
+    fm = compute_features(grid)
+    assert grid.n_faces == 18
     assert fm.diagnostics["sdf_fallback_faces"] == list(range(grid.n_faces))
 
 
-def test_compute_features_unknown_channel(tet):
-    with pytest.raises(KeyError, match="no_such_channel"):
-        compute_features(tet, channels=("no_such_channel",))
-
-
-def test_registered_channel_and_error_reporting(tet):
-    def bad(comp):
-        col = np.zeros(comp.mesh.n_faces)
+def test_non_finite_channel_is_named(tet, monkeypatch):
+    def poisoned(mesh, graph):
+        col = np.zeros(mesh.n_faces)
         col[2] = np.nan
         return col
 
-    register_channel("always_area", lambda comp: comp.mesh.face_areas.copy())
-    register_channel("poisoned", bad)
-    try:
-        fm = compute_features(tet, channels=("always_area",))
-        assert fm.values[:, 0] == pytest.approx(tet.face_areas)
-        with pytest.raises(ValueError, match="already registered"):
-            register_channel("always_area", lambda comp: None)
-        with pytest.raises(FloatingPointError) as err:
-            compute_features(tet, channels=("poisoned",))
-        assert "poisoned" in str(err.value) and "face 2" in str(err.value)
-    finally:
-        CHANNEL_REGISTRY.pop("always_area")
-        CHANNEL_REGISTRY.pop("poisoned")
+    monkeypatch.setattr(matrix, "average_geodesic_distance", poisoned)
+    with pytest.raises(FloatingPointError) as err:
+        compute_features(tet)
+    assert "'agd'" in str(err.value) and "face 2" in str(err.value)
+
+
+@pytest.mark.parametrize("make", [lambda: synth.dumbbell(2),
+                                  lambda: synth.icosphere(2)],
+                         ids=["dumbbell(2)", "icosphere(2)"])
+def test_compute_features_equals_per_extractor_assembly(make):
+    mesh = make()
+    fm = compute_features(mesh)
+    names, values = feature_matrix_reference(mesh)
+    assert fm.channel_names == names
+    assert np.array_equal(fm.values, values)
 
 
 # ------------------------------------------------------------ normalization
@@ -612,7 +613,7 @@ def test_multiscale_scale_one_is_identity(strip5):
     graph = build_dual_graph(strip5)
     values = np.arange(float(strip5.n_faces))[:, None]
     ms = multiscale(values, graph, scales=1)
-    assert np.array_equal(ms.scale(1), values)
+    assert np.array_equal(ms[:, 0, :], values)
 
 
 def test_multiscale_three_face_strip():
@@ -621,24 +622,20 @@ def test_multiscale_three_face_strip():
     values = np.array([[1.0], [4.0], [7.0]])
     ms = multiscale(values, graph, scales=2)
     # middle face averages all three; the ends only reach their neighbor
-    assert ms.scale(2)[:, 0] == pytest.approx([2.5, 4.0, 5.5])
-    assert ms.scale(1)[:, 0] == pytest.approx([1.0, 4.0, 7.0])
+    assert ms[:, 1, 0] == pytest.approx([2.5, 4.0, 5.5])
+    assert ms[:, 0, 0] == pytest.approx([1.0, 4.0, 7.0])
 
 
 def test_multiscale_constant_field(ico2):
     graph = build_dual_graph(ico2)
     values = np.full((ico2.n_faces, 2), 3.25)
     ms = multiscale(values, graph, scales=4)
-    assert np.all(ms.values == 3.25)
+    assert np.all(ms == 3.25)
 
 
 def test_multiscale_scale_bounds(strip5):
     graph = build_dual_graph(strip5)
-    ms = multiscale(np.zeros((5, 1)), graph, scales=2)
-    with pytest.raises(ValueError):
-        ms.scale(0)
-    with pytest.raises(ValueError):
-        ms.scale(3)
+    assert multiscale(np.zeros((5, 1)), graph, scales=2).shape == (5, 2, 1)
     with pytest.raises(ValueError):
         multiscale(np.zeros((5, 1)), graph, scales=5)
     with pytest.raises(ValueError):
@@ -653,9 +650,9 @@ def test_multiscale_is_linear(seed, a, b):
     rng = np.random.default_rng(seed)
     f = rng.normal(size=(6, 2))
     g = rng.normal(size=(6, 2))
-    lhs = multiscale(a * f + b * g, graph, scales=3).values
-    rhs = (a * multiscale(f, graph, scales=3).values
-           + b * multiscale(g, graph, scales=3).values)
+    lhs = multiscale(a * f + b * g, graph, scales=3)
+    rhs = (a * multiscale(f, graph, scales=3)
+           + b * multiscale(g, graph, scales=3))
     assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
@@ -666,7 +663,7 @@ def test_multiscale_commutes_with_affine_normalization(ico2):
     rng = np.random.default_rng(5)
     values = rng.normal(size=(ico2.n_faces, 3)) * [1.0, 5.0, 0.2] + [0.0, -2.0, 9.0]
     stats = fit_stats(values)
-    direct = multiscale(stats.apply(values), graph, scales=3).values
-    deferred = multiscale(values, graph, scales=3).values
+    direct = multiscale(stats.apply(values), graph, scales=3)
+    deferred = multiscale(values, graph, scales=3)
     deferred = (deferred - stats.mean) / stats.scale
     assert direct == pytest.approx(deferred, abs=1e-12)

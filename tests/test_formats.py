@@ -384,6 +384,10 @@ def test_fixed_split_errors():
         parse_fixed_split("train:\n a\n")
     with pytest.raises(FormatError, match="missing or empty train"):
         parse_fixed_split("train:\ntest:\n c\n")
+    with pytest.raises(FormatError, match="line 4: mesh 'a' already listed under train:"):
+        parse_fixed_split("train:\n a\ntest:\n a\n")
+    with pytest.raises(FormatError, match="line 3: mesh 'b' already listed under train:"):
+        parse_fixed_split("train:\n b\n b\ntest:\n c\n")
 
 
 def test_fixed_split_from_file(tmp_path):

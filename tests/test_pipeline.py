@@ -11,7 +11,12 @@ from meshseg.experiment import (
     load_labeled_meshes,
     run_experiment,
 )
-from meshseg.formats import load_manifest, parse_experiment_config, save_labels
+from meshseg.formats import (
+    load_manifest,
+    parse_experiment_config,
+    save_feature_cache,
+    save_labels,
+)
 from meshseg.synth import make_toy_dataset
 
 
@@ -112,8 +117,14 @@ def test_cached_features_recomputes_on_stale_or_garbage(toy_manifest, tmp_path,
     cached_features(lm.mesh, mesh_path, cache_dir)
     assert len(calls) == 2  # unreadable cache is silently rebuilt
 
-    # a cache keyed to different settings is also rejected
-    cached_features(lm.mesh, mesh_path, cache_dir, channels=("agd", "sdf"))
+    # a cache that holds another mesh's key under this mesh's file name is
+    # also rejected
+    other_path = [e[1] for e in manifest.entries if e[1] != mesh_path][0]
+    fm = cached_features(lm.mesh, mesh_path, cache_dir)
+    assert len(calls) == 2
+    save_feature_cache(cache_file, fm.channel_names, fm.values,
+                       feature_cache_key(other_path))
+    cached_features(lm.mesh, mesh_path, cache_dir)
     assert len(calls) == 3
 
 
