@@ -27,7 +27,7 @@ from meshseg.neural.models import model_from_descriptor
 from meshseg.neural.training import TrainConfig
 
 FORMAT_VERSION = 1  # feature caches and probability grids
-CKPT_VERSION = 2  # 2: normalization stats follow the channel names
+CKPT_VERSION = 3  # 2: normalization stats follow the channel names; 3: no conv biases
 FEATURE_MAGIC = b"MSEGFEAT"
 PROB_MAGIC = b"MSEGPROB"
 CKPT_MAGIC = b"MSEGCKPT"
@@ -426,6 +426,17 @@ class ExperimentConfig:
 
 
 _TRAIN_KEYS = ("epochs", "lr_start", "lr_end", "momentum", "batch_size")
+_TRAIN_INTEGERS = ("epochs", "batch_size")
+
+
+def _json_number(value, name: str, integer: bool = False):
+    """`value` itself if it is a JSON integer (or, unless `integer`, any
+    JSON number); a bool is neither, though Python counts it an int."""
+    kinds = int if integer else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        kind = "an integer" if integer else "a number"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return value
 
 
 def _check_keys(doc: dict, allowed, where: str) -> None:
@@ -448,19 +459,23 @@ def parse_experiment_config(doc: dict, where: str = "<config>") -> ExperimentCon
     train_doc = doc.get("train", {})
     _check_keys(train_doc, _TRAIN_KEYS, f"{where}.train")
     try:
-        train = TrainConfig(**{k: train_doc[k] for k in _TRAIN_KEYS if k in train_doc})
+        train = TrainConfig(**{
+            k: _json_number(train_doc[k], f"train.{k}", k in _TRAIN_INTEGERS)
+            for k in _TRAIN_KEYS if k in train_doc})
         return ExperimentConfig(
             dataset=doc["dataset"],
             protocol=proto.get("kind", "kfold"),
-            k=int(proto.get("k", 5)),
+            k=_json_number(proto.get("k", 5), "protocol.k", integer=True),
             fixed_split_file=proto.get("file"),
-            replicates=int(proto.get("replicates", 3)),
+            replicates=_json_number(proto.get("replicates", 3),
+                                    "protocol.replicates", integer=True),
             model_kind=model.get("kind", "cnn"),
-            branches=int(model.get("branches", 3)),
+            branches=_json_number(model.get("branches", 3), "model.branches",
+                                  integer=True),
             train=train,
-            lam=float(doc.get("lambda", 1.0)),
-            omega=float(doc.get("omega", 1.0)),
-            seed=int(doc.get("seed", 0)),
+            lam=float(_json_number(doc.get("lambda", 1.0), "lambda")),
+            omega=float(_json_number(doc.get("omega", 1.0), "omega")),
+            seed=_json_number(doc.get("seed", 0), "seed", integer=True),
             output_dir=doc.get("output_dir", "out"),
         )
     except ValueError as exc:

@@ -317,10 +317,10 @@ def pca_svd(x: np.ndarray, k: int):
     return mean, vt[:k].T, var[:k]
 
 
-def conv1d_loops(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Same-padded 1D convolution with explicit loops.
+def conv1d_loops(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Same-padded 1D convolution without bias, with explicit loops.
 
-    x: (batch, length, cin); w: (k, cin, cout); b: (cout,).
+    x: (batch, length, cin); w: (k, cin, cout).
     """
     batch, length, cin = x.shape
     k, _, cout = w.shape
@@ -332,7 +332,6 @@ def conv1d_loops(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
                 src = t + j - half
                 if 0 <= src < length:
                     out[n, t] += x[n, src] @ w[j]
-            out[n, t] += b
     return out
 
 
@@ -340,7 +339,7 @@ def conv1d_backward_loops(x: np.ndarray, w: np.ndarray, grad: np.ndarray):
     """Gradients of conv1d_loops under upstream `grad`, one tap at a time
     over every tap, padding included.
 
-    Returns (input gradient, weight gradient, bias gradient).
+    Returns (input gradient, weight gradient).
     """
     batch, length, cin = x.shape
     k = w.shape[0]
@@ -352,7 +351,65 @@ def conv1d_backward_loops(x: np.ndarray, w: np.ndarray, grad: np.ndarray):
     for j in range(k):
         gw[j] = np.einsum("blc,blo->co", xp[:, j:j + length], grad)
         gxp[:, j:j + length] += grad @ w[j].T
-    return gxp[:, half:half + length], gw, grad.sum(axis=(0, 1))
+    return gxp[:, half:half + length], gw
+
+
+def _conv1d_live_taps(k: int, length: int) -> tuple:
+    """(first live tap, live tap count): tap j reads input index
+    t + j - k//2, which is padding for every t when it is further than
+    length - 1 from the centre."""
+    lo = max(0, k // 2 - (length - 1))
+    return lo, k - 2 * lo
+
+
+def _conv1d_unfold(xp: np.ndarray, length: int, taps: int) -> np.ndarray:
+    """im2col: read-only (b, length, taps, cin) windows over the padded
+    signal, in the weight layout, unfolded to (b·length, taps·cin)."""
+    b, _, cin = xp.shape
+    s_batch, s_pos, s_chan = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, (b, length, taps, cin), (s_batch, s_pos, s_pos, s_chan), writeable=False)
+    return windows.reshape(b * length, taps * cin)
+
+
+def _conv1d_pad(x: np.ndarray, taps: int) -> np.ndarray:
+    b, length, cin = x.shape
+    pad = taps // 2
+    xp = np.zeros((b, length + 2 * pad, cin))
+    xp[:, pad:pad + length] = x
+    return xp
+
+
+def conv1d_im2col_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """conv1d_loops as one matmul of the unfolded, zero-padded signal
+    against the live taps (Chellapilla et al. 2006): the form Conv1D took
+    before its banded matmul."""
+    b, length, cin = x.shape
+    lo, taps = _conv1d_live_taps(w.shape[0], length)
+    wl = w[lo:lo + taps].reshape(taps * cin, w.shape[2])
+    y = _conv1d_unfold(_conv1d_pad(x, taps), length, taps) @ wl
+    return y.reshape(b, length, w.shape[2])
+
+
+def conv1d_im2col_backward(x: np.ndarray, w: np.ndarray, grad: np.ndarray):
+    """Gradients of conv1d_im2col_forward: one weight-gradient matmul over
+    the live taps, then col2im for the input gradient. Returns (input
+    gradient, weight gradient); dead taps' gradients are exactly 0."""
+    b, length, cin = x.shape
+    k, _, cout = w.shape
+    lo, taps = _conv1d_live_taps(k, length)
+    xp = _conv1d_pad(x, taps)
+    g2 = grad.reshape(b * length, cout)
+    gw = np.zeros_like(w)
+    gw[lo:lo + taps] = (_conv1d_unfold(xp, length, taps).T @ g2).reshape(taps, cin, cout)
+    wl = w[lo:lo + taps].reshape(taps * cin, cout)
+    dcols = (g2 @ wl.T).reshape(b, length, taps, cin)
+    # col2im: each tap's column block lands on its shifted window
+    gxp = np.zeros_like(xp)
+    for j in range(taps):
+        gxp[:, j:j + length] += dcols[:, :, j]
+    pad = taps // 2
+    return gxp[:, pad:pad + length], gw
 
 
 def solve_zero_mean_dense(a_dense: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -428,6 +428,25 @@ def test_run_rejects_bad_train_values_before_any_work(ws, tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("train", "epochs", "4"), ("train", "epochs", 2.5), ("train", "batch_size", True),
+    ("train", "lr_start", "0.1"), ("train", "lr_end", None), ("train", "momentum", False),
+    ("protocol", "k", 2.0), ("protocol", "replicates", "1"), ("model", "branches", True),
+    (None, "seed", 5.0), (None, "lambda", "1"), (None, "omega", True),
+])
+def test_run_rejects_config_values_of_the_wrong_type(ws, tmp_path, capsys,
+                                                     section, key, value):
+    cfg = write_config(tmp_path / "cfg.json", ws["manifest"], tmp_path / "out")
+    doc = json.loads(cfg.read_text())
+    (doc[section] if section else doc)[key] = value
+    cfg.write_text(json.dumps(doc))
+    code, _, err = invoke(["run", "--config", str(cfg)], capsys)
+    assert code == 3
+    assert err["category"] == "invalid-input"
+    assert str(cfg) in err["message"] and key in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("split", [
     "train:\ndumbbell-00\ndumbbell-01\ntest:\ndumbbell-01\ndumbbell-02\n",
     "train:\ndumbbell-00\ndumbbell-00\ntest:\ndumbbell-01\n",

@@ -203,6 +203,17 @@ def test_checkpoint_version_one_needs_regenerating(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_version_two_needs_regenerating(tmp_path):
+    # version 2 stored a bias for every conv; version 3 has none
+    model, _ = _train_tiny_cnn()
+    path = tmp_path / "v2.ckpt"
+    save_checkpoint(path, model, ("c1", "c2", "c3"), _stats(3))
+    blob = path.read_bytes()
+    path.write_bytes(CKPT_MAGIC + struct.pack("<I", 2) + blob[len(CKPT_MAGIC) + 4:])
+    with pytest.raises(FormatError, match="version 2 unsupported.*regenerate"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_untrained_cnn_fails_loudly(tmp_path):
     model = CnnModel(1, 8, 2, seed=0)
     with pytest.raises(ValueError, match="untrained"):

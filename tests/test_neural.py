@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from meshseg.features.matrix import NormalizationStats
+from meshseg.formats import load_checkpoint, save_checkpoint
 from meshseg.neural.layers import (
+    BAND_TILE,
     BatchNorm,
     Conv1D,
     Dense,
@@ -35,6 +38,8 @@ from oracles import (
     batchnorm_temporaries_backward,
     batchnorm_temporaries_forward,
     conv1d_backward_loops,
+    conv1d_im2col_backward,
+    conv1d_im2col_forward,
     conv1d_loops,
     leaky_relu_where_backward,
     leaky_relu_where_forward,
@@ -59,7 +64,6 @@ def test_conv_identity_kernel():
     conv = Conv1D(3, 1, 1, RNG(0))
     conv.weight.value[...] = 0.0
     conv.weight.value[1, 0, 0] = 1.0
-    conv.bias.value[...] = 0.0
     x = RNG(1).normal(size=(2, 7, 1))
     assert conv.forward(x) == pytest.approx(x, rel=1e-15)
 
@@ -67,25 +71,25 @@ def test_conv_identity_kernel():
 def test_conv_box_kernel_sums_neighbors():
     conv = Conv1D(3, 1, 1, RNG(0))
     conv.weight.value[...] = 1.0
-    conv.bias.value[...] = 0.0
     x = np.array([[[1.0], [2.0], [3.0]]])
     # same padding: ends see one zero neighbor
     assert conv.forward(x)[0, :, 0] == pytest.approx([3.0, 6.0, 5.0])
 
 
-def test_conv_bias_only():
+def test_conv_has_no_bias():
+    # every conv feeds a batch norm, which subtracts the batch mean
     conv = Conv1D(5, 2, 3, RNG(0))
-    conv.weight.value[...] = 0.0
-    conv.bias.value[...] = [1.0, -2.0, 0.5]
-    y = conv.forward(np.ones((1, 4, 2)))
-    assert y == pytest.approx(np.tile([1.0, -2.0, 0.5], (1, 4, 1)))
+    assert [p.name for p in conv.parameters()] == ["conv.weight"]
+    net = build_multibranch(2, 9, 3, seed=0)
+    assert not [p.name for p in net.parameters() if ".conv" in p.name
+                and not p.name.endswith(".weight")]
 
 
 def test_conv_matches_loop_oracle():
     rng = RNG(4)
     conv = Conv1D(5, 3, 4, rng)
     x = rng.normal(size=(2, 9, 3))
-    want = conv1d_loops(x, conv.weight.value, conv.bias.value)
+    want = conv1d_loops(x, conv.weight.value)
     assert conv.forward(x) == pytest.approx(want, abs=1e-12)
 
 
@@ -94,23 +98,29 @@ NETWORK_CONV_SHAPES = [
     (15, 1, 16, 32),   # first conv, gradient-check signal length
     (11, 16, 32, 4),   # second conv after pooling 9: taps 0, 1, 9, 10 dead
     (11, 16, 32, 16),  # second conv after pooling 32
+    (11, 16, 32, 2),   # shorter signals: more dead taps
+    (11, 16, 32, 3),
+]
+# longer than BAND_TILE: the band runs tile by tile, the last one partial
+TILED_CONV_SHAPES = [
+    (11, 3, 4, BAND_TILE + 1),
+    (15, 2, 5, 3 * BAND_TILE + 7),
 ]
 
 
-@pytest.mark.parametrize("kernel,cin,cout,length", NETWORK_CONV_SHAPES + [
-    (11, 16, 32, 2),   # shorter signals: more dead taps
-    (11, 16, 32, 3),
-])
+@pytest.mark.parametrize("kernel,cin,cout,length",
+                         NETWORK_CONV_SHAPES + TILED_CONV_SHAPES)
 def test_conv_matches_loop_oracle_at_network_shapes(kernel, cin, cout, length):
     rng = RNG(5)
     conv = Conv1D(kernel, cin, cout, rng)
-    conv.bias.value[...] = rng.normal(size=cout)
     x = rng.normal(size=(4, length, cin))
-    want = conv1d_loops(x, conv.weight.value, conv.bias.value)
-    assert conv.forward(x) == pytest.approx(want, abs=1e-12)
+    y = conv.forward(x)
+    assert y == pytest.approx(conv1d_loops(x, conv.weight.value), abs=1e-12)
+    assert y == pytest.approx(conv1d_im2col_forward(x, conv.weight.value), abs=1e-12)
 
 
-@pytest.mark.parametrize("kernel,cin,cout,length", NETWORK_CONV_SHAPES)
+@pytest.mark.parametrize("kernel,cin,cout,length",
+                         NETWORK_CONV_SHAPES + TILED_CONV_SHAPES)
 def test_conv_backward_matches_loop_oracle_at_network_shapes(kernel, cin, cout, length):
     rng = RNG(7)
     conv = Conv1D(kernel, cin, cout, rng)
@@ -118,15 +128,67 @@ def test_conv_backward_matches_loop_oracle_at_network_shapes(kernel, cin, cout, 
     grad = rng.normal(size=(4, length, cout))
     conv.forward(x, training=True)
     gx = conv.backward(grad)
-    want_x, want_w, want_b = conv1d_backward_loops(x, conv.weight.value, grad)
-    assert gx == pytest.approx(want_x, abs=1e-12)
-    assert conv.weight.grad == pytest.approx(want_w, abs=1e-12)
-    assert conv.bias.grad == pytest.approx(want_b, abs=1e-12)
+    for oracle in (conv1d_backward_loops, conv1d_im2col_backward):
+        want_x, want_w = oracle(x, conv.weight.value, grad)
+        assert gx == pytest.approx(want_x, abs=1e-12)
+        assert conv.weight.grad == pytest.approx(want_w, abs=1e-12)
     dead = max(0, kernel // 2 - (length - 1))
     live = np.zeros(kernel, dtype=bool)
     live[dead:kernel - dead] = True
     assert not np.any(conv.weight.grad[~live])
     assert np.all(np.any(conv.weight.grad[live] != 0.0, axis=(1, 2)))
+
+
+def _conv_matches_loops(conv, x):
+    """The layer's forward and both gradients against the loop oracles."""
+    grad = RNG(99).normal(size=x.shape[:2] + (conv.out_channels,))
+    conv.weight.grad[...] = 0.0
+    y = conv.forward(x, training=True)
+    gx = conv.backward(grad)
+    want_x, want_w = conv1d_backward_loops(x, conv.weight.value, grad)
+    return (np.allclose(y, conv1d_loops(x, conv.weight.value), rtol=0, atol=1e-12)
+            and np.allclose(gx, want_x, rtol=0, atol=1e-12)
+            and np.allclose(conv.weight.grad, want_w, rtol=0, atol=1e-12))
+
+
+def test_conv_sees_weight_changed_in_place():
+    # sgd_step and the gradient check both write into weight.value
+    rng = RNG(11)
+    conv = Conv1D(11, 16, 32, rng)
+    x = rng.normal(size=(4, 4, 16))
+    assert _conv_matches_loops(conv, x)
+    conv.weight.value += 0.1 * rng.normal(size=conv.weight.value.shape)
+    assert _conv_matches_loops(conv, x)
+    conv.weight.value.flat[123] += 1e-5
+    assert _conv_matches_loops(conv, x)
+
+
+def test_conv_sees_a_new_length():
+    rng = RNG(12)
+    conv = Conv1D(11, 16, 32, rng)
+    for length in (4, 16, 4, 2, BAND_TILE + 3, 4):
+        assert _conv_matches_loops(conv, rng.normal(size=(3, length, 16)))
+
+
+def test_conv_sees_checkpoint_loaded_into_a_model_that_has_run(tmp_path):
+    x = RNG(13).normal(size=(16, 2, 8, 1))
+    labels = RNG(13).integers(0, 2, 16)
+    cfg = TrainConfig(epochs=1, batch_size=8)
+    used, other = CnnModel(2, 8, 2, seed=0, train_cfg=cfg), \
+        CnnModel(2, 8, 2, seed=1, train_cfg=cfg)
+    used.fit(x, labels)
+    other.fit(x, labels)
+    before = used.predict_proba(x)
+    path = tmp_path / "other.ckpt"
+    save_checkpoint(path, other, ("c",), NormalizationStats(np.zeros(1), np.ones(1)))
+    loaded, _, _ = load_checkpoint(path)
+    for (_, _, put), (_, get, _) in zip(used.state_slots(), loaded.state_slots()):
+        put(get())
+    after = used.predict_proba(x)
+    assert not np.array_equal(after, before)
+    assert np.array_equal(after, other.predict_proba(x))
+    conv = used.net.branches[0].layers[0]
+    assert _conv_matches_loops(conv, x[:, 0])
 
 
 @pytest.mark.parametrize("kernel,cin,cout,length", [(11, 16, 32, 4), (7, 2, 3, 2)])
@@ -135,8 +197,7 @@ def test_conv_gradcheck_with_dead_taps(kernel, cin, cout, length):
     conv = Conv1D(kernel, cin, cout, rng)
     x = rng.normal(size=(3, length, cin))
     entries = check_layer_case("conv1d", conv, x, False, rng)
-    assert [e.target for e in entries] == [
-        "conv1d/input", "conv1d/weight", "conv1d/bias"]
+    assert [e.target for e in entries] == ["conv1d/input", "conv1d/weight"]
     for entry in entries:
         assert entry.coords_checked > 0
         assert entry.passed, entry
