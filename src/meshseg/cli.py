@@ -64,10 +64,6 @@ def _threads(args) -> int:
     return max(1, int(env)) if env.isdigit() and env != "0" else 1
 
 
-def _model_scales(model) -> int:
-    return model.net.n_branches if model.kind == "cnn" else 1
-
-
 def cmd_features(args) -> dict:
     mesh = load_mesh_path(args.mesh)
     fm = compute_features(mesh)
@@ -114,7 +110,8 @@ def cmd_segment(args) -> dict:
         raise FormatError(f"{args.checkpoint}: trained on channels "
                           f"{list(channel_names)}, not {list(DEFAULT_CHANNELS)}")
     mesh = load_mesh_path(args.mesh)
-    _, _, raw = mesh_features(mesh, _model_scales(model))
+    _, scales, _, _ = model.spec
+    _, _, raw = mesh_features(mesh, scales)
     probs = predict(model, stats, raw)
     save_probabilities(args.output, probs)
     summary = {"command": "segment", "mesh": str(args.mesh),

@@ -170,16 +170,16 @@ def normalized_training_set(bundles, mesh_ids):
 
 def train_model(cfg: ExperimentConfig, n_classes, seed, x, y):
     """(model, final loss per training stage) of one model fitted on the
-    normalized multi-scale rows x and their labels y."""
-    model = build_model(cfg.model_kind, cfg.branches, x.shape[-1], n_classes,
+    normalized (faces, scales, channels) stack x and its labels y."""
+    model = build_model(cfg.model_kind, x.shape[1], x.shape[2], n_classes,
                         seed, cfg.train)
-    curves = model.fit(model.prepare_inputs(x), y)
+    curves = model.fit(x, y)
     return model, {stage: curve[-1] for stage, curve in curves.items()}
 
 
 def predict(model, stats, raw_multiscale) -> np.ndarray:
     """Class probabilities per face from a raw multi-scale stack."""
-    return model.predict_proba(model.prepare_inputs(stats.apply(raw_multiscale)))
+    return model.predict_proba(stats.apply(raw_multiscale))
 
 
 def refine_labels(graph, probs, agd, lam, omega):

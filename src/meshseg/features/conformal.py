@@ -75,13 +75,9 @@ def _solve_componentwise(mesh: Mesh, lap: SparseSymmetric, rhs: np.ndarray,
     # gauged to zero mean within the component
     phi = np.zeros(len(rhs))
     for c in range(n_comp):
-        mask = labels == c
-        idx = np.nonzero(mask)[0]
-        remap = -np.ones(len(rhs), dtype=np.int64)
-        remap[idx] = np.arange(len(idx))
-        keep = mask[lap.rows] & mask[lap.cols]
-        sub = SparseSymmetric(len(idx), remap[lap.rows[keep]],
-                              remap[lap.cols[keep]], lap.vals[keep])
+        idx = np.nonzero(labels == c)[0]
+        block = sp.triu(lap.csr[idx][:, idx], format="coo")
+        sub = SparseSymmetric(len(idx), block.row, block.col, block.data)
         phi[idx] = solve_singular_spd(sub, rhs[idx], tol=tol)
     return phi
 

@@ -62,10 +62,6 @@ class FeatureMatrix:
         if self.values.ndim != 2 or self.values.shape[1] != len(self.channel_names):
             raise ValueError("values shape does not match channel names")
 
-    @property
-    def face_count(self) -> int:
-        return len(self.values)
-
 
 def compute_features(mesh: Mesh, graph: DualGraph | None = None) -> FeatureMatrix:
     """The DEFAULT_CHANNELS matrix of one mesh, every extractor at its

@@ -23,11 +23,13 @@ import numpy as np
 
 from meshseg.features.matrix import NormalizationStats
 from meshseg.mesh import Mesh
-from meshseg.neural.models import model_from_descriptor
+from meshseg.neural.models import build_model
 from meshseg.neural.training import TrainConfig
 
 FORMAT_VERSION = 1  # feature caches and probability grids
-CKPT_VERSION = 3  # 2: normalization stats follow the channel names; 3: no conv biases
+# checkpoints: 2 put the normalization stats after the channel names, 3
+# dropped the conv biases, 4 stores the model spec in place of a descriptor
+CKPT_VERSION = 4
 FEATURE_MAGIC = b"MSEGFEAT"
 PROB_MAGIC = b"MSEGPROB"
 CKPT_MAGIC = b"MSEGCKPT"
@@ -176,9 +178,13 @@ def load_probabilities(path) -> np.ndarray:
 
 
 def save_checkpoint(path, model, channel_names, stats: NormalizationStats) -> None:
-    """Architecture descriptor, seed, channel names, the per-channel
+    """The model spec as text ("kind scales input_length classes", e.g.
+    "cnn 3 9 4"), the seed, the channel names, the per-channel
     normalization mean and scale, then every state tensor (parameters,
-    batch-norm stats, PCA bases) in declaration order."""
+    batch-norm stats, PCA bases) in declaration order.
+
+    The sizes stay ASCII digits so that a flipped bit changes one digit
+    at most, and never asks for a huge architecture."""
     if not len(stats.mean) == len(stats.scale) == len(channel_names):
         raise ValueError("normalization stats need one entry per channel")
     _write_atomic(path, _checkpoint_parts(model, channel_names, stats))
@@ -187,7 +193,7 @@ def save_checkpoint(path, model, channel_names, stats: NormalizationStats) -> No
 def _checkpoint_parts(model, channel_names, stats):
     slots = model.state_slots()
     yield from (CKPT_MAGIC, struct.pack("<I", CKPT_VERSION),
-                _pack_text(model.describe()),
+                _pack_text(" ".join(map(str, model.spec))),
                 struct.pack("<Q", int(model.seed)),
                 _pack_text("\n".join(channel_names)),
                 struct.pack("<I", len(stats.mean)),
@@ -203,10 +209,10 @@ def _checkpoint_parts(model, channel_names, stats):
 
 def load_checkpoint(path):
     """Returns (model, channel names, normalization stats); the model is
-    rebuilt from its descriptor and filled with the stored tensors."""
+    `build_model(*spec, seed)` filled with the stored tensors."""
     r = _Reader(Path(path).read_bytes(), str(path))
     r.check_magic(CKPT_MAGIC, CKPT_VERSION, "checkpoint")
-    descriptor = r.text()
+    spec = r.text()
     seed = r.u64()
     channel_names = tuple(r.text().split("\n"))
     n_stats = r.u32()
@@ -215,8 +221,12 @@ def load_checkpoint(path):
                           f"checkpoint names {len(channel_names)}")
     mean, scale = np.frombuffer(r.take(16 * n_stats), dtype="<f8").reshape(2, n_stats).copy()
     stats = NormalizationStats(mean=mean, scale=scale)
+    kind, *sizes = spec.split(" ")
     try:
-        model = model_from_descriptor(descriptor, seed)
+        if len(sizes) != 3:
+            raise ValueError(f"model spec {spec!r} is not 'kind scales "
+                             "input_length classes'")
+        model = build_model(kind, *map(int, sizes), seed)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
     slots = model.state_slots()
@@ -254,9 +264,12 @@ def load_labels(path) -> np.ndarray:
         if not s:
             continue
         try:
-            out.append(int(s))
+            label = int(s)
         except ValueError:
             raise FormatError(f"{path}: line {lineno}: not an integer label: {s!r}") from None
+        if label < 0:
+            raise FormatError(f"{path}: line {lineno}: negative label {label}")
+        out.append(label)
     return np.array(out, dtype=np.int64)
 
 

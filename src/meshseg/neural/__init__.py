@@ -10,7 +10,6 @@ from meshseg.neural.layers import (
     MaxPool1D,
     Param,
     Sigmoid,
-    Softmax,
     mean_squared_error,
     softmax_cross_entropy,
 )
@@ -32,7 +31,6 @@ from meshseg.neural.models import (
     PcaNnModel,
     StackedAeModel,
     build_model,
-    model_from_descriptor,
 )
 from meshseg.neural.gradcheck import (
     GradCheckReport,
@@ -44,13 +42,12 @@ from meshseg.neural.gradcheck import (
 
 __all__ = [
     "BatchNorm", "Conv1D", "Dense", "Dropout", "Flatten", "Layer",
-    "LeakyReLU", "MaxPool1D", "Param", "Sigmoid", "Softmax",
+    "LeakyReLU", "MaxPool1D", "Param", "Sigmoid",
     "mean_squared_error", "softmax_cross_entropy",
     "MultiBranchNet", "Sequential", "branch_output_shape", "build_multibranch",
     "TrainConfig", "predict_probabilities", "sgd_step", "train_classifier",
     "train_reconstruction",
     "CnnModel", "PcaNnModel", "StackedAeModel", "build_model",
-    "model_from_descriptor",
     "GradCheckReport", "LAYER_KINDS", "check_layer", "check_network",
     "full_gradcheck",
 ]

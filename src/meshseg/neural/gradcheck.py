@@ -31,7 +31,6 @@ from meshseg.neural.layers import (
     LeakyReLU,
     MaxPool1D,
     Sigmoid,
-    Softmax,
     softmax_cross_entropy,
 )
 from meshseg.neural.network import build_multibranch
@@ -199,13 +198,11 @@ def _layer_case(kind: str, rng):
         return Flatten(), rng.normal(size=(b, length, c)), False
     if kind == "sigmoid":
         return Sigmoid(), rng.normal(size=(b, length, c)), False
-    if kind == "softmax":
-        return Softmax(), rng.normal(size=(b, c + 1)), False
     raise KeyError(kind)
 
 
 LAYER_KINDS = ("conv1d", "batchnorm", "leaky_relu", "maxpool", "dense",
-               "dropout", "flatten", "sigmoid", "softmax")
+               "dropout", "flatten", "sigmoid")
 
 
 def check_layer(kind: str, seed: int, cases: int = 20, coord_cap: int = 40) -> list:

@@ -439,21 +439,6 @@ class Sigmoid(Layer):
         return grad * y * (1.0 - y)
 
 
-class Softmax(Layer):
-    def __init__(self):
-        self._p = None
-
-    def forward(self, x, training=False):
-        z = x - x.max(axis=-1, keepdims=True)
-        e = np.exp(z)
-        self._p = e / e.sum(axis=-1, keepdims=True)
-        return self._p
-
-    def backward(self, grad):
-        p = self._need_cache(self._p, "Softmax")
-        return p * (grad - (grad * p).sum(axis=-1, keepdims=True))
-
-
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy of integer labels under softmax(logits).
 

@@ -1,21 +1,23 @@
 """Trainable classifiers behind one interface: the multi-branch CNN and
 the two flat baselines (PCA + dense stack, stacked autoencoder).
 
-Each model consumes a view of the multi-scale features via
-prepare_inputs, trains with fit, predicts probabilities in eval mode,
-and exposes ordered state slots for checkpointing (parameters plus
+A model is its `build_model` arguments: `spec` is the tuple (kind,
+scales, input length, classes), and `build_model(*model.spec, seed)`
+rebuilds the same untrained architecture, which is how a checkpoint is
+loaded. fit and predict_proba take the normalized (faces, scales,
+channels) multi-scale stack; the flat models read scale 0 of it.
+state_slots lists the tensors to checkpoint in order (parameters plus
 batch-norm running statistics and PCA bases).
 """
 from __future__ import annotations
 
-import re
 from dataclasses import replace
 
 import numpy as np
 
 from meshseg.numerics import SeededRng, pca_fit
 from meshseg.neural.layers import BatchNorm, Dense, LeakyReLU, Sigmoid
-from meshseg.neural.network import LEAKY_SLOPE, MultiBranchNet, Sequential, build_multibranch
+from meshseg.neural.network import LEAKY_SLOPE, Sequential, build_multibranch
 from meshseg.neural.training import (
     TrainConfig,
     predict_probabilities,
@@ -63,6 +65,18 @@ def _reset_momentum(params) -> None:
         p.velocity[...] = 0.0
 
 
+def _flat_rows(x: np.ndarray, spec: tuple) -> np.ndarray:
+    """Scale 0 of a (faces, scales, channels) stack, or plain (faces,
+    channels) rows, checked to be as wide as the spec's input."""
+    _, _, width, _ = spec
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 3:
+        x = x[:, 0, :]
+    if x.shape[1] != width:
+        raise ValueError(f"expected {width} features, got {x.shape[1]}")
+    return x
+
+
 class CnnModel:
     """Multi-branch 1D CNN over the K multi-scale views of each face."""
 
@@ -70,43 +84,37 @@ class CnnModel:
 
     def __init__(self, n_branches: int, input_length: int, n_classes: int,
                  seed: int, train_cfg: TrainConfig = TrainConfig()):
-        self.n_classes = n_classes
+        self.spec = (self.kind, n_branches, input_length, n_classes)
         self.seed = seed
         self.train_cfg = train_cfg
         root = SeededRng(seed)
         self.net = build_multibranch(n_branches, input_length, n_classes,
                                      root.derive_seed("init"))
         self._train_seed = root.derive_seed("train")
-        self.loss_curves: dict = {}
-        self.metadata = {"kind": self.kind, "branches": n_branches,
-                         "input_length": input_length}
 
-    def describe(self) -> str:
-        return self.net.describe()
-
-    def prepare_inputs(self, multiscale_values: np.ndarray) -> np.ndarray:
-        x = np.asarray(multiscale_values, dtype=np.float64)
+    def _inputs(self, x: np.ndarray) -> np.ndarray:
+        """The (faces, K, length) stack as K one-channel signals per face."""
+        _, n_branches, input_length, _ = self.spec
+        x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3:
             raise ValueError("expected (faces, scales, channels) multi-scale values")
-        if x.shape[1] != self.net.n_branches:
+        if x.shape[1] != n_branches:
             raise ValueError(
-                f"model has {self.net.n_branches} branches, features have {x.shape[1]} scales")
-        if x.shape[2] != self.net.input_length:
+                f"model has {n_branches} branches, features have {x.shape[1]} scales")
+        if x.shape[2] != input_length:
             raise ValueError(
-                f"model expects signals of length {self.net.input_length}, got {x.shape[2]}")
-        return x[:, :, :, None]  # one input channel per branch
+                f"model expects signals of length {input_length}, got {x.shape[2]}")
+        return x[:, :, :, None]
 
     def fit(self, x: np.ndarray, labels: np.ndarray) -> dict:
+        """Loss curve per training stage ({"train": [...]})."""
+        _, _, _, n_classes = self.spec
         cfg = replace(self.train_cfg, seed=self._train_seed)
-        self.loss_curves = {
-            "train": train_classifier(self.net, x, labels, cfg, self.n_classes)}
-        return self.loss_curves
+        return {"train": train_classifier(self.net, self._inputs(x), labels, cfg,
+                                          n_classes)}
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return predict_probabilities(self.net, x)
-
-    def parameters(self):
-        return self.net.parameters()
+        return predict_probabilities(self.net, self._inputs(x))
 
     def state_slots(self) -> list:
         slots = []
@@ -127,8 +135,7 @@ class PcaNnModel:
 
     def __init__(self, input_dim: int, n_classes: int, seed: int,
                  train_cfg: TrainConfig = TrainConfig()):
-        self.input_dim = input_dim
-        self.n_classes = n_classes
+        self.spec = (self.kind, 1, input_dim, n_classes)
         self.seed = seed
         self.train_cfg = train_cfg
         self.components = min(50, input_dim)
@@ -148,38 +155,21 @@ class PcaNnModel:
         self._train_seed = root.derive_seed("train")
         self.pca_mean = np.zeros(input_dim)
         self.pca_basis = np.zeros((input_dim, p))
-        self.loss_curves: dict = {}
-        self.metadata = {"kind": self.kind, "pca_components": p,
-                         "hidden_widths": list(widths),
-                         "hidden_activation": f"leaky_relu({LEAKY_SLOPE})"}
-
-    def describe(self) -> str:
-        return f"pca-nn(d={self.input_dim},p={self.components},classes={self.n_classes})"
-
-    def prepare_inputs(self, multiscale_values: np.ndarray) -> np.ndarray:
-        x = np.asarray(multiscale_values, dtype=np.float64)
-        if x.ndim == 3:
-            x = x[:, 0, :]  # single-scale view: the raw feature rows
-        if x.shape[1] != self.input_dim:
-            raise ValueError(f"expected {self.input_dim} features, got {x.shape[1]}")
-        return x
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         return (x - self.pca_mean) @ self.pca_basis
 
     def fit(self, x: np.ndarray, labels: np.ndarray) -> dict:
+        """Loss curve per training stage ({"train": [...]})."""
+        x = _flat_rows(x, self.spec)
+        _, _, _, n_classes = self.spec
         self.pca_mean, self.pca_basis, _ = pca_fit(x, self.components)
         cfg = replace(self.train_cfg, seed=self._train_seed)
-        self.loss_curves = {
-            "train": train_classifier(self.net, self._project(x), labels, cfg,
-                                      self.n_classes)}
-        return self.loss_curves
+        return {"train": train_classifier(self.net, self._project(x), labels, cfg,
+                                          n_classes)}
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return predict_probabilities(self.net, self._project(x))
-
-    def parameters(self):
-        return self.net.parameters()
+        return predict_probabilities(self.net, self._project(_flat_rows(x, self.spec)))
 
     def state_slots(self) -> list:
         def put_mean(a):
@@ -206,8 +196,7 @@ class StackedAeModel:
 
     def __init__(self, input_dim: int, n_classes: int, seed: int,
                  train_cfg: TrainConfig = TrainConfig()):
-        self.input_dim = input_dim
-        self.n_classes = n_classes
+        self.spec = (self.kind, 1, input_dim, n_classes)
         self.seed = seed
         self.train_cfg = train_cfg
         d = input_dim
@@ -225,24 +214,11 @@ class StackedAeModel:
                                  self.head])
         self._seeds = {stage: root.derive_seed(stage)
                        for stage in ("ae1", "ae2", "head", "finetune")}
-        self.loss_curves: dict = {}
-        self.metadata = {"kind": self.kind, "code_sizes": [self.h1, self.h2],
-                         "hidden_activation": "sigmoid",
-                         "decoder_output": "linear"}
-
-    def describe(self) -> str:
-        return (f"ae-nn(d={self.input_dim},h1={self.h1},h2={self.h2},"
-                f"classes={self.n_classes})")
-
-    def prepare_inputs(self, multiscale_values: np.ndarray) -> np.ndarray:
-        x = np.asarray(multiscale_values, dtype=np.float64)
-        if x.ndim == 3:
-            x = x[:, 0, :]
-        if x.shape[1] != self.input_dim:
-            raise ValueError(f"expected {self.input_dim} features, got {x.shape[1]}")
-        return x
 
     def fit(self, x: np.ndarray, labels: np.ndarray) -> dict:
+        """Loss curve per stage: ae1, ae2, head, finetune."""
+        x = _flat_rows(x, self.spec)
+        _, _, _, n_classes = self.spec
         cfg = self.train_cfg
         ae1 = Sequential([self.enc1, Sigmoid(), self.dec1])
         curves = {"ae1": train_reconstruction(
@@ -256,64 +232,34 @@ class StackedAeModel:
         _reset_momentum(head_net.parameters())
         curves["head"] = train_classifier(
             head_net, codes2, labels, replace(cfg, seed=self._seeds["head"]),
-            self.n_classes)
+            n_classes)
         _reset_momentum(self.stack.parameters())
         curves["finetune"] = train_classifier(
             self.stack, x, labels, replace(cfg, seed=self._seeds["finetune"]),
-            self.n_classes)
-        self.loss_curves = curves
+            n_classes)
         return curves
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return predict_probabilities(self.stack, x)
-
-    def parameters(self):
-        return self.stack.parameters()
+        return predict_probabilities(self.stack, _flat_rows(x, self.spec))
 
     def state_slots(self) -> list:
         return _sequential_slots(self.stack)
 
 
-def build_model(kind: str, n_branches: int, input_length: int, n_classes: int,
+def build_model(kind: str, scales: int, input_length: int, n_classes: int,
                 seed: int, train_cfg: TrainConfig = TrainConfig()):
+    """The untrained model of one spec (kind, scales, input length,
+    classes) and seed. The flat models read a single scale."""
+    if input_length < 1:
+        raise ValueError(f"input length {input_length}: need at least 1")
+    if n_classes < 1:
+        raise ValueError(f"{n_classes} classes: need at least 1")
     if kind == "cnn":
-        return CnnModel(n_branches, input_length, n_classes, seed, train_cfg)
+        return CnnModel(scales, input_length, n_classes, seed, train_cfg)
+    if kind not in ("pca-nn", "ae-nn"):
+        raise ValueError(f"unknown model kind {kind!r} (expected cnn, pca-nn, ae-nn)")
+    if scales != 1:
+        raise ValueError(f"{kind} reads 1 scale, not {scales}")
     if kind == "pca-nn":
         return PcaNnModel(input_length, n_classes, seed, train_cfg)
-    if kind == "ae-nn":
-        return StackedAeModel(input_length, n_classes, seed, train_cfg)
-    raise ValueError(f"unknown model kind {kind!r} (expected cnn, pca-nn, ae-nn)")
-
-
-_N = r"([1-9]\d*)"  # a size: zero is no architecture
-_DESC_RE = {
-    "cnn": re.compile(rf"multibranch\(K={_N},L={_N},Cin={_N},classes={_N}\)"),
-    "pca-nn": re.compile(rf"pca-nn\(d={_N},p={_N},classes={_N}\)"),
-    "ae-nn": re.compile(rf"ae-nn\(d={_N},h1={_N},h2={_N},classes={_N}\)"),
-}
-
-
-def model_from_descriptor(descriptor: str, seed: int):
-    """Rebuild an untrained model skeleton from its describe() string;
-    used when loading checkpoints."""
-    m = _DESC_RE["cnn"].fullmatch(descriptor)
-    if m:
-        k, length, cin, classes = map(int, m.groups())
-        if cin != 1:
-            raise ValueError("only single-channel branch inputs are supported")
-        return CnnModel(k, length, classes, seed)
-    m = _DESC_RE["pca-nn"].fullmatch(descriptor)
-    if m:
-        d, p, classes = map(int, m.groups())
-        model = PcaNnModel(d, classes, seed)
-        if model.components != p:
-            raise ValueError(f"descriptor components {p} inconsistent with d={d}")
-        return model
-    m = _DESC_RE["ae-nn"].fullmatch(descriptor)
-    if m:
-        d, h1, h2, classes = map(int, m.groups())
-        model = StackedAeModel(d, classes, seed)
-        if (model.h1, model.h2) != (h1, h2):
-            raise ValueError("descriptor code sizes inconsistent with input dim")
-        return model
-    raise ValueError(f"unrecognized architecture descriptor {descriptor!r}")
+    return StackedAeModel(input_length, n_classes, seed, train_cfg)

@@ -52,9 +52,9 @@ class Sequential(Layer):
         return first.backward(grad, input_grad=False)
 
 
-def _branch(rng: np.random.Generator, in_channels: int, tag: str) -> Sequential:
+def _branch(rng: np.random.Generator, tag: str) -> Sequential:
     return Sequential([
-        Conv1D(15, in_channels, 16, rng, name=f"{tag}.conv1"),
+        Conv1D(15, 1, 16, rng, name=f"{tag}.conv1"),
         BatchNorm(16, name=f"{tag}.bn1"),
         LeakyReLU(LEAKY_SLOPE),
         MaxPool1D(),
@@ -68,27 +68,18 @@ def _branch(rng: np.random.Generator, in_channels: int, tag: str) -> Sequential:
 class MultiBranchNet:
     """K convolutional branches, depth concatenation, dense head.
 
-    Input is (batch, K, length, in_channels); branch k consumes view k.
-    forward returns raw logits; apply softmax (or the fused loss) outside.
+    Input is (batch, K, length, 1); branch k consumes view k. forward
+    returns raw logits; apply softmax (or the fused loss) outside.
     """
 
-    def __init__(self, branches: list, head: Sequential, input_length: int,
-                 in_channels: int, n_classes: int, seed: int):
+    def __init__(self, branches: list, head: Sequential):
         self.branches = branches
         self.head = head
-        self.input_length = input_length
-        self.in_channels = in_channels
-        self.n_classes = n_classes
-        self.seed = seed
         self._split = None
 
     @property
     def n_branches(self) -> int:
         return len(self.branches)
-
-    def describe(self) -> str:
-        return (f"multibranch(K={self.n_branches},L={self.input_length},"
-                f"Cin={self.in_channels},classes={self.n_classes})")
 
     def parameters(self):
         out = []
@@ -132,7 +123,7 @@ def branch_output_shape(input_length: int) -> tuple[int, int]:
 
 
 def build_multibranch(n_branches: int, input_length: int, n_classes: int,
-                      seed: int, in_channels: int = 1) -> MultiBranchNet:
+                      seed: int) -> MultiBranchNet:
     """Seeded construction of the K-branch classifier.
 
     Branch: conv(15->16), batch norm, leaky ReLU, pool 2, conv(11->32),
@@ -146,7 +137,7 @@ def build_multibranch(n_branches: int, input_length: int, n_classes: int,
     if input_length // 4 < 1:
         raise ValueError(f"input length {input_length} too short for two poolings")
     rng_root = SeededRng(seed)
-    branches = [_branch(rng_root.stream(f"branch{k}"), in_channels, f"b{k}")
+    branches = [_branch(rng_root.stream(f"branch{k}"), f"b{k}")
                 for k in range(n_branches)]
     out_len, out_ch = branch_output_shape(input_length)
     flat = out_len * out_ch * n_branches
@@ -161,5 +152,4 @@ def build_multibranch(n_branches: int, input_length: int, n_classes: int,
         Dropout(0.5, rng=rng_root.stream("dropout")),
         classifier,
     ])
-    return MultiBranchNet(branches, head, input_length, in_channels,
-                          n_classes, seed)
+    return MultiBranchNet(branches, head)

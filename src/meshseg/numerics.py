@@ -18,10 +18,11 @@ class SolverError(RuntimeError):
 
 
 class SparseSymmetric:
-    """Symmetric sparse matrix stored as upper-triangle COO triplets.
+    """Symmetric sparse matrix, held as its full CSR form `csr`.
 
-    Only entries with row <= col are kept; the lower triangle is implicit.
-    Duplicate (row, col) pairs in the input are coalesced by summation.
+    Each input (row, col) entry is folded into the upper triangle, where
+    duplicate pairs are coalesced by summation; the lower triangle is the
+    mirror of the upper one.
     """
 
     def __init__(self, n: int, rows, cols, vals):
@@ -36,35 +37,28 @@ class SparseSymmetric:
         r = np.minimum(rows, cols)
         c = np.maximum(rows, cols)
         upper = sparse.coo_matrix((vals, (r, c)), shape=(n, n)).tocsr().tocoo()
-        self.n = n
-        self.rows = upper.row.copy()
-        self.cols = upper.col.copy()
-        self.vals = upper.data.copy()
-        # full symmetric CSR for fast mat-vec
-        off = self.rows != self.cols
+        off = upper.row != upper.col
         full = sparse.coo_matrix(
             (
-                np.concatenate([self.vals, self.vals[off]]),
+                np.concatenate([upper.data, upper.data[off]]),
                 (
-                    np.concatenate([self.rows, self.cols[off]]),
-                    np.concatenate([self.cols, self.rows[off]]),
+                    np.concatenate([upper.row, upper.col[off]]),
+                    np.concatenate([upper.col, upper.row[off]]),
                 ),
             ),
             shape=(n, n),
         )
-        self._csr = full.tocsr()
+        self.n = n
+        self.csr = full.tocsr()
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise ValueError(f"vector of length {self.n} expected, got shape {x.shape}")
-        return self._csr @ x
+        return self.csr @ x
 
     def diagonal(self) -> np.ndarray:
-        return self._csr.diagonal()
-
-    def to_dense(self) -> np.ndarray:
-        return self._csr.toarray()
+        return self.csr.diagonal()
 
 
 def solve_singular_spd(A: SparseSymmetric, b: np.ndarray, tol: float = 1e-8,

@@ -130,8 +130,8 @@ def test_overfit_synthetic_benchmark(bench):
                         for _, _, _, ms in bench])
     y = np.concatenate([labels for _, labels, _, _ in bench])
     model = build_model("cnn", 3, len(DEFAULT_CHANNELS), 2, 0, TrainConfig())
-    model.fit(model.prepare_inputs(x), y)
-    pred = model.predict_proba(model.prepare_inputs(x)).argmax(axis=1)
+    model.fit(x, y)
+    pred = model.predict_proba(x).argmax(axis=1)
     train_acc = float((pred == y).mean())
     elapsed = time.perf_counter() - t0
     assert train_acc >= 0.95
@@ -158,11 +158,10 @@ def test_branch_count_trend(bench):
         for seed in range(5):
             model = build_model("cnn", k, len(DEFAULT_CHANNELS), 2, seed,
                                 TrainConfig())
-            model.fit(model.prepare_inputs(x_train), y_train)
+            model.fit(x_train, y_train)
             per_mesh = [
-                accuracy(model.predict_proba(
-                    model.prepare_inputs(xview(ms, k))).argmax(axis=1),
-                    labels, m.face_areas)
+                accuracy(model.predict_proba(xview(ms, k)).argmax(axis=1),
+                         labels, m.face_areas)
                 for m, labels, _, ms in test]
             accs.append(float(np.mean(per_mesh)))
         means[k] = float(np.mean(accs))

@@ -20,6 +20,7 @@ from meshseg.features import DEFAULT_CHANNELS
 from meshseg.formats import (
     CKPT_MAGIC,
     FormatError,
+    load_checkpoint,
     load_feature_cache,
     load_labels,
     load_probabilities,
@@ -231,15 +232,37 @@ def test_segment_rejects_version_one_checkpoint(ws, trained, tmp_path, capsys):
 
 
 def test_segment_rejects_zero_size_descriptor(ws, trained, tmp_path, capsys):
+    # the model spec: kind, scales, input length, classes
     blob = trained.read_bytes()
-    assert blob.count(b"pca-nn(d=9,") == 1
+    assert blob.count(b"pca-nn 1 9 2") == 1
     bad = tmp_path / "d0.ckpt"
-    bad.write_bytes(blob.replace(b"pca-nn(d=9,", b"pca-nn(d=0,"))
+    bad.write_bytes(blob.replace(b"pca-nn 1 9 2", b"pca-nn 1 0 2"))
     code, _, err = invoke(["segment", str(ws["mesh0"]), "--checkpoint", str(bad),
                            "-o", str(tmp_path / "junk.prob")], capsys)
     assert code == 3
     assert err["category"] == "invalid-input"
-    assert str(bad) in err["message"] and "d=0" in err["message"]
+    assert str(bad) in err["message"] and "input length 0" in err["message"]
+
+
+def test_train_segment_with_a_two_branch_cnn(ws, tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", ws["manifest"], tmp_path / "out",
+                       model={"kind": "cnn", "branches": 2},
+                       train={"epochs": 2, "lr_start": 0.01, "lr_end": 0.001,
+                              "batch_size": 64})
+    ckpt = tmp_path / "cnn.ckpt"
+    code, _, _ = invoke(["train", "--config", str(cfg), "-o", str(ckpt)], capsys)
+    assert code == 0
+    assert b"cnn 2 9 2" in ckpt.read_bytes()
+    probs_path = tmp_path / "m0.prob"
+    code, doc, _ = invoke(["segment", str(ws["mesh0"]), "--checkpoint", str(ckpt),
+                           "-o", str(probs_path)], capsys)
+    assert code == 0
+    assert doc["n_classes"] == 2
+    model, _, stats = load_checkpoint(ckpt)
+    _, _, raw = experiment.mesh_features(load_mesh_path(ws["mesh0"]), 2)
+    assert raw.shape == (80, 2, len(DEFAULT_CHANNELS))
+    assert np.array_equal(load_probabilities(probs_path),
+                          experiment.predict(model, stats, raw))
 
 
 def test_refine_needs_agd_channel(ws, tmp_path, capsys):
@@ -318,6 +341,23 @@ def test_export_colored_is_deterministic(ws, tmp_path, capsys):
     content = ply_a.read_bytes()
     assert content == ply_b.read_bytes()
     assert content.startswith(b"ply")
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--mesh", "{mesh}", "--pred", "{labels}", "--truth", "{truth}"],
+    ["eval", "--mesh", "{mesh}", "--pred", "{truth}", "--truth", "{labels}"],
+    ["export-colored", "{out}", "--mesh", "{mesh}", "--labels", "{labels}"],
+], ids=["eval-pred", "eval-truth", "export-colored"])
+def test_negative_label_exit_three(ws, tmp_path, capsys, argv):
+    labels = tmp_path / "neg.seg"
+    labels.write_text("0\n" * 5 + "-1\n" + "1\n" * 74)
+    paths = {"mesh": ws["mesh0"], "truth": ws["truth0"], "labels": labels,
+             "out": tmp_path / "x.ply"}
+    code, _, err = invoke([a.format(**paths) for a in argv], capsys)
+    assert code == 3
+    assert err["category"] == "invalid-input"
+    assert f"{labels}: line 6: negative label -1" in err["message"]
+    assert not (tmp_path / "x.ply").exists()
 
 
 def test_export_colored_rejects_count_mismatch(ws, tmp_path, capsys):

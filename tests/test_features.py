@@ -533,7 +533,6 @@ def test_compute_features_shapes(ico2):
     assert fm.values.shape == (ico2.n_faces, len(DEFAULT_CHANNELS))
     assert fm.channel_names == DEFAULT_CHANNELS
     assert np.isfinite(fm.values).all()
-    assert fm.face_count == ico2.n_faces
 
 
 def test_compute_features_reports_fallbacks():

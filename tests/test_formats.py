@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import struct
 
 import numpy as np
@@ -126,7 +127,7 @@ def test_probabilities_reject_trailing_bytes(tmp_path):
 def _train_tiny_cnn(seed=0):
     rng = np.random.default_rng(seed)
     model = CnnModel(2, 8, 3, seed=seed, train_cfg=TrainConfig(epochs=2, batch_size=8))
-    x = rng.normal(size=(24, 2, 8, 1))
+    x = rng.normal(size=(24, 2, 8))
     model.fit(x, rng.integers(0, 3, 24))
     return model, x
 
@@ -144,7 +145,7 @@ def test_checkpoint_round_trip_cnn(tmp_path):
     assert channels == ("c1", "c2", "c3")
     assert np.array_equal(stats.mean, _stats(3).mean)
     assert np.array_equal(stats.scale, _stats(3).scale)
-    assert clone.describe() == model.describe()
+    assert clone.spec == model.spec == ("cnn", 2, 8, 3)
     assert np.array_equal(clone.predict_proba(x), model.predict_proba(x))
 
 
@@ -211,6 +212,18 @@ def test_checkpoint_version_two_needs_regenerating(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(CKPT_MAGIC + struct.pack("<I", 2) + blob[len(CKPT_MAGIC) + 4:])
     with pytest.raises(FormatError, match="version 2 unsupported.*regenerate"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_version_three_needs_regenerating(tmp_path):
+    # version 3 opened with an architecture descriptor; version 4 with the spec
+    model, _ = _train_tiny_cnn()
+    path = tmp_path / "v3.ckpt"
+    save_checkpoint(path, model, ("c1", "c2", "c3"), _stats(3))
+    blob = path.read_bytes()
+    assert b"cnn 2 8 3" in blob
+    path.write_bytes(CKPT_MAGIC + struct.pack("<I", 3) + blob[len(CKPT_MAGIC) + 4:])
+    with pytest.raises(FormatError, match="version 3 unsupported.*regenerate"):
         load_checkpoint(path)
 
 
@@ -315,20 +328,30 @@ def _flip(blob: bytes, bit: int) -> bytes:
     return bytes(out)
 
 
-@pytest.mark.parametrize("kind, marker, offset, bit", [
-    ("feature-cache", b"gc", 0, 7),         # channel name not UTF-8
-    ("checkpoint-cnn", b"multi", 0, 7),     # descriptor not UTF-8
-    ("checkpoint-pca", b"d=4", 2, 2),       # d=0: no input features
-    ("checkpoint-pca", b"d=4", 2, 0),       # d=5 against p=4
-    ("checkpoint-pca", b"pca.basis", 13, 0),  # basis (5, 4), model (4, 4)
-    ("checkpoint-pca", b"pca.basis", 20, 6),  # basis (4 + 2**62, 4)
-], ids=["name-utf8", "descriptor-utf8", "zero-size", "bad-size", "wrong-shape",
-        "huge-dim"])
-def test_known_bit_flips_are_format_errors(corrupt_dir, kind, marker, offset, bit):
+@pytest.mark.parametrize("kind, marker, offset, bit, reason", [
+    ("feature-cache", b"gc", 0, 7, "not UTF-8"),  # channel name
+    ("checkpoint-cnn", b"cnn 2 8 3", 0, 7, "not UTF-8"),  # model spec
+    # the pca-nn spec is "pca-nn 1 4 2": 4 inputs, 2 classes
+    ("checkpoint-pca", b"pca-nn 1 4", 9, 2, "input length 0"),  # 4 -> 0
+    ("checkpoint-pca", b"pca-nn 1 4", 9, 0,  # 4 -> 5 inputs, tensors for 4
+     r"tensor 'pca.mean'.*\(4,\) into \(5,\)"),
+    ("checkpoint-pca", b"pca.basis", 13, 0,  # basis (5, 4), model (4, 4)
+     r"\(5, 4\) into \(4, 4\)"),
+    ("checkpoint-pca", b"pca.basis", 20, 6, "truncated"),  # (4 + 2**62, 4)
+    # the cnn spec is "cnn 2 8 3": 2 branches of length 8, 3 classes
+    ("checkpoint-cnn", b"cnn 2 8 3", 4, 2, "branch count"),  # 2 -> 6 branches
+    ("checkpoint-cnn", b"cnn 2 8 3", 6, 3, "input length 0"),  # 8 -> 0
+    ("checkpoint-cnn", b"cnn 2 8 3", 5, 4,  # space -> "0": "cnn 208 3"
+     "'cnn 208 3' is not 'kind scales input_length classes'"),
+], ids=["name-utf8", "spec-utf8", "zero-size", "bad-size", "wrong-shape",
+        "huge-dim", "cnn-six-branches", "cnn-zero-length", "spec-three-fields"])
+def test_known_bit_flips_are_format_errors(corrupt_dir, kind, marker, offset, bit,
+                                           reason):
     blob, load, bad = _pristine(kind, corrupt_dir)
     bad.write_bytes(_flip(blob, 8 * (blob.index(marker) + offset) + bit))
-    with pytest.raises(FormatError, match=str(bad)):
+    with pytest.raises(FormatError, match=str(bad)) as info:
         load(bad)
+    assert re.search(reason, str(info.value))
 
 
 @settings(max_examples=60, deadline=None,
@@ -366,6 +389,13 @@ def test_labels_reject_garbage(tmp_path):
     path = tmp_path / "m.seg"
     path.write_text("0\n1\nfoo\n")
     with pytest.raises(FormatError, match="line 3.*'foo'"):
+        load_labels(path)
+
+
+def test_labels_reject_negative(tmp_path):
+    path = tmp_path / "m.seg"
+    path.write_text("0\n\n-2\n1\n")
+    with pytest.raises(FormatError, match="m.seg: line 3: negative label -2"):
         load_labels(path)
 
 

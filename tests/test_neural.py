@@ -25,7 +25,6 @@ from meshseg.neural.models import (
     PcaNnModel,
     StackedAeModel,
     build_model,
-    model_from_descriptor,
 )
 from meshseg.neural.gradcheck import (
     H_SCALE,
@@ -171,7 +170,7 @@ def test_conv_sees_a_new_length():
 
 
 def test_conv_sees_checkpoint_loaded_into_a_model_that_has_run(tmp_path):
-    x = RNG(13).normal(size=(16, 2, 8, 1))
+    x = RNG(13).normal(size=(16, 2, 8))
     labels = RNG(13).integers(0, 2, 16)
     cfg = TrainConfig(epochs=1, batch_size=8)
     used, other = CnnModel(2, 8, 2, seed=0, train_cfg=cfg), \
@@ -188,7 +187,7 @@ def test_conv_sees_checkpoint_loaded_into_a_model_that_has_run(tmp_path):
     assert not np.array_equal(after, before)
     assert np.array_equal(after, other.predict_proba(x))
     conv = used.net.branches[0].layers[0]
-    assert _conv_matches_loops(conv, x[:, 0])
+    assert _conv_matches_loops(conv, x[:, 0, :, None])
 
 
 @pytest.mark.parametrize("kernel,cin,cout,length", [(11, 16, 32, 4), (7, 2, 3, 2)])
@@ -553,7 +552,7 @@ def test_initial_loss_matches_uniform_softmax():
     for n_classes in (2, 4, 8):
         model = CnnModel(2, 8, n_classes, seed=int(n_classes),
                          train_cfg=TrainConfig(epochs=1))
-        x = rng.normal(size=(64, 2, 8, 1))
+        x = rng.normal(size=(64, 2, 8))
         curve = model.fit(x, rng.integers(0, n_classes, 64))["train"]
         assert curve[0] == pytest.approx(math.log(n_classes), rel=0.2)
 
@@ -561,8 +560,8 @@ def test_initial_loss_matches_uniform_softmax():
 def test_cnn_fits_separable_toy():
     x, labels = _separable_toy()
     model = CnnModel(1, 8, 2, seed=3, train_cfg=TrainConfig(epochs=50, batch_size=32))
-    curves = model.fit(model.prepare_inputs(x[:, None, :]), labels)
-    probs = model.predict_proba(model.prepare_inputs(x[:, None, :]))
+    curves = model.fit(x[:, None, :], labels)
+    probs = model.predict_proba(x[:, None, :])
     assert (probs.argmax(axis=1) == labels).mean() >= 0.99
     assert len(curves["train"]) == 51  # initial loss + one entry per epoch
     assert curves["train"][-1] < curves["train"][0]
@@ -595,7 +594,7 @@ def test_training_rejects_label_mismatch():
 def test_predictions_are_probability_rows():
     x, labels = _separable_toy(n=64)
     model = CnnModel(1, 8, 2, seed=1, train_cfg=TrainConfig(epochs=2, batch_size=16))
-    inputs = model.prepare_inputs(x[:, None, :])
+    inputs = x[:, None, :]
     model.fit(inputs, labels)
     probs = model.predict_proba(inputs)
     assert probs.shape == (64, 2)
@@ -634,10 +633,9 @@ def _patch_reference_training(monkeypatch):
 
 def _trained_state(make_model, inputs, labels):
     model = make_model()
-    x = model.prepare_inputs(inputs)
-    curves = model.fit(x, labels)
+    curves = model.fit(inputs, labels)
     slots = [(name, get().copy()) for name, get, _ in model.state_slots()]
-    return slots, model.predict_proba(x), curves
+    return slots, model.predict_proba(inputs), curves
 
 
 @pytest.mark.parametrize("kind", ["cnn", "pca-nn", "ae-nn"])
@@ -650,7 +648,8 @@ def test_training_is_bit_identical_to_reference_kernels(kind, monkeypatch):
         inputs = inputs.reshape(300, 27)
 
     def make_model():
-        return build_model(kind, 3, inputs.shape[-1], 3, seed=11,
+        return build_model(kind, inputs.shape[1] if kind == "cnn" else 1,
+                           inputs.shape[-1], 3, seed=11,
                            train_cfg=TrainConfig(epochs=3, batch_size=64))
 
     fast = _trained_state(make_model, inputs, labels)
@@ -665,14 +664,37 @@ def test_training_is_bit_identical_to_reference_kernels(kind, monkeypatch):
 
 # ------------------------------------------------------------------ models
 
-def test_cnn_prepare_inputs_validation():
-    model = CnnModel(2, 8, 2, seed=0)
-    ok = model.prepare_inputs(np.zeros((5, 2, 8)))
-    assert ok.shape == (5, 2, 8, 1)
-    with pytest.raises(ValueError, match="branches"):
-        model.prepare_inputs(np.zeros((5, 3, 8)))
-    with pytest.raises(ValueError, match="length"):
-        model.prepare_inputs(np.zeros((5, 2, 9)))
+def test_cnn_input_validation():
+    model = CnnModel(2, 8, 2, seed=0, train_cfg=TrainConfig(epochs=1))
+    labels = np.array([0, 1, 0, 1, 0])
+    for shape, match in (((5, 3, 8), "branches"), ((5, 2, 9), "length"),
+                         ((5, 2, 8, 1), "multi-scale")):
+        with pytest.raises(ValueError, match=match):
+            model.fit(np.zeros(shape), labels)
+        with pytest.raises(ValueError, match=match):
+            model.predict_proba(np.zeros(shape))
+    model.fit(RNG(0).normal(size=(5, 2, 8)), labels)
+    assert model.predict_proba(np.zeros((5, 2, 8))).shape == (5, 2)
+
+
+@pytest.mark.parametrize("kind", ["pca-nn", "ae-nn"])
+def test_flat_models_read_scale_zero_or_plain_rows(kind):
+    rng = RNG(5)
+    stack = rng.normal(size=(40, 3, 6))
+    labels = rng.integers(0, 2, 40)
+    cfg = TrainConfig(epochs=2, batch_size=8)
+    from_stack = build_model(kind, 1, 6, 2, seed=2, train_cfg=cfg)
+    from_rows = build_model(kind, 1, 6, 2, seed=2, train_cfg=cfg)
+    assert from_stack.fit(stack, labels) == from_rows.fit(stack[:, 0], labels)
+    assert np.array_equal(from_stack.predict_proba(stack),
+                          from_rows.predict_proba(stack[:, 0].copy()))
+    with pytest.raises(ValueError, match="expected 6 features, got 5"):
+        from_stack.predict_proba(stack[:, :, :5])
+
+
+def _dense_widths(net):
+    return [layer.weight.value.shape[1] for layer in net.layers
+            if isinstance(layer, Dense)]
 
 
 def test_pca_nn_structure_and_fit():
@@ -681,9 +703,9 @@ def test_pca_nn_structure_and_fit():
     wide[:, :8] = x
     model = PcaNnModel(60, 2, seed=4, train_cfg=TrainConfig(epochs=50, batch_size=32))
     assert model.components == 50
-    assert model.metadata["hidden_widths"] == [50, 25, 12]
-    model.fit(model.prepare_inputs(wide), labels)
-    probs = model.predict_proba(model.prepare_inputs(wide))
+    assert _dense_widths(model.net) == [50, 25, 12, 2]
+    model.fit(wide, labels)
+    probs = model.predict_proba(wide)
     assert (probs.argmax(axis=1) == labels).mean() >= 0.95
     projected = (wide - model.pca_mean) @ model.pca_basis
     assert np.abs(projected.mean(axis=0)).max() < 1e-10
@@ -692,8 +714,8 @@ def test_pca_nn_structure_and_fit():
 def test_pca_nn_narrow_input_keeps_all_components():
     model = PcaNnModel(8, 2, seed=0)
     assert model.components == 8
-    assert model.metadata["pca_components"] == 8
-    assert model.metadata["hidden_widths"] == [8, 4, 2]
+    assert model.pca_basis.shape == (8, 8)
+    assert _dense_widths(model.net) == [8, 4, 2, 2]
 
 
 def test_stacked_ae_pretrains_then_finetunes():
@@ -714,19 +736,34 @@ def test_stacked_ae_pretrains_then_finetunes():
     assert curves["finetune"][-1] < curves["finetune"][0]
     acc = (model.predict_proba(x).argmax(axis=1) == labels).mean()
     assert acc >= 0.9
-    assert model.metadata["decoder_output"] == "linear"
 
 
-def test_model_descriptor_round_trip():
-    for kind, branches in (("cnn", 2), ("pca-nn", 1), ("ae-nn", 1)):
-        model = build_model(kind, branches, 16, 3, seed=11)
-        clone = model_from_descriptor(model.describe(), seed=11)
-        assert clone.describe() == model.describe()
-        assert clone.kind == kind
-    with pytest.raises(ValueError, match="unrecognized"):
-        model_from_descriptor("resnet50", seed=0)
+def test_model_spec_round_trip():
+    """A model is its spec and seed: the rebuilt twin trains to the same bytes."""
+    rng = RNG(4)
+    labels = rng.integers(0, 3, 24)
+    cfg = TrainConfig(epochs=2, batch_size=8)
+    for kind, scales in (("cnn", 2), ("pca-nn", 1), ("ae-nn", 1)):
+        x = rng.normal(size=(24, scales, 16))
+        model = build_model(kind, scales, 16, 3, seed=11, train_cfg=cfg)
+        assert model.spec == (kind, scales, 16, 3)
+        clone = build_model(*model.spec, seed=11, train_cfg=cfg)
+        assert clone.spec == model.spec
+        assert model.fit(x, labels) == clone.fit(x, labels)
+        assert np.array_equal(model.predict_proba(x), clone.predict_proba(x))
+
+
+def test_build_model_rejects_bad_specs():
     with pytest.raises(ValueError, match="unknown model kind"):
         build_model("svm", 1, 16, 2, seed=0)
+    with pytest.raises(ValueError, match="reads 1 scale, not 3"):
+        build_model("pca-nn", 3, 16, 2, seed=0)
+    with pytest.raises(ValueError, match="input length 0"):
+        build_model("ae-nn", 1, 0, 2, seed=0)
+    with pytest.raises(ValueError, match="0 classes"):
+        build_model("pca-nn", 1, 16, 0, seed=0)
+    with pytest.raises(ValueError, match="branch count"):
+        build_model("cnn", 6, 16, 2, seed=0)
 
 
 def test_state_slots_are_unique_and_cover_bn_stats():
@@ -739,7 +776,7 @@ def test_state_slots_are_unique_and_cover_bn_stats():
     getter = dict((n, g) for n, g, _ in model.state_slots())["b0.bn1.running_mean"]
     with pytest.raises(ValueError, match="untrained"):
         getter()
-    x = RNG(0).normal(size=(16, 2, 8, 1))
+    x = RNG(0).normal(size=(16, 2, 8))
     model.fit(x, RNG(0).integers(0, 2, 16))
     assert getter().shape == (16,)
 
