@@ -16,7 +16,7 @@ from meshseg.synth import make_toy_dataset
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--workdir", default="toy-run")
-    ap.add_argument("--branches", type=int, default=3)
+    ap.add_argument("--branches", type=int, default=3, help="cnn only")
     ap.add_argument("--model", default="cnn", choices=["cnn", "pca-nn", "ae-nn"])
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--replicates", type=int, default=1)
@@ -34,7 +34,8 @@ def main():
         "dataset": str(manifest),
         "protocol": {"kind": "kfold", "k": 2 if args.fast else 5,
                      "replicates": args.replicates},
-        "model": {"kind": args.model, "branches": args.branches},
+        "model": ({"kind": "cnn", "branches": args.branches} if args.model == "cnn"
+                  else {"kind": args.model}),
         "train": {"epochs": epochs, "batch_size": 256,
                   "lr_start": 1e-2, "lr_end": 1e-4, "momentum": 0.9},
         "lambda": 1.0,

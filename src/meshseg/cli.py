@@ -77,9 +77,8 @@ def cmd_features(args) -> dict:
 
 def cmd_smooth(args) -> dict:
     mesh = load_mesh_path(args.mesh)
-    seq = taubin_smooth(mesh, iterations=args.iterations,
-                        lambda_shrink=args.lam, mu_inflate=args.mu)
-    smoothed = seq.levels[-1]
+    smoothed = taubin_smooth(mesh, iterations=args.iterations,
+                             lambda_shrink=args.lam, mu_inflate=args.mu)[-1]
     save_off(smoothed, args.output)
     return {"command": "smooth", "mesh": str(args.mesh),
             "output": str(args.output), "iterations": args.iterations,

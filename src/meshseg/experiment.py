@@ -139,10 +139,9 @@ def _prepare_bundles(meshes, manifest, cfg, threads, log=None):
     worker would do, the features are built in this process. Bundles come
     out in the order of `meshes` either way.
     """
-    scales = cfg.branches if cfg.model_kind == "cnn" else 1
     paths = {mesh_id: mesh_path for mesh_id, mesh_path, _ in manifest.entries}
     mesh_paths = [paths[lm.mesh_id] for lm in meshes]
-    build = partial(_bundle_parts, scales=scales,
+    build = partial(_bundle_parts, scales=cfg.branches,
                     cache_dir=Path(cfg.output_dir) / "cache")
     workers = min(threads, len(meshes))
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():

@@ -13,7 +13,6 @@ from meshseg.features.conformal import (
     conformal_factor,
     conformal_factor_field,
     cotangent_laplacian,
-    smoothed_conformal_factor,
     vertex_to_face,
 )
 from meshseg.features.geodesic import agd_edge_weights, average_geodesic_distance, quantize_weights
@@ -31,7 +30,7 @@ __all__ = [
     "CurvatureField", "angle_deficits", "barycentric_areas", "corner_angles",
     "curvature_field", "gaussian_curvature", "target_curvature",
     "ConformalFactorField", "conformal_factor", "conformal_factor_field",
-    "cotangent_laplacian", "smoothed_conformal_factor", "vertex_to_face",
+    "cotangent_laplacian", "vertex_to_face",
     "agd_edge_weights", "average_geodesic_distance", "quantize_weights",
     "SdfResult", "cone_directions", "shape_diameter",
     "DEFAULT_CHANNELS", "FeatureMatrix", "NormalizationStats",

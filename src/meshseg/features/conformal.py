@@ -5,7 +5,8 @@ curvature with the cotangent Laplacian L; it measures how much local
 uniform scaling would flatten curvature concentrations, so it spikes at
 protrusion tips. The smoothed variants replace the left-hand side's
 geometry and the target by those of a smoothed copy, which damps the
-sensitivity to thin spikes.
+sensitivity to thin spikes. One pass solves all of them: the mesh and each
+smoothed level.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from scipy.sparse.csgraph import connected_components
 
 from meshseg.mesh import Mesh
 from meshseg.numerics import SparseSymmetric, solve_singular_spd
-from meshseg.features.curvature import CurvatureField, angle_deficits, curvature_field, target_curvature
+from meshseg.features.curvature import CurvatureField, corner_terms, curvature_field
 
 COT_CLAMP = 1e4
 
@@ -37,23 +38,17 @@ def cotangent_laplacian(mesh: Mesh) -> SparseSymmetric:
     cotangents are clamped against sliver triangles. Diagonal holds the
     negated row sum, so the matrix annihilates constants.
     """
-    p = mesh.vertices[mesh.faces]
-    n = mesh.n_vertices
+    cross, dot = corner_terms(mesh)
+    w = 0.5 * np.clip(dot / np.maximum(cross, 1e-300), -COT_CLAMP, COT_CLAMP)
     rows, cols, vals = [], [], []
     for k in range(3):
         i = mesh.faces[:, (k + 1) % 3]
         j = mesh.faces[:, (k + 2) % 3]
-        u = p[:, (k + 1) % 3] - p[:, k]
-        v = p[:, (k + 2) % 3] - p[:, k]
-        cross = np.linalg.norm(np.cross(u, v), axis=1)
-        dot = np.einsum("ij,ij->i", u, v)
-        w = 0.5 * np.clip(dot / np.maximum(cross, 1e-300), -COT_CLAMP, COT_CLAMP)
-        lo, hi = np.minimum(i, j), np.maximum(i, j)
-        rows += [lo, i, j]
-        cols += [hi, i, j]
-        vals += [-w, w, w]
-    return SparseSymmetric(n, np.concatenate(rows), np.concatenate(cols),
-                           np.concatenate(vals))
+        rows += [i, i, j]
+        cols += [j, i, j]
+        vals += [-w[:, k], w[:, k], w[:, k]]
+    return SparseSymmetric(mesh.n_vertices, np.concatenate(rows),
+                           np.concatenate(cols), np.concatenate(vals))
 
 
 def _vertex_components(mesh: Mesh) -> np.ndarray:
@@ -65,12 +60,11 @@ def _vertex_components(mesh: Mesh) -> np.ndarray:
     return labels
 
 
-def _solve_componentwise(mesh: Mesh, lap: SparseSymmetric, rhs: np.ndarray,
-                         tol: float) -> np.ndarray:
-    labels = _vertex_components(mesh)
+def _solve_componentwise(labels: np.ndarray, lap: SparseSymmetric,
+                         rhs: np.ndarray) -> np.ndarray:
     n_comp = int(labels.max()) + 1
     if n_comp == 1:
-        return solve_singular_spd(lap, rhs, tol=tol)
+        return solve_singular_spd(lap, rhs)
     # disconnected surface: each component gets its own singular solve,
     # gauged to zero mean within the component
     phi = np.zeros(len(rhs))
@@ -78,56 +72,44 @@ def _solve_componentwise(mesh: Mesh, lap: SparseSymmetric, rhs: np.ndarray,
         idx = np.nonzero(labels == c)[0]
         block = sp.triu(lap.csr[idx][:, idx], format="coo")
         sub = SparseSymmetric(len(idx), block.row, block.col, block.data)
-        phi[idx] = solve_singular_spd(sub, rhs[idx], tol=tol)
+        phi[idx] = solve_singular_spd(sub, rhs[idx])
     return phi
 
 
-def conformal_factor(mesh: Mesh, field: CurvatureField | None = None,
-                     tol: float = 1e-8) -> np.ndarray:
-    """Per-vertex conformal factor of a mesh, zero mean per component."""
-    if field is None:
-        field = curvature_field(mesh)
-    rhs = field.target_curvature - field.integrated_curvature
-    return _solve_componentwise(mesh, cotangent_laplacian(mesh), rhs, tol)
+def conformal_factor_field(mesh: Mesh, levels: tuple = (),
+                           field: CurvatureField | None = None) -> ConformalFactorField:
+    """Conformal factors of a mesh and of each of its smoothed levels.
 
-
-def smoothed_conformal_factor(seq, field: CurvatureField | None = None,
-                              tol: float = 1e-8) -> tuple:
-    """Per-level conformal factors of a smoothed sequence.
-
-    Level i solves with the smoothed mesh's own Laplacian and its target
-    curvature, against the BASE mesh's target curvature: the field then
+    The base factor solves with the mesh's Laplacian against K^T - K.
+    Level i solves with the level's own Laplacian and target curvature,
+    against the BASE mesh's target curvature (K^sT_i - K^T): the field then
     measures curvature displaced by smoothing rather than by
-    redistribution alone.
+    redistribution alone. field, when given, is curvature_field(mesh,
+    levels). The levels share the mesh's connectivity, so its components
+    are found once.
     """
-    base = seq.base
     if field is None:
-        field = curvature_field(base, seq)
+        field = curvature_field(mesh, levels)
+    labels = _vertex_components(mesh)
     k_t = field.target_curvature
-    out = []
-    for i, level in enumerate(seq.levels):
-        if i < len(field.smoothed_target_curvature):
-            k_st = field.smoothed_target_curvature[i]
-        else:
-            k_st = target_curvature(level, angle_deficits(level))
-        phi = _solve_componentwise(level, cotangent_laplacian(level),
-                                   k_st - k_t, tol)
-        out.append(phi)
-    return tuple(out)
-
-
-def conformal_factor_field(seq, field: CurvatureField | None = None,
-                           tol: float = 1e-8) -> ConformalFactorField:
-    if field is None:
-        field = curvature_field(seq.base, seq)
     return ConformalFactorField(
-        original_cf=conformal_factor(seq.base, field, tol),
-        smoothed_cf=smoothed_conformal_factor(seq, field, tol),
+        original_cf=_solve_componentwise(
+            labels, cotangent_laplacian(mesh), k_t - field.integrated_curvature),
+        smoothed_cf=tuple(
+            _solve_componentwise(labels, cotangent_laplacian(level), k_st - k_t)
+            for level, k_st in zip(levels, field.smoothed_target_curvature,
+                                   strict=True)),
     )
 
 
+def conformal_factor(mesh: Mesh) -> np.ndarray:
+    """Per-vertex conformal factor of a mesh, zero mean per component."""
+    return conformal_factor_field(mesh).original_cf
+
+
 def vertex_to_face(mesh: Mesh, values: np.ndarray) -> np.ndarray:
-    """Transfer a per-vertex field to faces by averaging corner values."""
+    """Transfer per-vertex values, (V,) or (V, k), to faces by averaging
+    corner values."""
     if len(values) != mesh.n_vertices:
         raise ValueError("field length does not match vertex count")
     return values[mesh.faces].mean(axis=1)

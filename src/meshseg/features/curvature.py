@@ -9,7 +9,7 @@ sum is conserved exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from meshseg.mesh import Mesh
 
 @dataclass(frozen=True)
 class CurvatureField:
-    """Per-vertex curvature data for a mesh (and optionally its smoothed levels).
+    """Per-vertex curvature data for a mesh and its smoothed levels.
 
     gaussian_curvature is pointwise (radians per unit area); the
     integrated and target fields are in plain radians so their totals are
@@ -28,21 +28,26 @@ class CurvatureField:
     gaussian_curvature: np.ndarray
     integrated_curvature: np.ndarray
     target_curvature: np.ndarray
-    barycentric_area: np.ndarray
-    smoothed_target_curvature: tuple = field(default_factory=tuple)
+    smoothed_target_curvature: tuple = ()
+
+
+def corner_terms(mesh: Mesh) -> tuple:
+    """(|u x v|, u . v), each (F, 3), where u and v are the two edges
+    leaving the corner at faces[:, k]; column k belongs to that corner."""
+    p = mesh.vertices[mesh.faces]  # (F, 3, 3)
+    cross = np.zeros((mesh.n_faces, 3))
+    dot = np.zeros((mesh.n_faces, 3))
+    for k in range(3):
+        u = p[:, (k + 1) % 3] - p[:, k]
+        v = p[:, (k + 2) % 3] - p[:, k]
+        cross[:, k] = np.linalg.norm(np.cross(u, v), axis=1)
+        dot[:, k] = np.einsum("ij,ij->i", u, v)
+    return cross, dot
 
 
 def corner_angles(mesh: Mesh) -> np.ndarray:
     """(F, 3) interior angles; column k is the angle at faces[:, k]."""
-    p = mesh.vertices[mesh.faces]  # (F, 3, 3)
-    out = np.zeros((mesh.n_faces, 3))
-    for k in range(3):
-        u = p[:, (k + 1) % 3] - p[:, k]
-        v = p[:, (k + 2) % 3] - p[:, k]
-        cross = np.linalg.norm(np.cross(u, v), axis=1)
-        dot = np.einsum("ij,ij->i", u, v)
-        out[:, k] = np.arctan2(cross, dot)
-    return out
+    return np.arctan2(*corner_terms(mesh))
 
 
 def barycentric_areas(mesh: Mesh) -> np.ndarray:
@@ -90,18 +95,14 @@ def target_curvature(mesh: Mesh, integrated: np.ndarray) -> np.ndarray:
     return float(np.sum(integrated)) * barycentric_areas(mesh) / total_area
 
 
-def curvature_field(mesh: Mesh, seq=None) -> CurvatureField:
-    """Assemble all curvature data for a mesh; if a smoothed sequence is
-    given, also the per-level target curvatures K^sT_i."""
+def curvature_field(mesh: Mesh, levels: tuple = ()) -> CurvatureField:
+    """Assemble all curvature data for a mesh, with the target curvature
+    K^sT_i of each smoothed level."""
     deficits = angle_deficits(mesh)
-    smoothed_targets = []
-    if seq is not None:
-        for level in seq.levels:
-            smoothed_targets.append(target_curvature(level, angle_deficits(level)))
     return CurvatureField(
         gaussian_curvature=gaussian_curvature(mesh),
         integrated_curvature=deficits,
         target_curvature=target_curvature(mesh, deficits),
-        barycentric_area=barycentric_areas(mesh),
-        smoothed_target_curvature=tuple(smoothed_targets),
+        smoothed_target_curvature=tuple(
+            target_curvature(level, angle_deficits(level)) for level in levels),
     )

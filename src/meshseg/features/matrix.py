@@ -72,16 +72,14 @@ def compute_features(mesh: Mesh, graph: DualGraph | None = None) -> FeatureMatri
     """
     if graph is None:
         graph = build_dual_graph(mesh)
-    smoothed = taubin_smooth(mesh)
-    curvature = curvature_field(mesh, smoothed)
-    conformal = conformal_factor_field(smoothed, curvature)
+    levels = taubin_smooth(mesh)
+    curvature = curvature_field(mesh, levels)
+    conformal = conformal_factor_field(mesh, levels, curvature)
     agd = average_geodesic_distance(mesh, graph)
     sdf = shape_diameter(mesh)
-    values = np.column_stack(
-        [vertex_to_face(mesh, curvature.gaussian_curvature),
-         vertex_to_face(mesh, conformal.original_cf)]
-        + [vertex_to_face(mesh, cf) for cf in conformal.smoothed_cf]
-        + [agd, sdf.normalized])
+    per_vertex = np.column_stack([curvature.gaussian_curvature,
+                                  conformal.original_cf, *conformal.smoothed_cf])
+    values = np.column_stack([vertex_to_face(mesh, per_vertex), agd, sdf.normalized])
     bad = ~np.isfinite(values)
     if bad.any():
         col = int(bad.any(axis=0).argmax())

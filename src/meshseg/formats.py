@@ -429,7 +429,10 @@ class ExperimentConfig:
         if self.model_kind not in ("cnn", "pca-nn", "ae-nn"):
             raise ValueError(f"unknown model kind {self.model_kind!r}")
         if not 1 <= self.branches <= 4:
-            raise ValueError("branches must be in 1..4")
+            raise ValueError("model.branches must be in 1..4")
+        if self.model_kind != "cnn" and self.branches != 1:
+            raise ValueError(f"model.branches must be 1 for {self.model_kind}, "
+                             f"got {self.branches}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if not (math.isfinite(self.lam) and self.lam >= 0.0):
@@ -469,6 +472,7 @@ def parse_experiment_config(doc: dict, where: str = "<config>") -> ExperimentCon
     _check_keys(proto, ("kind", "k", "file", "replicates"), f"{where}.protocol")
     model = doc.get("model", {"kind": "cnn"})
     _check_keys(model, ("kind", "branches"), f"{where}.model")
+    kind = model.get("kind", "cnn")
     train_doc = doc.get("train", {})
     _check_keys(train_doc, _TRAIN_KEYS, f"{where}.train")
     try:
@@ -482,9 +486,9 @@ def parse_experiment_config(doc: dict, where: str = "<config>") -> ExperimentCon
             fixed_split_file=proto.get("file"),
             replicates=_json_number(proto.get("replicates", 3),
                                     "protocol.replicates", integer=True),
-            model_kind=model.get("kind", "cnn"),
-            branches=_json_number(model.get("branches", 3), "model.branches",
-                                  integer=True),
+            model_kind=kind,
+            branches=_json_number(model.get("branches", 3 if kind == "cnn" else 1),
+                                  "model.branches", integer=True),
             train=train,
             lam=float(_json_number(doc.get("lambda", 1.0), "lambda")),
             omega=float(_json_number(doc.get("omega", 1.0), "omega")),

@@ -69,9 +69,6 @@ class GradCheckReport:
     def passed(self) -> bool:
         return all(e.passed for e in self.entries)
 
-    def failures(self) -> list:
-        return [e for e in self.entries if not e.passed]
-
 
 def _rel(analytic: float, numeric: float) -> float:
     return abs(analytic - numeric) / max(abs(analytic), abs(numeric), REL_FLOOR)

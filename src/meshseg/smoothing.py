@@ -7,30 +7,10 @@ volume loss that plain Laplacian smoothing causes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
 from meshseg.mesh import Mesh
-
-
-@dataclass(frozen=True)
-class SmoothedMeshSequence:
-    """Cumulatively smoothed copies of a base mesh.
-
-    levels[i] is the result of i+1 smoothing iterations; all levels share
-    the base mesh's faces and half-edge table, only vertex positions differ.
-    """
-
-    base: Mesh
-    levels: tuple
-    iteration_params: tuple  # (lambda_shrink, mu_inflate)
-
-    def __post_init__(self):
-        for lvl in self.levels:
-            if lvl.faces.shape != self.base.faces.shape or (lvl.faces != self.base.faces).any():
-                raise ValueError("smoothed level changed mesh connectivity")
 
 
 def umbrella_operator(mesh: Mesh) -> sp.csr_matrix:
@@ -48,8 +28,12 @@ def umbrella_operator(mesh: Mesh) -> sp.csr_matrix:
 
 
 def taubin_smooth(mesh: Mesh, iterations: int = 5, lambda_shrink: float = 0.5,
-                  mu_inflate: float = -0.53) -> SmoothedMeshSequence:
+                  mu_inflate: float = -0.53) -> tuple:
     """Run shrink/inflate smoothing passes, keeping every intermediate level.
+
+    Returns the levels as a tuple: level i is the result of i+1
+    iterations. Every level is `mesh.with_vertices(...)`, so it shares the
+    mesh's faces and half-edge table; only vertex positions differ.
 
     Stability requires 0 < lambda_shrink < -mu_inflate. Raises if a pass
     produces non-finite coordinates (diverging parameters).
@@ -69,5 +53,4 @@ def taubin_smooth(mesh: Mesh, iterations: int = 5, lambda_shrink: float = 0.5,
             raise FloatingPointError(
                 f"smoothing diverged at iteration {it + 1}: non-finite coordinates")
         levels.append(mesh.with_vertices(v))
-    return SmoothedMeshSequence(base=mesh, levels=tuple(levels),
-                                iteration_params=(lambda_shrink, mu_inflate))
+    return tuple(levels)

@@ -98,15 +98,6 @@ def plane_grid(nx: int = 4, ny: int = 4, size: float = 1.0) -> Mesh:
     return Mesh(v, f)
 
 
-def bumpy_patch(nx: int, ny: int, seed: int, amplitude: float = 0.15) -> Mesh:
-    """Plane grid with seeded vertical noise; breaks all coplanarity ties."""
-    base = plane_grid(nx, ny)
-    rng = np.random.default_rng(seed)
-    v = np.array(base.vertices)
-    v[:, 2] += amplitude * rng.standard_normal(len(v))
-    return Mesh(v, base.faces)
-
-
 def cylinder(n_segments: int = 24, radius: float = 0.5, height: float = 2.0) -> Mesh:
     """Closed cylinder along z, capped with triangle fans about axis points."""
     if n_segments < 3:
@@ -123,32 +114,6 @@ def cylinder(n_segments: int = 24, radius: float = 0.5, height: float = 2.0) -> 
         f += [[i, j, n_segments + i], [j, n_segments + j, n_segments + i]]
         f += [[cb, j, i], [ct, n_segments + i, n_segments + j]]
     return Mesh(v, f)
-
-
-def concave_corner() -> Mesh:
-    """Floor plate plus a perpendicular wall sharing one edge.
-
-    The dual edge between faces 1 and 2 crosses the 90-degree inside corner;
-    its exterior dihedral is exactly pi/2.
-    """
-    v = np.array([
-        [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0],
-        [1.0, 1.0, 1.0], [0.0, 1.0, 1.0],
-    ])
-    f = [[0, 1, 2], [0, 2, 3], [3, 2, 4], [3, 4, 5]]
-    return Mesh(v, f)
-
-
-def spiked_sphere(subdivisions: int = 2, spike: float = 1.0, vertex: int = 0) -> Mesh:
-    """Icosphere with one vertex pushed radially outward by the given factor.
-
-    spike = 0 leaves the sphere untouched; spike = s moves the vertex to
-    radius (1 + s).
-    """
-    base = icosphere(subdivisions)
-    v = np.array(base.vertices)
-    v[vertex] *= 1.0 + spike
-    return Mesh(v, base.faces)
 
 
 def dumbbell(subdivisions: int = 2, neck: float = 0.35, top: float = 1.0,

@@ -513,8 +513,8 @@ def multiscale_bfs(values: np.ndarray, graph, scales: int) -> np.ndarray:
 def feature_matrix_reference(mesh):
     """(channel names, (faces, 9) values): one column per channel, each
     extractor called with the pipeline's settings spelled out (5 smoothing
-    levels at 0.5/-0.53, solver tol 1e-8, 30 rays in a 60-degree cone,
-    alpha 4), assembled column by column."""
+    levels at 0.5/-0.53, 30 rays in a 60-degree cone, alpha 4), assembled
+    column by column."""
     from meshseg.features.conformal import conformal_factor_field, vertex_to_face
     from meshseg.features.curvature import curvature_field
     from meshseg.features.geodesic import average_geodesic_distance
@@ -522,9 +522,9 @@ def feature_matrix_reference(mesh):
     from meshseg.mesh import build_dual_graph
     from meshseg.smoothing import taubin_smooth
 
-    smoothed = taubin_smooth(mesh, 5, 0.5, -0.53)
-    curvature = curvature_field(mesh, smoothed)
-    conformal = conformal_factor_field(smoothed, curvature, tol=1e-8)
+    levels = taubin_smooth(mesh, 5, 0.5, -0.53)
+    curvature = curvature_field(mesh, levels)
+    conformal = conformal_factor_field(mesh, levels, curvature)
     columns = {
         "gaussian_curvature": vertex_to_face(mesh, curvature.gaussian_curvature),
         "conformal_factor": vertex_to_face(mesh, conformal.original_cf),

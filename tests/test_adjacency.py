@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 import oracles
+from shapes import concave_corner
 from meshseg.features import multiscale
 from meshseg.mesh import Mesh, MeshError, build_dual_graph, face_balls
 from meshseg.smoothing import umbrella_operator
 from meshseg.synth import (
-    concave_corner,
     cube,
     cylinder,
     dumbbell,

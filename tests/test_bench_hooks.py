@@ -5,6 +5,7 @@ those names would silently drop its span, so every hook must still resolve.
 import importlib
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -40,3 +41,23 @@ def test_every_traced_method_resolves(spans):
         if cls is None or not callable(vars(cls).get(attr)):
             missing.append(f"{mod}.{cls_name}.{attr}")
     assert not missing
+
+
+def test_feature_stages_record_their_spans(spans):
+    # resolving is not enough: a stage reached through another name would
+    # leave its hook in place and record nothing
+    from meshseg import synth
+    from meshseg.features.matrix import compute_features
+
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        compute_features(synth.dumbbell(1))
+    finally:
+        tracer.uninstall()
+    counts = Counter(span.name for span in tracer.spans)
+    for name in ("smoothing.taubin", "features.curvature", "features.conformal",
+                 "features.agd", "features.sdf", "mesh.dual_graph"):
+        assert counts[name] == 1, name
+    assert counts["numerics.cg"] == 6  # the mesh and its five smoothed levels
+    assert counts["numerics.matvec"] >= 1

@@ -29,6 +29,7 @@ from meshseg.features import (
 )
 from meshseg.features import geodesic, matrix, sdf
 from meshseg.features.sdf import build_bvh, nearest_hits, robust_thickness, tangent_frames
+import shapes
 from conftest import random_small_mesh
 from oracles import (
     agd_reference,
@@ -75,7 +76,7 @@ def test_icosahedron_target_equals_integrated():
 
 def test_target_conserves_total():
     rng = np.random.default_rng(3)
-    mesh = synth.bumpy_patch(7, 7, seed=5)
+    mesh = shapes.bumpy_patch(7, 7, seed=5)
     deficits = angle_deficits(mesh)
     target = target_curvature(mesh, deficits)
     total = deficits.sum()
@@ -96,10 +97,10 @@ def test_target_proportional_to_area():
 
 
 def test_curvature_field_bundles_smoothed_levels(ico2):
-    seq = taubin_smooth(ico2, 3)
-    field = curvature_field(ico2, seq)
+    levels = taubin_smooth(ico2, 3)
+    field = curvature_field(ico2, levels)
     assert len(field.smoothed_target_curvature) == 3
-    for level, target in zip(seq.levels, field.smoothed_target_curvature):
+    for level, target in zip(levels, field.smoothed_target_curvature):
         assert target == pytest.approx(target_curvature(level, angle_deficits(level)))
 
 
@@ -112,7 +113,7 @@ def test_sphere_conformal_factor_near_zero():
 
 
 def test_conformal_factor_peaks_at_spike():
-    spiked = synth.spiked_sphere(2, spike=3.0)
+    spiked = shapes.spiked_sphere(2, spike=3.0)
     phi = conformal_factor(spiked)
     assert int(np.argmax(np.abs(phi))) == 0  # vertex 0 carries the spike
 
@@ -140,10 +141,32 @@ def test_conformal_factor_rotation_invariant(ico2):
     assert np.abs(conformal_factor(rotated) - conformal_factor(ico2)).max() < 1e-9
 
 
+def test_conformal_factor_of_disjoint_copies_matches_each_copy():
+    # two grid-snapped copies side by side, so translating the second is
+    # exact: each component gets its own solve, and each half of the joint
+    # factor equals the factor of one copy alone
+    base = synth.dumbbell(1)
+    grid = math.ldexp(1.0, -20)
+    verts = np.round(base.vertices / grid) * grid
+    n = len(verts)
+    both = Mesh(np.vstack([verts, verts + np.array([8.0, 0.0, 0.0])]),
+                np.vstack([base.faces, base.faces + n]))
+    want = conformal_factor(Mesh(verts, base.faces))
+    phi = conformal_factor(both)
+    for half in (phi[:n], phi[n:]):
+        assert np.array_equal(half, want)
+        assert abs(half.mean()) < 1e-10
+
+
+def test_conformal_factor_field_needs_a_target_per_level(ico2):
+    levels = taubin_smooth(ico2, 2)
+    with pytest.raises(ValueError):
+        conformal_factor_field(ico2, levels, curvature_field(ico2, levels[:1]))
+
+
 def test_smoothed_conformal_factor_sphere_small(ico2):
     # smoothing barely moves a sphere, so the residual factors stay tiny
-    seq = taubin_smooth(ico2, 5)
-    field = conformal_factor_field(seq, curvature_field(ico2, seq))
+    field = conformal_factor_field(ico2, taubin_smooth(ico2, 5))
     assert len(field.smoothed_cf) == 5
     phi0 = np.abs(field.original_cf).max()
     for phi_s in field.smoothed_cf:
@@ -154,9 +177,8 @@ def test_smoothed_conformal_factor_sphere_small(ico2):
 
 @pytest.mark.parametrize("amplitude", [1.0, 2.0, 3.0])
 def test_smoothing_shrinks_conformal_factor_on_spike(amplitude):
-    mesh = synth.spiked_sphere(2, spike=amplitude)
-    seq = taubin_smooth(mesh, 1)
-    field = conformal_factor_field(seq, curvature_field(mesh, seq))
+    mesh = shapes.spiked_sphere(2, spike=amplitude)
+    field = conformal_factor_field(mesh, taubin_smooth(mesh, 1))
     before = np.abs(vertex_to_face(mesh, field.original_cf)).max()
     after = np.abs(vertex_to_face(mesh, field.smoothed_cf[0])).max()
     assert after < before
@@ -293,12 +315,12 @@ SDF_SHAPES = {
                                      _seeded_dumbbell(sub, seed))
        for sub in (1, 2, 3) for seed in (0, 1, 2)},
     "icosphere2": lambda: synth.icosphere(2),
-    "spiked_sphere": lambda: synth.spiked_sphere(),
+    "spiked_sphere": lambda: shapes.spiked_sphere(),
     "cylinder48": lambda: synth.cylinder(48),
     "cube": synth.cube,
     "tetrahedron": synth.tetrahedron,
     "plane_grid3x3": lambda: synth.plane_grid(3, 3),
-    "concave_corner": synth.concave_corner,
+    "concave_corner": shapes.concave_corner,
 }
 
 

@@ -538,6 +538,18 @@ def test_config_defaults():
     assert parse_experiment_config(experiment_config_to_dict(cfg)) == cfg
 
 
+def test_config_branches_apply_to_the_cnn_only():
+    for kind in ("pca-nn", "ae-nn"):
+        cfg = parse_experiment_config({"dataset": "d", "model": {"kind": kind}})
+        assert cfg.branches == 1
+        assert experiment_config_to_dict(cfg)["model"] == {"kind": kind, "branches": 1}
+        with pytest.raises(FormatError, match=f"model.branches must be 1 for {kind}, got 3"):
+            parse_experiment_config({"dataset": "d",
+                                     "model": {"kind": kind, "branches": 3}})
+    cfg = parse_experiment_config({"dataset": "d", "model": {"kind": "cnn"}})
+    assert cfg.branches == 3
+
+
 def test_config_rejects_unknown_keys_at_every_level():
     with pytest.raises(FormatError, match=r"unknown keys \['typo'\]"):
         parse_experiment_config({"dataset": "d", "typo": 1})

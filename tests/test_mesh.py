@@ -16,7 +16,8 @@ from meshseg.mesh import (
     load_mesh_path,
     save_off,
 )
-from meshseg.synth import concave_corner, icosphere, plane_grid, tetrahedron
+from meshseg.synth import icosphere, plane_grid, tetrahedron
+from shapes import concave_corner
 
 RIGHT_TRIANGLE_OFF = """OFF
 3 1 0

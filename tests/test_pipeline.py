@@ -339,3 +339,14 @@ def test_pca_baseline_runs_leave_one_out(toy_manifest, tmp_path):
     report = run_experiment(cfg, threads=1)
     assert report["summary"]["n_records"] == 6  # one per held-out mesh
     assert report["config"]["model"]["kind"] == "pca-nn"
+
+
+def test_ae_baseline_report_echoes_one_branch(toy_manifest, tmp_path):
+    # the flat models read one scale, and the report says so
+    cfg = _config(toy_manifest, tmp_path / "ae",
+                  protocol={"kind": "kfold", "k": 3, "replicates": 1},
+                  model={"kind": "ae-nn"},
+                  train={"epochs": 1, "batch_size": 64})
+    run_experiment(cfg, threads=1)
+    report = json.loads((tmp_path / "ae" / "report.json").read_text())
+    assert report["config"]["model"] == {"kind": "ae-nn", "branches": 1}

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from meshseg.mesh import Mesh, MeshError
-from meshseg.smoothing import SmoothedMeshSequence, taubin_smooth, umbrella_operator
-from meshseg.synth import dumbbell, icosphere, plane_grid, spiked_sphere, tetrahedron
+from meshseg.smoothing import taubin_smooth, umbrella_operator
+from meshseg.synth import dumbbell, icosphere, plane_grid, tetrahedron
+from shapes import spiked_sphere
 
 
 def laplacian_smooth(mesh, iterations, step=0.5):
@@ -41,17 +42,17 @@ def test_planar_interior_is_fixed_point():
     # one iteration = two umbrella passes, so boundary motion reaches two
     # rings in; vertices deeper than that sit in flat symmetric stencils
     mesh = plane_grid(8, 8)
-    seq = taubin_smooth(mesh, iterations=1)
+    levels = taubin_smooth(mesh, iterations=1)
     deep = vertex_rings_from_boundary(mesh) > 2
     assert deep.any()
-    moved = np.abs(seq.levels[-1].vertices - mesh.vertices)[deep]
+    moved = np.abs(levels[-1].vertices - mesh.vertices)[deep]
     assert moved.max() < 1e-12
 
 
 def test_volume_preserved_vs_laplacian_shrinkage():
     mesh = icosphere(3)
     vol0 = mesh.enclosed_volume()
-    taubin = taubin_smooth(mesh, iterations=5).levels[-1]
+    taubin = taubin_smooth(mesh, iterations=5)[-1]
     assert abs(taubin.enclosed_volume() - vol0) / vol0 <= 0.02
     shrunk = laplacian_smooth(mesh, 5)
     assert (vol0 - shrunk.enclosed_volume()) / vol0 > 0.05
@@ -61,25 +62,25 @@ def test_spike_height_decreases():
     mesh = spiked_sphere(2, spike=3.0)
     radial = np.linalg.norm(mesh.vertices, axis=1)
     before = radial.max() - 1.0
-    one = taubin_smooth(mesh, iterations=1).levels[0]
+    one = taubin_smooth(mesh, iterations=1)[0]
     after = np.linalg.norm(one.vertices, axis=1).max() - 1.0
     assert after < before
 
 
 def test_levels_are_cumulative():
     mesh = icosphere(1)
-    seq = taubin_smooth(mesh, iterations=5)
-    assert len(seq.levels) == 5
+    levels = taubin_smooth(mesh, iterations=5)
+    assert len(levels) == 5
     # level i equals one more iteration applied to level i-1
-    again = taubin_smooth(seq.levels[1], iterations=1).levels[0]
-    assert seq.levels[2].vertices == pytest.approx(again.vertices, abs=1e-12)
-    for lvl in seq.levels:
+    again = taubin_smooth(levels[1], iterations=1)[0]
+    assert levels[2].vertices == pytest.approx(again.vertices, abs=1e-12)
+    for lvl in levels:
         assert np.array_equal(lvl.faces, mesh.faces)
 
 
 def test_levels_share_the_base_topology():
     mesh = dumbbell(2)
-    for lvl in taubin_smooth(mesh, iterations=5).levels:
+    for lvl in taubin_smooth(mesh, iterations=5):
         assert lvl.faces is mesh.faces
         assert lvl.half_edges is mesh.half_edges
         assert lvl.edge_start is mesh.edge_start
@@ -119,14 +120,6 @@ def test_parameter_precondition():
         taubin_smooth(mesh, lambda_shrink=0.5, mu_inflate=0.0)
     with pytest.raises(ValueError):
         taubin_smooth(mesh, iterations=0)
-
-
-def test_sequence_rejects_connectivity_change():
-    mesh = icosphere(0)
-    other = Mesh(mesh.vertices, mesh.faces[::-1])
-    with pytest.raises(ValueError, match="connectivity"):
-        SmoothedMeshSequence(base=mesh, levels=(other,),
-                             iteration_params=(0.5, -0.53))
 
 
 def test_umbrella_row_semantics():
