@@ -5,11 +5,10 @@ the multi-branch conv net, and print the accuracy summary.
 Roughly a minute at default settings; pass --fast for a quick smoke run.
 """
 import argparse
-import json
 from pathlib import Path
 
 from meshseg.experiment import run_experiment
-from meshseg.formats import dump_json, parse_experiment_config
+from meshseg.formats import dump_json, load_experiment_config
 from meshseg.synth import make_toy_dataset
 
 
@@ -46,7 +45,7 @@ def main():
     cfg_path = work / "exp.json"
     cfg_path.parent.mkdir(parents=True, exist_ok=True)
     cfg_path.write_text(dump_json(cfg_doc))
-    cfg = parse_experiment_config(json.loads(cfg_path.read_text()))
+    cfg = load_experiment_config(cfg_path)
     report = run_experiment(cfg, threads=args.threads,
                             log=lambda m: print(f"  {m}"))
     s = report["summary"]

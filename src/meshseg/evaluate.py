@@ -41,47 +41,29 @@ class LabeledMesh:
             raise ValueError(f"{self.mesh_id}: negative label")
 
 
-@dataclass(frozen=True)
-class SplitPlan:
-    """Cross-validation protocol: leave-one-out, k-fold, or a fixed file."""
-
-    protocol: str  # "loo" | "kfold" | "fixed"
-    k: int = 5
-    fixed: tuple | None = None  # (train ids, test ids) parsed from file
-    replicates: int = 3
-
-    def __post_init__(self):
-        if self.protocol not in ("loo", "kfold", "fixed"):
-            raise ValueError(f"unknown protocol {self.protocol!r}")
-        if self.protocol == "kfold" and self.k < 2:
-            raise ValueError("k-fold needs k >= 2")
-        if self.protocol == "fixed" and self.fixed is None:
-            raise ValueError("fixed protocol needs parsed train/test id lists")
-        if self.replicates < 1:
-            raise ValueError("need at least one replicate")
-
-
-def make_splits(mesh_ids: list, plan: SplitPlan, seed: int) -> list:
-    """(train ids, test ids) pairs; folds are a seeded shuffle partition
-    with sizes differing by at most one."""
+def make_splits(mesh_ids: list, protocol: str, k: int, fixed, seed: int) -> list:
+    """(train ids, test ids) pairs under the protocol ("loo", "kfold" or
+    "fixed"); k-fold folds are a seeded shuffle partition into k sets with
+    sizes differing by at most one, and `fixed` is the parsed (train ids,
+    test ids) of a fixed split, None otherwise."""
     ids = sorted(mesh_ids)
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate mesh ids")
-    if plan.protocol == "loo":
+    if protocol == "loo":
         if len(ids) < 2:
             raise ValueError("leave-one-out needs at least 2 meshes")
         return [([m for m in ids if m != test], [test]) for test in ids]
-    if plan.protocol == "kfold":
-        if len(ids) < plan.k:
-            raise ValueError(f"{plan.k}-fold needs at least {plan.k} meshes")
+    if protocol == "kfold":
+        if len(ids) < k:
+            raise ValueError(f"{k}-fold needs at least {k} meshes")
         order = SeededRng(seed).stream("folds").permutation(len(ids))
-        folds = np.array_split(order, plan.k)
+        folds = np.array_split(order, k)
         out = []
         for fold in folds:
             test = sorted(ids[i] for i in fold)
             out.append(([m for m in ids if m not in set(test)], test))
         return out
-    train, test = plan.fixed
+    train, test = fixed
     unknown = [m for m in list(train) + list(test) if m not in set(ids)]
     if unknown:
         raise ValueError(f"fixed split references unknown mesh ids {unknown}")

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from meshseg.evaluate import LabeledMesh, SplitPlan, accuracy, make_splits
+from meshseg.evaluate import LabeledMesh, accuracy, make_splits
 from meshseg.features import (
     DEFAULT_CHANNELS,
     FeatureMatrix,
@@ -188,14 +188,6 @@ def refine_labels(graph, probs, agd, lam, omega):
                                            feature=agd, lam=lam, omega=omega))
 
 
-def _split_plan(cfg: ExperimentConfig) -> SplitPlan:
-    fixed = None
-    if cfg.protocol == "fixed":
-        fixed = load_fixed_split(cfg.fixed_split_file)
-    return SplitPlan(protocol=cfg.protocol, k=cfg.k, fixed=fixed,
-                     replicates=cfg.replicates)
-
-
 def run_experiment(cfg: ExperimentConfig, threads: int = 1, log=None) -> dict:
     """Execute the full protocol and return the report dict.
 
@@ -211,8 +203,9 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1, log=None) -> dict:
     n_classes = len(manifest.classes)
     agd_col = DEFAULT_CHANNELS.index("agd")  # refinement's feature term
 
-    plan = _split_plan(cfg)
-    splits = make_splits([lm.mesh_id for lm in meshes], plan, cfg.seed)
+    fixed = load_fixed_split(cfg.fixed_split_file) if cfg.protocol == "fixed" else None
+    splits = make_splits([lm.mesh_id for lm in meshes], cfg.protocol, cfg.k,
+                         fixed, cfg.seed)
     bundles = _prepare_bundles(meshes, manifest, cfg, threads, log)
 
     out_dir = Path(cfg.output_dir)
@@ -222,7 +215,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1, log=None) -> dict:
     record_rows = []
     for si, (train_ids, test_ids) in enumerate(splits):
         stats, x_train, y_train = normalized_training_set(bundles, train_ids)
-        for rep in range(plan.replicates):
+        for rep in range(cfg.replicates):
             seed = root.derive_seed(f"split{si}/rep{rep}")
             try:
                 model, final_losses = train_model(cfg, n_classes, seed,
@@ -264,7 +257,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1, log=None) -> dict:
     pre = [r["accuracy_pre"] for r in record_rows]
     post = [r["accuracy_post"] for r in record_rows]
     rep_means = []
-    for rep in range(plan.replicates):
+    for rep in range(cfg.replicates):
         vals = [r["accuracy_post"] for r in record_rows if r["replicate"] == rep]
         rep_means.append(float(np.mean(vals)))
     per_mesh = {}

@@ -199,8 +199,11 @@ def _checkpoint_parts(model, channel_names, stats):
                 struct.pack("<I", len(stats.mean)),
                 _pack_floats(stats.mean), _pack_floats(stats.scale),
                 struct.pack("<I", len(slots)))
-    for name, get, _ in slots:
-        arr = np.asarray(get(), dtype=np.float64)
+    for name, owner, attr, _ in slots:
+        arr = getattr(owner, attr)
+        if arr is None:
+            raise ValueError(f"{name}: batch norm has no running stats yet "
+                             "(untrained model)")
         yield _pack_text(name)
         yield struct.pack("<I", arr.ndim)
         yield from (struct.pack("<Q", d) for d in arr.shape)
@@ -234,17 +237,17 @@ def load_checkpoint(path):
     if n != len(slots):
         raise FormatError(
             f"{path}: checkpoint has {n} tensors, architecture needs {len(slots)}")
-    for name, _, put in slots:
+    for name, owner, attr, want in slots:
         stored = r.text()
         if stored != name:
             raise FormatError(f"{path}: tensor {stored!r} where {name!r} expected")
         ndim = r.u32()
         shape = tuple(r.u64() for _ in range(ndim))
-        arr = np.frombuffer(r.take(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
-        try:
-            put(arr)
-        except ValueError as exc:
-            raise FormatError(f"{path}: tensor {name!r}: {exc}") from None
+        data = r.take(8 * math.prod(shape))
+        if shape != want:
+            raise FormatError(f"{path}: tensor {name!r}: shape mismatch loading "
+                              f"tensor: {shape} into {want}")
+        setattr(owner, attr, np.frombuffer(data, dtype="<f8").reshape(shape).copy())
     r.finish()
     return model, channel_names, stats
 
@@ -358,27 +361,53 @@ def export_colored_ply(mesh: Mesh, labels, target) -> None:
 
 
 # ---------------------------------------------------------------------------
-# dataset manifest
+# strict JSON inputs: the dataset manifest and the experiment config
+
+
+def _read_json(path, what: str) -> dict:
+    """The JSON object in the file at path; `what` names the file's role
+    in the error."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: {what} must be a JSON object")
+    return doc
+
+
+_JSON_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list"}
+
+
+def _json(value, name: str, kind: type):
+    """`value` itself if it is a JSON value of `kind`: int for an integer,
+    float for any number, str or list. A bool is no number, though Python
+    counts it an int."""
+    kinds = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ValueError(f"{name} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def _check_keys(doc, allowed, where: str) -> None:
+    if not isinstance(doc, dict):
+        raise FormatError(f"{where} must be a JSON object, got {doc!r}")
+    unknown = set(doc) - set(allowed)
+    if unknown:
+        raise FormatError(f"{where}: unknown keys {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
 class DatasetManifest:
     name: str
     classes: tuple
-    root: Path
     entries: tuple  # of (mesh id, mesh path, labels path)
 
 
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: manifest must be a JSON object")
-    allowed = {"name", "classes", "meshes", "format", "version"}
-    unknown = set(doc) - allowed
+    doc = _read_json(path, "manifest")
+    unknown = set(doc) - {"name", "classes", "meshes", "format", "version"}
     if unknown:
         raise FormatError(f"{path}: unknown manifest keys {sorted(unknown)}")
     for key in ("name", "classes", "meshes"):
@@ -388,22 +417,20 @@ def load_manifest(path) -> DatasetManifest:
     if (not isinstance(classes, list) or not classes
             or not all(isinstance(c, str) for c in classes)):
         raise FormatError(f"{path}: classes must be a nonempty list of names")
-    entries = []
-    seen = set()
-    for i, rec in enumerate(doc["meshes"]):
-        if not isinstance(rec, dict) or set(rec) != {"id", "mesh", "labels"}:
-            raise FormatError(f"{path}: meshes[{i}] needs exactly id/mesh/labels")
-        if rec["id"] in seen:
-            raise FormatError(f"{path}: duplicate mesh id {rec['id']!r}")
-        seen.add(rec["id"])
-        entries.append((rec["id"], path.parent / rec["mesh"],
-                        path.parent / rec["labels"]))
-    return DatasetManifest(name=doc["name"], classes=tuple(classes),
-                           root=path.parent, entries=tuple(entries))
-
-
-# ---------------------------------------------------------------------------
-# experiment config (strict JSON)
+    entries = {}
+    try:
+        for i, rec in enumerate(_json(doc["meshes"], "meshes", list)):
+            if not isinstance(rec, dict) or set(rec) != {"id", "mesh", "labels"}:
+                raise ValueError(f"meshes[{i}] needs exactly id/mesh/labels")
+            mesh_id, mesh, labels = (_json(rec[k], f"meshes[{i}].{k}", str)
+                                     for k in ("id", "mesh", "labels"))
+            if mesh_id in entries:
+                raise ValueError(f"duplicate mesh id {mesh_id!r}")
+            entries[mesh_id] = (mesh_id, path.parent / mesh, path.parent / labels)
+        return DatasetManifest(name=_json(doc["name"], "name", str),
+                               classes=tuple(classes), entries=tuple(entries.values()))
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -424,8 +451,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.protocol not in ("loo", "kfold", "fixed"):
             raise ValueError(f"unknown protocol {self.protocol!r}")
+        if self.protocol == "kfold" and self.k < 2:
+            raise ValueError(f"protocol.k must be at least 2 for kfold, got {self.k}")
         if self.protocol == "fixed" and not self.fixed_split_file:
             raise ValueError("fixed protocol requires a split file")
+        if self.replicates < 1:
+            raise ValueError(f"protocol.replicates must be at least 1, "
+                             f"got {self.replicates}")
         if self.model_kind not in ("cnn", "pca-nn", "ae-nn"):
             raise ValueError(f"unknown model kind {self.model_kind!r}")
         if not 1 <= self.branches <= 4:
@@ -445,25 +477,7 @@ _TRAIN_KEYS = ("epochs", "lr_start", "lr_end", "momentum", "batch_size")
 _TRAIN_INTEGERS = ("epochs", "batch_size")
 
 
-def _json_number(value, name: str, integer: bool = False):
-    """`value` itself if it is a JSON integer (or, unless `integer`, any
-    JSON number); a bool is neither, though Python counts it an int."""
-    kinds = int if integer else (int, float)
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        kind = "an integer" if integer else "a number"
-        raise ValueError(f"{name} must be {kind}, got {value!r}")
-    return value
-
-
-def _check_keys(doc: dict, allowed, where: str) -> None:
-    unknown = set(doc) - set(allowed)
-    if unknown:
-        raise FormatError(f"{where}: unknown keys {sorted(unknown)}")
-
-
 def parse_experiment_config(doc: dict, where: str = "<config>") -> ExperimentConfig:
-    if not isinstance(doc, dict):
-        raise FormatError(f"{where}: config must be a JSON object")
     _check_keys(doc, ("dataset", "protocol", "model", "train", "lambda",
                       "omega", "seed", "output_dir"), where)
     if "dataset" not in doc:
@@ -472,28 +486,28 @@ def parse_experiment_config(doc: dict, where: str = "<config>") -> ExperimentCon
     _check_keys(proto, ("kind", "k", "file", "replicates"), f"{where}.protocol")
     model = doc.get("model", {"kind": "cnn"})
     _check_keys(model, ("kind", "branches"), f"{where}.model")
-    kind = model.get("kind", "cnn")
     train_doc = doc.get("train", {})
     _check_keys(train_doc, _TRAIN_KEYS, f"{where}.train")
     try:
+        kind = _json(model.get("kind", "cnn"), "model.kind", str)
         train = TrainConfig(**{
-            k: _json_number(train_doc[k], f"train.{k}", k in _TRAIN_INTEGERS)
+            k: _json(train_doc[k], f"train.{k}", int if k in _TRAIN_INTEGERS else float)
             for k in _TRAIN_KEYS if k in train_doc})
         return ExperimentConfig(
-            dataset=doc["dataset"],
-            protocol=proto.get("kind", "kfold"),
-            k=_json_number(proto.get("k", 5), "protocol.k", integer=True),
-            fixed_split_file=proto.get("file"),
-            replicates=_json_number(proto.get("replicates", 3),
-                                    "protocol.replicates", integer=True),
+            dataset=_json(doc["dataset"], "dataset", str),
+            protocol=_json(proto.get("kind", "kfold"), "protocol.kind", str),
+            k=_json(proto.get("k", 5), "protocol.k", int),
+            fixed_split_file=(_json(proto["file"], "protocol.file", str)
+                              if "file" in proto else None),
+            replicates=_json(proto.get("replicates", 3), "protocol.replicates", int),
             model_kind=kind,
-            branches=_json_number(model.get("branches", 3 if kind == "cnn" else 1),
-                                  "model.branches", integer=True),
+            branches=_json(model.get("branches", 3 if kind == "cnn" else 1),
+                           "model.branches", int),
             train=train,
-            lam=float(_json_number(doc.get("lambda", 1.0), "lambda")),
-            omega=float(_json_number(doc.get("omega", 1.0), "omega")),
-            seed=_json_number(doc.get("seed", 0), "seed", integer=True),
-            output_dir=doc.get("output_dir", "out"),
+            lam=float(_json(doc.get("lambda", 1.0), "lambda", float)),
+            omega=float(_json(doc.get("omega", 1.0), "omega", float)),
+            seed=_json(doc.get("seed", 0), "seed", int),
+            output_dir=_json(doc.get("output_dir", "out"), "output_dir", str),
         )
     except ValueError as exc:
         raise FormatError(f"{where}: {exc}") from None
@@ -519,12 +533,7 @@ def experiment_config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON: {exc}") from None
-    return parse_experiment_config(doc, where=str(path))
+    return parse_experiment_config(_read_json(path, "config"), where=str(path))
 
 
 def dump_json(doc: dict) -> str:

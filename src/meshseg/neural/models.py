@@ -7,7 +7,9 @@ rebuilds the same untrained architecture, which is how a checkpoint is
 loaded. fit and predict_proba take the normalized (faces, scales,
 channels) multi-scale stack; the flat models read scale 0 of it.
 state_slots lists the tensors to checkpoint in order (parameters plus
-batch-norm running statistics and PCA bases).
+batch-norm running statistics and PCA bases), each as (name, owner,
+attribute, shape): the array is `getattr(owner, attribute)`, and a
+checkpoint holds it at that shape.
 """
 from __future__ import annotations
 
@@ -26,37 +28,15 @@ from meshseg.neural.training import (
 )
 
 
-def _assign(dst: np.ndarray, src: np.ndarray) -> None:
-    if dst.shape != src.shape:
-        raise ValueError(f"shape mismatch loading tensor: {src.shape} into {dst.shape}")
-    dst[...] = src
-
-
-def _param_slot(p):
-    return (p.name, lambda: p.value, lambda a: _assign(p.value, a))
-
-
-def _bn_stat_slot(layer: BatchNorm, attr: str):
-    def get():
-        val = getattr(layer, attr)
-        if val is None:
-            raise ValueError("batch norm has no running stats yet (untrained model)")
-        return val
-
-    def put(a):
-        setattr(layer, attr, np.array(a, dtype=np.float64))
-
-    return (f"{layer.gamma.name.rsplit('.', 1)[0]}.{attr}", get, put)
-
-
 def _sequential_slots(seq: Sequential) -> list:
     slots = []
     for layer in seq.layers:
         for p in layer.parameters():
-            slots.append(_param_slot(p))
+            slots.append((p.name, p, "value", p.value.shape))
         if isinstance(layer, BatchNorm):
-            slots.append(_bn_stat_slot(layer, "running_mean"))
-            slots.append(_bn_stat_slot(layer, "running_var"))
+            prefix = layer.gamma.name.rsplit(".", 1)[0]
+            for attr in ("running_mean", "running_var"):
+                slots.append((f"{prefix}.{attr}", layer, attr, (layer.channels,)))
     return slots
 
 
@@ -172,14 +152,9 @@ class PcaNnModel:
         return predict_probabilities(self.net, self._project(_flat_rows(x, self.spec)))
 
     def state_slots(self) -> list:
-        def put_mean(a):
-            _assign(self.pca_mean, a)
-
-        def put_basis(a):
-            _assign(self.pca_basis, a)
-
-        return ([("pca.mean", lambda: self.pca_mean, put_mean),
-                 ("pca.basis", lambda: self.pca_basis, put_basis)]
+        _, _, input_dim, _ = self.spec
+        return ([("pca.mean", self, "pca_mean", (input_dim,)),
+                 ("pca.basis", self, "pca_basis", (input_dim, self.components))]
                 + _sequential_slots(self.net))
 
 

@@ -16,7 +16,7 @@ import pytest
 import meshseg.cli as cli
 import meshseg.experiment as experiment
 from meshseg.cli import THREADS_ENV, _threads, main
-from meshseg.features import DEFAULT_CHANNELS
+from meshseg.features import DEFAULT_CHANNELS, NormalizationStats
 from meshseg.formats import (
     CKPT_MAGIC,
     FormatError,
@@ -24,11 +24,14 @@ from meshseg.formats import (
     load_feature_cache,
     load_labels,
     load_probabilities,
+    save_checkpoint,
     save_feature_cache,
     save_probabilities,
 )
 from meshseg.mesh import load_mesh_path, save_off
 from meshseg.neural.gradcheck import CheckEntry, GradCheckReport
+from meshseg.neural.models import CnnModel
+from meshseg.neural.training import TrainConfig
 from meshseg.numerics import SolverError
 from meshseg.synth import icosphere, make_toy_dataset
 
@@ -229,6 +232,24 @@ def test_segment_rejects_version_one_checkpoint(ws, trained, tmp_path, capsys):
                            "-o", str(tmp_path / "junk.prob")], capsys)
     assert code == 3
     assert "regenerate" in err["message"]
+
+
+def test_segment_rejects_batch_norm_stat_of_the_wrong_shape(ws, tmp_path, capsys):
+    n = len(DEFAULT_CHANNELS)
+    model = CnnModel(1, n, 2, seed=0, train_cfg=TrainConfig(epochs=1, batch_size=8))
+    rng = np.random.default_rng(0)
+    model.fit(rng.normal(size=(16, 1, n)), rng.integers(0, 2, 16))
+    bn = model.net.branches[0].layers[1]
+    bn.running_mean = bn.running_mean[:1]
+    ckpt = tmp_path / "cut.ckpt"
+    save_checkpoint(ckpt, model, DEFAULT_CHANNELS,
+                    NormalizationStats(np.zeros(n), np.ones(n)))
+    code, _, err = invoke(["segment", str(ws["mesh0"]), "--checkpoint", str(ckpt),
+                           "-o", str(tmp_path / "junk.prob")], capsys)
+    assert code == 3
+    assert err["category"] == "invalid-input"
+    assert str(ckpt) in err["message"] and "b0.bn1.running_mean" in err["message"]
+    assert not (tmp_path / "junk.prob").exists()
 
 
 def test_segment_rejects_zero_size_descriptor(ws, trained, tmp_path, capsys):
@@ -485,6 +506,54 @@ def test_run_rejects_config_values_of_the_wrong_type(ws, tmp_path, capsys,
     assert err["category"] == "invalid-input"
     assert str(cfg) in err["message"] and key in err["message"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "train"])
+@pytest.mark.parametrize("key, value, field", [
+    ("dataset", 5, "dataset"),
+    ("output_dir", 7, "output_dir"),
+    ("model", [], "model"),
+    ("protocol", {"kind": "fixed", "file": 3}, "protocol.file"),
+    ("protocol", {"kind": "kfold", "k": 1}, "protocol.k"),
+    ("protocol", {"kind": "kfold", "k": 2, "replicates": 0}, "protocol.replicates"),
+], ids=["dataset-int", "output-dir-int", "model-list", "split-file-int",
+        "one-fold", "no-replicates"])
+def test_bad_config_exits_three_for_every_command(ws, tmp_path, capsys, command,
+                                                  key, value, field):
+    cfg = write_config(tmp_path / "cfg.json", ws["manifest"], tmp_path / "out",
+                       **{key: value})
+    ckpt = tmp_path / "m.ckpt"
+    argv = [command, "--config", str(cfg)] + (["-o", str(ckpt)] if command == "train"
+                                              else [])
+    code, _, err = invoke(argv, capsys)
+    assert code == 3
+    assert err["category"] == "invalid-input"
+    assert str(cfg) in err["message"] and field in err["message"]
+    assert not (tmp_path / "out").exists() and not ckpt.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "train"])
+@pytest.mark.parametrize("edit, field", [
+    (lambda doc: doc.update(meshes=5), "meshes"),
+    (lambda doc: doc["meshes"][0].update(mesh=5), "meshes[0].mesh"),
+    (lambda doc: doc.update(name=7), "name"),
+    (lambda doc: doc["meshes"][1].update(id=3), "meshes[1].id"),
+], ids=["meshes-int", "mesh-path-int", "name-int", "id-int-beside-str"])
+def test_bad_manifest_exits_three_for_every_command(ws, tmp_path, capsys, command,
+                                                    edit, field):
+    manifest = write_manifest(tmp_path / "m.json", ws, ws["mesh0"])
+    doc = json.loads(manifest.read_text())
+    edit(doc)
+    manifest.write_text(json.dumps(doc))
+    cfg = write_config(tmp_path / "cfg.json", manifest, tmp_path / "out")
+    ckpt = tmp_path / "m.ckpt"
+    argv = [command, "--config", str(cfg)] + (["-o", str(ckpt)] if command == "train"
+                                              else [])
+    code, _, err = invoke(argv, capsys)
+    assert code == 3
+    assert err["category"] == "invalid-input"
+    assert str(manifest) in err["message"] and field in err["message"]
+    assert not (tmp_path / "out").exists() and not ckpt.exists()
 
 
 @pytest.mark.parametrize("split", [

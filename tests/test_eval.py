@@ -3,7 +3,6 @@ import pytest
 
 from meshseg.evaluate import (
     LabeledMesh,
-    SplitPlan,
     accuracy,
     make_splits,
 )
@@ -67,7 +66,7 @@ def _ids(n):
 
 
 def test_loo_splits():
-    splits = make_splits(_ids(20), SplitPlan("loo"), seed=0)
+    splits = make_splits(_ids(20), "loo", 5, None, seed=0)
     assert len(splits) == 20
     for train, test in splits:
         assert len(test) == 1
@@ -77,7 +76,7 @@ def test_loo_splits():
 
 
 def test_kfold_even_sizes():
-    splits = make_splits(_ids(20), SplitPlan("kfold", k=5), seed=3)
+    splits = make_splits(_ids(20), "kfold", 5, None, seed=3)
     assert len(splits) == 5
     assert [len(test) for _, test in splits] == [4, 4, 4, 4, 4]
     covered = sorted(m for _, test in splits for m in test)
@@ -85,7 +84,7 @@ def test_kfold_even_sizes():
 
 
 def test_kfold_uneven_sizes():
-    splits = make_splits(_ids(17), SplitPlan("kfold", k=5), seed=3)
+    splits = make_splits(_ids(17), "kfold", 5, None, seed=3)
     assert sorted((len(test) for _, test in splits), reverse=True) == [4, 4, 3, 3, 3]
     for train, test in splits:
         assert not set(train) & set(test)
@@ -93,36 +92,28 @@ def test_kfold_uneven_sizes():
 
 
 def test_kfold_deterministic_in_seed():
-    a = make_splits(_ids(11), SplitPlan("kfold", k=3), seed=9)
-    b = make_splits(_ids(11), SplitPlan("kfold", k=3), seed=9)
-    c = make_splits(_ids(11), SplitPlan("kfold", k=3), seed=10)
+    a = make_splits(_ids(11), "kfold", 3, None, seed=9)
+    b = make_splits(_ids(11), "kfold", 3, None, seed=9)
+    c = make_splits(_ids(11), "kfold", 3, None, seed=10)
     assert a == b
     assert a != c
 
 
 def test_fixed_split():
-    plan = SplitPlan("fixed", fixed=(("mesh001", "mesh000"), ("mesh002",)))
-    splits = make_splits(_ids(3), plan, seed=0)
+    fixed = (("mesh001", "mesh000"), ("mesh002",))
+    splits = make_splits(_ids(3), "fixed", 5, fixed, seed=0)
     assert splits == [(["mesh000", "mesh001"], ["mesh002"])]
     with pytest.raises(ValueError, match="unknown mesh ids"):
-        make_splits(_ids(2), plan, seed=0)
+        make_splits(_ids(2), "fixed", 5, fixed, seed=0)
 
 
 def test_split_validation():
     with pytest.raises(ValueError, match="duplicate"):
-        make_splits(["a", "a", "b"], SplitPlan("loo"), seed=0)
+        make_splits(["a", "a", "b"], "loo", 5, None, seed=0)
     with pytest.raises(ValueError, match="at least 2"):
-        make_splits(["solo"], SplitPlan("loo"), seed=0)
+        make_splits(["solo"], "loo", 5, None, seed=0)
     with pytest.raises(ValueError, match="needs at least 4"):
-        make_splits(_ids(3), SplitPlan("kfold", k=4), seed=0)
-    with pytest.raises(ValueError, match="unknown protocol"):
-        SplitPlan("bootstrap")
-    with pytest.raises(ValueError, match="k >= 2"):
-        SplitPlan("kfold", k=1)
-    with pytest.raises(ValueError, match="train/test id lists"):
-        SplitPlan("fixed")
-    with pytest.raises(ValueError, match="replicate"):
-        SplitPlan("loo", replicates=0)
+        make_splits(_ids(3), "kfold", 4, None, seed=0)
 
 
 def test_accuracy_on_real_mesh_areas():

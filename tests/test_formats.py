@@ -233,6 +233,19 @@ def test_checkpoint_untrained_cnn_fails_loudly(tmp_path):
         save_checkpoint(tmp_path / "m.ckpt", model, ("a",), _stats(1))
 
 
+def test_checkpoint_rejects_batch_norm_stat_of_the_wrong_shape(tmp_path):
+    model, _ = _train_tiny_cnn()
+    bn = model.net.branches[0].layers[1]
+    assert bn.gamma.name == "b0.bn1.gamma"
+    bn.running_mean = bn.running_mean[:1]
+    path = tmp_path / "cut.ckpt"
+    save_checkpoint(path, model, ("c1", "c2", "c3"), _stats(3))
+    with pytest.raises(FormatError, match=re.escape(
+            f"{path}: tensor 'b0.bn1.running_mean': shape mismatch loading "
+            "tensor: (1,) into (16,)")):
+        load_checkpoint(path)
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "m.ckpt"
     path.write_bytes(b"MSEGJUNK" + b"\x00" * 32)
@@ -371,9 +384,12 @@ def test_any_bit_flip_loads_or_is_a_format_error(artifact, data):
     blob, load, bad = artifact
     bad.write_bytes(_flip(blob, data.draw(st.integers(0, 8 * len(blob) - 1))))
     try:
-        load(bad)
+        loaded = load(bad)
     except FormatError:
-        pass
+        return
+    if load is load_checkpoint:
+        for name, owner, attr, shape in loaded[0].state_slots():
+            assert getattr(owner, attr).shape == shape, name
 
 
 # ------------------------------------------------------------------- labels

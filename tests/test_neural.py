@@ -181,8 +181,9 @@ def test_conv_sees_checkpoint_loaded_into_a_model_that_has_run(tmp_path):
     path = tmp_path / "other.ckpt"
     save_checkpoint(path, other, ("c",), NormalizationStats(np.zeros(1), np.ones(1)))
     loaded, _, _ = load_checkpoint(path)
-    for (_, _, put), (_, get, _) in zip(used.state_slots(), loaded.state_slots()):
-        put(get())
+    for (_, owner, attr, _), (_, src, src_attr, _) in zip(used.state_slots(),
+                                                          loaded.state_slots()):
+        getattr(owner, attr)[...] = getattr(src, src_attr)
     after = used.predict_proba(x)
     assert not np.array_equal(after, before)
     assert np.array_equal(after, other.predict_proba(x))
@@ -634,7 +635,8 @@ def _patch_reference_training(monkeypatch):
 def _trained_state(make_model, inputs, labels):
     model = make_model()
     curves = model.fit(inputs, labels)
-    slots = [(name, get().copy()) for name, get, _ in model.state_slots()]
+    slots = [(name, getattr(owner, attr).copy())
+             for name, owner, attr, _ in model.state_slots()]
     return slots, model.predict_proba(inputs), curves
 
 
@@ -768,17 +770,17 @@ def test_build_model_rejects_bad_specs():
 
 def test_state_slots_are_unique_and_cover_bn_stats():
     model = CnnModel(2, 8, 2, seed=0, train_cfg=TrainConfig(epochs=1))
-    names = [name for name, _, _ in model.state_slots()]
+    names = [name for name, *_ in model.state_slots()]
     assert len(names) == len(set(names))
     assert "b0.bn1.running_mean" in names and "b1.bn2.running_var" in names
     assert "head.fc2.bias" in names
-    # running stats are only readable once training has populated them
-    getter = dict((n, g) for n, g, _ in model.state_slots())["b0.bn1.running_mean"]
-    with pytest.raises(ValueError, match="untrained"):
-        getter()
+    # running stats are only set once training has populated them
+    _, owner, attr, shape = next(slot for slot in model.state_slots()
+                                 if slot[0] == "b0.bn1.running_mean")
+    assert getattr(owner, attr) is None
     x = RNG(0).normal(size=(16, 2, 8))
     model.fit(x, RNG(0).integers(0, 2, 16))
-    assert getter().shape == (16,)
+    assert getattr(owner, attr).shape == shape == (16,)
 
 
 # ---------------------------------------------------------------- gradcheck

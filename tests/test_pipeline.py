@@ -56,7 +56,7 @@ def test_load_labeled_meshes_rejects_out_of_vocabulary(toy_manifest, tmp_path):
     bad_labels = tmp_path / "bad.seg"
     save_labels(bad_labels, np.full(320, 7))
     patched = manifest.__class__(
-        name=manifest.name, classes=manifest.classes, root=manifest.root,
+        name=manifest.name, classes=manifest.classes,
         entries=((mesh_id, mesh_path, bad_labels),))
     with pytest.raises(ValueError, match=f"{mesh_id!r}.*vocabulary"):
         load_labeled_meshes(patched)
@@ -66,7 +66,7 @@ def test_load_labeled_meshes_names_failing_mesh(toy_manifest, tmp_path):
     manifest = load_manifest(toy_manifest)
     mesh_id, _, labels_path = manifest.entries[0]
     patched = manifest.__class__(
-        name=manifest.name, classes=manifest.classes, root=manifest.root,
+        name=manifest.name, classes=manifest.classes,
         entries=((mesh_id, tmp_path / "missing.off", labels_path),))
     with pytest.raises(RuntimeError, match=f"loading mesh {mesh_id!r}"):
         load_labeled_meshes(patched)
