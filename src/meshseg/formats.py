@@ -16,7 +16,7 @@ import os
 import struct
 import uuid
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -427,6 +427,8 @@ def load_manifest(path) -> DatasetManifest:
             if mesh_id in entries:
                 raise ValueError(f"duplicate mesh id {mesh_id!r}")
             entries[mesh_id] = (mesh_id, path.parent / mesh, path.parent / labels)
+        if len(classes) < 2:
+            raise ValueError(f"need at least 2 classes, got {len(classes)}")
         return DatasetManifest(name=_json(doc["name"], "name", str),
                                classes=tuple(classes), entries=tuple(entries.values()))
     except ValueError as exc:
@@ -473,7 +475,7 @@ class ExperimentConfig:
             raise ValueError(f"omega must be finite, got {self.omega}")
 
 
-_TRAIN_KEYS = ("epochs", "lr_start", "lr_end", "momentum", "batch_size")
+_TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig))
 _TRAIN_INTEGERS = ("epochs", "batch_size")
 
 

@@ -14,7 +14,7 @@ from meshseg.neural.layers import (
     softmax_cross_entropy,
 )
 from meshseg.neural.network import (
-    MultiBranchNet,
+    Branches,
     Sequential,
     branch_output_shape,
     build_multibranch,
@@ -44,7 +44,7 @@ __all__ = [
     "BatchNorm", "Conv1D", "Dense", "Dropout", "Flatten", "Layer",
     "LeakyReLU", "MaxPool1D", "Param", "Sigmoid",
     "mean_squared_error", "softmax_cross_entropy",
-    "MultiBranchNet", "Sequential", "branch_output_shape", "build_multibranch",
+    "Branches", "Sequential", "branch_output_shape", "build_multibranch",
     "TrainConfig", "predict_probabilities", "sgd_step", "train_classifier",
     "train_reconstruction",
     "CnnModel", "PcaNnModel", "StackedAeModel", "build_model",

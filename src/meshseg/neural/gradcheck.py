@@ -246,7 +246,7 @@ def check_network(seed: int, cases: int = 3, coord_cap: int = 16) -> list:
         b = 4
         x = _away_from_zero(rng, (b, 2, 32, 1))
         labels = rng.integers(0, 3, size=b)
-        for drop in net.dropout_layers():
+        for drop in (l for l in net.layers if isinstance(l, Dropout)):
             drop.fixed_mask = (rng.random((b, 172)) < 0.5) * 2.0
 
         def loss_fn():

@@ -207,11 +207,11 @@ class BatchNorm(Layer):
     Evaluation uses the running stats and fails loudly if none exist yet.
     """
 
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.9,
-                 name: str = "bn"):
+    eps = 1e-5
+    momentum = 0.9
+
+    def __init__(self, channels: int, name: str = "bn"):
         self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = Param(f"{name}.gamma", np.ones(channels))
         self.beta = Param(f"{name}.beta", np.zeros(channels))
         self.running_mean = None

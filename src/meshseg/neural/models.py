@@ -13,13 +13,11 @@ checkpoint holds it at that shape.
 """
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from meshseg.numerics import SeededRng, pca_fit
 from meshseg.neural.layers import BatchNorm, Dense, LeakyReLU, Sigmoid
-from meshseg.neural.network import LEAKY_SLOPE, Sequential, build_multibranch
+from meshseg.neural.network import LEAKY_SLOPE, Branches, Sequential, build_multibranch
 from meshseg.neural.training import (
     TrainConfig,
     predict_probabilities,
@@ -31,6 +29,10 @@ from meshseg.neural.training import (
 def _sequential_slots(seq: Sequential) -> list:
     slots = []
     for layer in seq.layers:
+        if isinstance(layer, Branches):
+            for branch in layer.branches:
+                slots.extend(_sequential_slots(branch))
+            continue
         for p in layer.parameters():
             slots.append((p.name, p, "value", p.value.shape))
         if isinstance(layer, BatchNorm):
@@ -38,11 +40,6 @@ def _sequential_slots(seq: Sequential) -> list:
             for attr in ("running_mean", "running_var"):
                 slots.append((f"{prefix}.{attr}", layer, attr, (layer.channels,)))
     return slots
-
-
-def _reset_momentum(params) -> None:
-    for p in params:
-        p.velocity[...] = 0.0
 
 
 def _flat_rows(x: np.ndarray, spec: tuple) -> np.ndarray:
@@ -89,19 +86,14 @@ class CnnModel:
     def fit(self, x: np.ndarray, labels: np.ndarray) -> dict:
         """Loss curve per training stage ({"train": [...]})."""
         _, _, _, n_classes = self.spec
-        cfg = replace(self.train_cfg, seed=self._train_seed)
-        return {"train": train_classifier(self.net, self._inputs(x), labels, cfg,
-                                          n_classes)}
+        return {"train": train_classifier(self.net, self._inputs(x), labels,
+                                          self.train_cfg, self._train_seed, n_classes)}
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         return predict_probabilities(self.net, self._inputs(x))
 
     def state_slots(self) -> list:
-        slots = []
-        for branch in self.net.branches:
-            slots.extend(_sequential_slots(branch))
-        slots.extend(_sequential_slots(self.net.head))
-        return slots
+        return _sequential_slots(self.net)
 
 
 class PcaNnModel:
@@ -144,9 +136,8 @@ class PcaNnModel:
         x = _flat_rows(x, self.spec)
         _, _, _, n_classes = self.spec
         self.pca_mean, self.pca_basis, _ = pca_fit(x, self.components)
-        cfg = replace(self.train_cfg, seed=self._train_seed)
-        return {"train": train_classifier(self.net, self._project(x), labels, cfg,
-                                          n_classes)}
+        return {"train": train_classifier(self.net, self._project(x), labels,
+                                          self.train_cfg, self._train_seed, n_classes)}
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         return predict_probabilities(self.net, self._project(_flat_rows(x, self.spec)))
@@ -194,24 +185,17 @@ class StackedAeModel:
         """Loss curve per stage: ae1, ae2, head, finetune."""
         x = _flat_rows(x, self.spec)
         _, _, _, n_classes = self.spec
-        cfg = self.train_cfg
+        cfg, seeds = self.train_cfg, self._seeds
         ae1 = Sequential([self.enc1, Sigmoid(), self.dec1])
-        curves = {"ae1": train_reconstruction(
-            ae1, x, replace(cfg, seed=self._seeds["ae1"]))}
+        curves = {"ae1": train_reconstruction(ae1, x, cfg, seeds["ae1"])}
         codes1 = Sequential([self.enc1, Sigmoid()]).forward(x)
         ae2 = Sequential([self.enc2, Sigmoid(), self.dec2])
-        curves["ae2"] = train_reconstruction(
-            ae2, codes1, replace(cfg, seed=self._seeds["ae2"]))
+        curves["ae2"] = train_reconstruction(ae2, codes1, cfg, seeds["ae2"])
         codes2 = Sequential([self.enc2, Sigmoid()]).forward(codes1)
-        head_net = Sequential([self.head])
-        _reset_momentum(head_net.parameters())
-        curves["head"] = train_classifier(
-            head_net, codes2, labels, replace(cfg, seed=self._seeds["head"]),
-            n_classes)
-        _reset_momentum(self.stack.parameters())
-        curves["finetune"] = train_classifier(
-            self.stack, x, labels, replace(cfg, seed=self._seeds["finetune"]),
-            n_classes)
+        curves["head"] = train_classifier(Sequential([self.head]), codes2, labels,
+                                          cfg, seeds["head"], n_classes)
+        curves["finetune"] = train_classifier(self.stack, x, labels, cfg,
+                                              seeds["finetune"], n_classes)
         return curves
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
@@ -227,8 +211,8 @@ def build_model(kind: str, scales: int, input_length: int, n_classes: int,
     classes) and seed. The flat models read a single scale."""
     if input_length < 1:
         raise ValueError(f"input length {input_length}: need at least 1")
-    if n_classes < 1:
-        raise ValueError(f"{n_classes} classes: need at least 1")
+    if n_classes < 2:
+        raise ValueError(f"{n_classes} classes: need at least 2")
     if kind == "cnn":
         return CnnModel(scales, input_length, n_classes, seed, train_cfg)
     if kind not in ("pca-nn", "ae-nn"):

@@ -1,10 +1,11 @@
 """Network assemblies: plain layer stacks and the multi-branch 1D CNN.
 
-The multi-branch net runs K independent convolutional stacks over K
-views of the same face (each view a 1D signal), concatenates them along
-channels, and classifies with a small fully connected head. Parameters
-are listed in declaration order (branch 0 .. K-1, then head), which fixes
-the checkpoint layout.
+The multi-branch net is one Sequential. Its first layer, Branches, runs
+K independent convolutional stacks over K views of the same face (each
+view a 1D signal) and concatenates them along channels; a small fully
+connected head classifies the result. Parameters are listed in
+declaration order (branch 0 .. K-1, then head), which fixes the
+checkpoint layout.
 """
 from __future__ import annotations
 
@@ -42,14 +43,44 @@ class Sequential(Layer):
 
     def backward(self, grad, input_grad=True):
         """Backpropagate through every layer. With `input_grad` False the
-        first layer (a Conv1D or Dense) skips its input gradient and None
-        is returned."""
+        first layer (a Conv1D, Dense or Branches) skips its input gradient
+        and None is returned."""
         first, *rest = self.layers
         for layer in reversed(rest):
             grad = layer.backward(grad)
         if input_grad:
             return first.backward(grad)
         return first.backward(grad, input_grad=False)
+
+
+class Branches(Layer):
+    """K layer stacks side by side: stack k reads view k of a (batch, K,
+    length, channels) input, and their outputs join along channels."""
+
+    def __init__(self, branches: list):
+        self.branches = list(branches)
+        self._cuts = None
+
+    def parameters(self):
+        return [p for branch in self.branches for p in branch.parameters()]
+
+    def forward(self, x, training=False):
+        k = len(self.branches)
+        if x.ndim != 4 or x.shape[1] != k:
+            raise ValueError(f"expected (batch, {k}, length, channels), got {x.shape}")
+        outs = [branch.forward(x[:, i], training=training)
+                for i, branch in enumerate(self.branches)]
+        self._cuts = np.cumsum([o.shape[2] for o in outs])[:-1]
+        return np.concatenate(outs, axis=2)
+
+    def backward(self, grad, input_grad=True):
+        """Backpropagate each branch's share of the channels; return the
+        gradient with respect to the input, or None without computing it
+        when `input_grad` is False."""
+        cuts = self._need_cache(self._cuts, "Branches")
+        grads = [branch.backward(g, input_grad=input_grad)
+                 for branch, g in zip(self.branches, np.split(grad, cuts, axis=2))]
+        return np.stack(grads, axis=1) if input_grad else None
 
 
 def _branch(rng: np.random.Generator, tag: str) -> Sequential:
@@ -65,65 +96,13 @@ def _branch(rng: np.random.Generator, tag: str) -> Sequential:
     ])
 
 
-class MultiBranchNet:
-    """K convolutional branches, depth concatenation, dense head.
-
-    Input is (batch, K, length, 1); branch k consumes view k. forward
-    returns raw logits; apply softmax (or the fused loss) outside.
-    """
-
-    def __init__(self, branches: list, head: Sequential):
-        self.branches = branches
-        self.head = head
-        self._split = None
-
-    @property
-    def n_branches(self) -> int:
-        return len(self.branches)
-
-    def parameters(self):
-        out = []
-        for branch in self.branches:
-            out.extend(branch.parameters())
-        out.extend(self.head.parameters())
-        return out
-
-    def forward(self, x, training=False):
-        if x.ndim != 4 or x.shape[1] != self.n_branches:
-            raise ValueError(
-                f"expected (batch, {self.n_branches}, length, channels), got {x.shape}")
-        outs = [branch.forward(x[:, k], training=training)
-                for k, branch in enumerate(self.branches)]
-        self._split = [o.shape[2] for o in outs]
-        merged = np.concatenate(outs, axis=2)
-        return self.head.forward(merged, training=training)
-
-    def backward(self, grad, input_grad=True):
-        """Backpropagate into every parameter; return the gradient with
-        respect to the network input, or None without computing it when
-        `input_grad` is False."""
-        if self._split is None:
-            raise RuntimeError("MultiBranchNet.backward called before forward")
-        gmerged = self.head.backward(grad)
-        grads = []
-        offset = 0
-        for width, branch in zip(self._split, self.branches):
-            grads.append(branch.backward(gmerged[:, :, offset:offset + width],
-                                         input_grad=input_grad))
-            offset += width
-        return np.stack(grads, axis=1) if input_grad else None
-
-    def dropout_layers(self):
-        return [l for l in self.head.layers if isinstance(l, Dropout)]
-
-
 def branch_output_shape(input_length: int) -> tuple[int, int]:
     """(length, channels) leaving one branch: two halvings, 32 channels."""
     return (input_length // 2 // 2, 32)
 
 
 def build_multibranch(n_branches: int, input_length: int, n_classes: int,
-                      seed: int) -> MultiBranchNet:
+                      seed: int) -> Sequential:
     """Seeded construction of the K-branch classifier.
 
     Branch: conv(15->16), batch norm, leaky ReLU, pool 2, conv(11->32),
@@ -145,11 +124,11 @@ def build_multibranch(n_branches: int, input_length: int, n_classes: int,
     classifier = Dense(172, n_classes, head_rng, name="head.fc2")
     # damp the initial logits so a fresh net predicts near-uniform classes
     classifier.weight.value *= 0.01
-    head = Sequential([
+    return Sequential([
+        Branches(branches),
         Flatten(),
         Dense(flat, 172, head_rng, name="head.fc1"),
         LeakyReLU(LEAKY_SLOPE),
         Dropout(0.5, rng=rng_root.stream("dropout")),
         classifier,
     ])
-    return MultiBranchNet(branches, head)

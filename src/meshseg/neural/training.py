@@ -16,7 +16,9 @@ import numpy as np
 from meshseg.numerics import SeededRng
 from meshseg.neural.layers import mean_squared_error, softmax_cross_entropy
 
-# evaluation batches are padded to a multiple of this many rows
+# evaluation runs in batches of PREDICT_BATCH rows, each padded to a
+# multiple of ROW_BLOCK rows
+PREDICT_BATCH = 1024
 ROW_BLOCK = 64
 
 
@@ -27,7 +29,6 @@ class TrainConfig:
     lr_end: float = 1e-4
     momentum: float = 0.9
     batch_size: int = 256
-    seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -90,12 +91,15 @@ def _epoch(model, x, pick_target, n, cfg, loss_fn, order, lr, params, tag):
     return total / n
 
 
-def _fit(model, x, pick_target, cfg: TrainConfig, loss_fn) -> list:
+def _fit(model, x, pick_target, cfg: TrainConfig, seed: int, loss_fn) -> list:
     n = len(x)
     if n == 0:
         raise ValueError("empty training set")
     params = model.parameters()
-    order_rng = SeededRng(cfg.seed).stream("batch-order")
+    # every fit starts at rest, whatever an earlier fit left in the buffers
+    for p in params:
+        p.velocity[...] = 0.0
+    order_rng = SeededRng(seed).stream("batch-order")
     identity = np.arange(n)
     curve = [_epoch(model, x, pick_target, n, cfg, loss_fn,
                     identity, None, params, "initial loss")]
@@ -108,8 +112,10 @@ def _fit(model, x, pick_target, cfg: TrainConfig, loss_fn) -> list:
 
 
 def train_classifier(model, x: np.ndarray, labels: np.ndarray,
-                     cfg: TrainConfig, n_classes: int | None = None) -> list:
-    """Cross-entropy training in place; returns the loss curve.
+                     cfg: TrainConfig, seed: int = 0,
+                     n_classes: int | None = None) -> list:
+    """Cross-entropy training in place; returns the loss curve. `seed`
+    picks the batch order.
 
     Raises FloatingPointError with epoch/batch context if the loss goes
     non-finite, and warns when some class in [0, n_classes) never appears
@@ -129,15 +135,16 @@ def train_classifier(model, x: np.ndarray, labels: np.ndarray,
         loss, grad, _ = softmax_cross_entropy(logits, target)
         return loss, grad
 
-    return _fit(model, x, lambda idx: labels[idx], cfg, loss_fn)
+    return _fit(model, x, lambda idx: labels[idx], cfg, seed, loss_fn)
 
 
-def train_reconstruction(model, x: np.ndarray, cfg: TrainConfig) -> list:
+def train_reconstruction(model, x: np.ndarray, cfg: TrainConfig,
+                         seed: int = 0) -> list:
     """Train a model to reproduce its input under mean squared error."""
-    return _fit(model, x, lambda idx: x[idx], cfg, mean_squared_error)
+    return _fit(model, x, lambda idx: x[idx], cfg, seed, mean_squared_error)
 
 
-def predict_probabilities(model, x: np.ndarray, batch: int = 1024) -> np.ndarray:
+def predict_probabilities(model, x: np.ndarray) -> np.ndarray:
     """Evaluation-mode class probabilities, one row per sample.
 
     Each batch is zero-padded to a multiple of ROW_BLOCK rows and the
@@ -146,8 +153,8 @@ def predict_probabilities(model, x: np.ndarray, batch: int = 1024) -> np.ndarray
     padding a row's logits could depend on where it sits in the batch.
     """
     out = []
-    for lo in range(0, len(x), batch):
-        chunk = x[lo:lo + batch]
+    for lo in range(0, len(x), PREDICT_BATCH):
+        chunk = x[lo:lo + PREDICT_BATCH]
         rows = len(chunk)
         short = -rows % ROW_BLOCK
         if short:

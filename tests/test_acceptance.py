@@ -104,17 +104,17 @@ def test_architecture_shape_contract():
     assert branch_output_shape(800) == (200, 32)
 
     x = np.random.default_rng(0).normal(size=(2, 800, 1))
-    branch = net.branches[0]
+    branch = net.layers[0].branches[0]
     mid = x
     for layer in branch.layers[:4]:  # conv, norm, rectify, pool
         mid = layer.forward(mid, training=True)
     assert mid.shape == (2, 400, 16)
-    outs = [b.forward(x, training=True) for b in net.branches]
+    outs = [b.forward(x, training=True) for b in net.layers[0].branches]
     assert all(o.shape == (2, 200, 32) for o in outs)
     merged = np.concatenate(outs, axis=2)
     assert merged.shape == (2, 200, 96)
 
-    fc1 = net.head.layers[1]
+    fc1 = net.layers[2]
     assert fc1.weight.value.shape == (200 * 96, 172)
     assert fc1.weight.value.shape[0] == 19200
     _line("architecture shapes",

@@ -26,6 +26,7 @@ from meshseg.formats import (
     load_probabilities,
     save_checkpoint,
     save_feature_cache,
+    save_labels,
     save_probabilities,
 )
 from meshseg.mesh import load_mesh_path, save_off
@@ -239,7 +240,7 @@ def test_segment_rejects_batch_norm_stat_of_the_wrong_shape(ws, tmp_path, capsys
     model = CnnModel(1, n, 2, seed=0, train_cfg=TrainConfig(epochs=1, batch_size=8))
     rng = np.random.default_rng(0)
     model.fit(rng.normal(size=(16, 1, n)), rng.integers(0, 2, 16))
-    bn = model.net.branches[0].layers[1]
+    bn = model.net.layers[0].branches[0].layers[1]
     bn.running_mean = bn.running_mean[:1]
     ckpt = tmp_path / "cut.ckpt"
     save_checkpoint(ckpt, model, DEFAULT_CHANNELS,
@@ -553,6 +554,32 @@ def test_bad_manifest_exits_three_for_every_command(ws, tmp_path, capsys, comman
     assert code == 3
     assert err["category"] == "invalid-input"
     assert str(manifest) in err["message"] and field in err["message"]
+    assert not (tmp_path / "out").exists() and not ckpt.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "train"])
+@pytest.mark.parametrize("kind, branches", [("cnn", 2), ("pca-nn", 1)])
+def test_one_class_manifest_exits_three_for_every_command(ws, tmp_path, capsys,
+                                                          command, kind, branches):
+    manifest = write_manifest(tmp_path / "m.json", ws, ws["mesh0"])
+    doc = json.loads(manifest.read_text())
+    doc["classes"] = doc["classes"][:1]
+    # every face in the one class, so that only the class count is wrong
+    for i, rec in enumerate(doc["meshes"]):
+        seg = tmp_path / f"{i}.seg"
+        save_labels(seg, np.zeros_like(load_labels(rec["labels"])))
+        rec["labels"] = str(seg)
+    manifest.write_text(json.dumps(doc))
+    cfg = write_config(tmp_path / "cfg.json", manifest, tmp_path / "out",
+                       model={"kind": kind, "branches": branches})
+    ckpt = tmp_path / "m.ckpt"
+    argv = [command, "--config", str(cfg)] + (["-o", str(ckpt)] if command == "train"
+                                              else [])
+    code, _, err = invoke(argv, capsys)
+    assert code == 3
+    assert err["category"] == "invalid-input"
+    assert str(manifest) in err["message"]
+    assert "need at least 2 classes, got 1" in err["message"]
     assert not (tmp_path / "out").exists() and not ckpt.exists()
 
 

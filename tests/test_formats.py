@@ -235,7 +235,7 @@ def test_checkpoint_untrained_cnn_fails_loudly(tmp_path):
 
 def test_checkpoint_rejects_batch_norm_stat_of_the_wrong_shape(tmp_path):
     model, _ = _train_tiny_cnn()
-    bn = model.net.branches[0].layers[1]
+    bn = model.net.layers[0].branches[0].layers[1]
     assert bn.gamma.name == "b0.bn1.gamma"
     bn.running_mean = bn.running_mean[:1]
     path = tmp_path / "cut.ckpt"

@@ -18,7 +18,12 @@ from meshseg.neural.layers import (
     softmax_cross_entropy,
 )
 from meshseg.neural import training
-from meshseg.neural.network import Sequential, branch_output_shape, build_multibranch
+from meshseg.neural.network import (
+    Branches,
+    Sequential,
+    branch_output_shape,
+    build_multibranch,
+)
 from meshseg.neural.training import TrainConfig, predict_probabilities, train_classifier
 from meshseg.neural.models import (
     CnnModel,
@@ -187,7 +192,7 @@ def test_conv_sees_checkpoint_loaded_into_a_model_that_has_run(tmp_path):
     after = used.predict_proba(x)
     assert not np.array_equal(after, before)
     assert np.array_equal(after, other.predict_proba(x))
-    conv = used.net.branches[0].layers[0]
+    conv = used.net.layers[0].branches[0].layers[0]
     assert _conv_matches_loops(conv, x[:, 0, :, None])
 
 
@@ -325,6 +330,8 @@ def test_backward_before_forward_raises():
         Dense(3, 2, RNG(0)).backward(np.zeros((1, 2)))
     with pytest.raises(RuntimeError, match="backward called before forward"):
         Conv1D(3, 1, 1, RNG(0)).backward(np.zeros((1, 4, 1)))
+    with pytest.raises(RuntimeError, match="backward called before forward"):
+        Branches([Sequential([Conv1D(3, 1, 2, RNG(0))])]).backward(np.zeros((1, 4, 2)))
 
 
 def test_softmax_cross_entropy_gradient_is_fused_form():
@@ -480,19 +487,20 @@ def test_multibranch_shape_contract():
     net = build_multibranch(3, 800, 8, seed=0)
     assert branch_output_shape(800) == (200, 32)
     x = RNG(0).normal(size=(2, 3, 800, 1))
-    branch_outs = [b.forward(x[:, k], training=True) for k, b in enumerate(net.branches)]
+    branch_outs = [b.forward(x[:, k], training=True)
+                   for k, b in enumerate(net.layers[0].branches)]
     for out in branch_outs:
         assert out.shape == (2, 200, 32)
     merged = np.concatenate(branch_outs, axis=2)
     assert merged.shape == (2, 200, 96)
-    assert net.head.layers[1].in_features == 200 * 96
+    assert net.layers[2].in_features == 200 * 96
     assert net.forward(x, training=True).shape == (2, 8)
 
 
 def test_single_branch_head_width():
     net = build_multibranch(1, 200, 4, seed=1)
     assert branch_output_shape(200) == (50, 32)
-    assert net.head.layers[1].in_features == 50 * 32
+    assert net.layers[2].in_features == 50 * 32
     assert net.forward(RNG(1).normal(size=(2, 1, 200, 1)), training=True).shape == (2, 4)
 
 
@@ -523,7 +531,7 @@ def test_parameter_names_follow_declaration_order():
     assert len(names) == len(set(names))
     assert names[0].startswith("b0.") and names[-1].startswith("head.")
     assert names.index("b1.conv1.weight") > names.index("b0.bn2.beta")
-    assert len(net.dropout_layers()) == 1
+    assert len([l for l in net.layers if isinstance(l, Dropout)]) == 1
 
 
 def test_network_input_validation():
@@ -583,6 +591,20 @@ def test_training_aborts_on_nonfinite_loss():
     with np.errstate(all="ignore"):
         with pytest.raises(FloatingPointError, match="initial loss"):
             train_classifier(net, x, np.zeros(8, dtype=int), TrainConfig(epochs=1))
+
+
+def test_every_fit_starts_at_rest():
+    x = RNG(2).normal(size=(24, 4))
+    labels = (x[:, 0] > 0).astype(int)
+
+    def curve(velocity):
+        net = Sequential([Dense(4, 6, RNG(0)), LeakyReLU(0.2), Dense(6, 2, RNG(1))])
+        for p in net.parameters():
+            p.velocity[...] = velocity
+        return train_classifier(net, x, labels, TrainConfig(epochs=3, batch_size=8),
+                                seed=5)
+
+    assert curve(1.0) == curve(0.0)
 
 
 def test_training_rejects_label_mismatch():
@@ -766,6 +788,24 @@ def test_build_model_rejects_bad_specs():
         build_model("pca-nn", 1, 16, 0, seed=0)
     with pytest.raises(ValueError, match="branch count"):
         build_model("cnn", 6, 16, 2, seed=0)
+
+
+def test_every_model_kind_needs_two_classes():
+    for kind, scales in (("cnn", 3), ("pca-nn", 1), ("ae-nn", 1)):
+        with pytest.raises(ValueError, match="1 classes: need at least 2"):
+            build_model(kind, scales, 9, 1, seed=0)
+
+
+def test_cnn_checkpoint_layout_is_pinned():
+    branch = [("conv1.weight", (15, 1, 16))] + [
+        (f"bn1.{attr}", (16,)) for attr in ("gamma", "beta", "running_mean", "running_var")
+    ] + [("conv2.weight", (11, 16, 32))] + [
+        (f"bn2.{attr}", (32,)) for attr in ("gamma", "beta", "running_mean", "running_var")]
+    head = [("head.fc1.weight", (2 * 32 * 2, 172)), ("head.fc1.bias", (172,)),
+            ("head.fc2.weight", (172, 3)), ("head.fc2.bias", (3,))]
+    want = [(f"b{k}.{name}", shape) for k in range(2) for name, shape in branch] + head
+    model = CnnModel(2, 8, 3, seed=0)
+    assert [(name, shape) for name, _, _, shape in model.state_slots()] == want
 
 
 def test_state_slots_are_unique_and_cover_bn_stats():
