@@ -9,7 +9,7 @@ refinement with an area-weighted evaluation harness.
 
 __version__ = "0.1.0"
 
-from meshseg.mesh import Mesh, DualGraph, MeshError, load_mesh, build_dual_graph, face_neighborhood
+from meshseg.mesh import Mesh, DualGraph, MeshError, load_mesh, build_dual_graph
 
 __all__ = [
     "Mesh",
@@ -17,6 +17,5 @@ __all__ = [
     "MeshError",
     "load_mesh",
     "build_dual_graph",
-    "face_neighborhood",
     "__version__",
 ]

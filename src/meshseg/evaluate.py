@@ -26,7 +26,7 @@ def accuracy(pred, gt, areas) -> float:
 @dataclass(frozen=True)
 class LabeledMesh:
     """A mesh with per-face ground truth indexed against the set-wide
-    class vocabulary."""
+    class vocabulary; `load_labels` has already rejected negative labels."""
 
     mesh_id: str
     mesh: Mesh
@@ -37,8 +37,6 @@ class LabeledMesh:
             raise ValueError(
                 f"{self.mesh_id}: {len(self.labels)} labels for "
                 f"{self.mesh.n_faces} faces")
-        if len(self.labels) and int(self.labels.min()) < 0:
-            raise ValueError(f"{self.mesh_id}: negative label")
 
 
 def make_splits(mesh_ids: list, protocol: str, k: int, fixed, seed: int) -> list:

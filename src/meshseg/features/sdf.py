@@ -42,6 +42,13 @@ from meshseg.mesh import Mesh
 
 LEAF_SIZE = 8
 BOX_PAD = 1e-9
+# rays per face and the half-angle of their cone about the inward normal;
+# the normalization's log strength; the hit cutoff near the source, as a
+# fraction of the bounding-box diagonal
+N_RAYS = 30
+CONE_HALF_ANGLE = math.radians(60.0)
+ALPHA = 4.0
+EPS_FACTOR = 1e-6
 # rays traced per batch, and (ray, triangle) pairs per Möller–Trumbore
 # batch. They bound the scratch arrays, about 3.5 MB that each call pages
 # in once: a batch of rays reaches up to 13 frontier entries per ray at
@@ -333,19 +340,17 @@ def robust_thickness(dist: np.ndarray):
     return raw, hits
 
 
-def shape_diameter(mesh: Mesh, n_rays: int = 30,
-                   cone_half_angle: float = math.radians(60.0),
-                   alpha: float = 4.0, eps_factor: float = 1e-6) -> SdfResult:
+def shape_diameter(mesh: Mesh) -> SdfResult:
     """Robust per-face thickness plus its per-mesh log normalization.
 
-    Rays ignore the source face and hits closer than eps_factor times the
+    Rays ignore the source face and hits closer than EPS_FACTOR times the
     bounding-box diagonal. Faces whose rays all miss get the mesh median
     and are listed in fallback_faces.
     """
     nf = mesh.n_faces
-    eps = eps_factor * mesh.bbox_diagonal()
+    eps = EPS_FACTOR * mesh.bbox_diagonal()
 
-    local = cone_directions(n_rays, cone_half_angle)
+    local = cone_directions(N_RAYS, CONE_HALF_ANGLE)
     axis = -mesh.face_normals
     t1, t2 = tangent_frames(axis)
     # world-space ray directions, (faces, rays, 3)
@@ -353,9 +358,9 @@ def shape_diameter(mesh: Mesh, n_rays: int = 30,
             + local[None, :, 1, None] * t2[:, None, :]
             + local[None, :, 2, None] * axis[:, None, :])
     dist = nearest_hits(build_bvh(mesh),
-                        np.repeat(mesh.face_centroids, n_rays, axis=0),
-                        dirs.reshape(-1, 3), np.repeat(np.arange(nf), n_rays),
-                        eps).reshape(nf, n_rays)
+                        np.repeat(mesh.face_centroids, N_RAYS, axis=0),
+                        dirs.reshape(-1, 3), np.repeat(np.arange(nf), N_RAYS),
+                        eps).reshape(nf, N_RAYS)
     raw, hits = robust_thickness(dist)
 
     fallback = np.nonzero(hits == 0)[0]
@@ -364,7 +369,7 @@ def shape_diameter(mesh: Mesh, n_rays: int = 30,
 
     span = float(raw.max() - raw.min())
     if span > 0.0:
-        normalized = np.log1p(alpha * (raw - raw.min()) / span) / math.log1p(alpha)
+        normalized = np.log1p(ALPHA * (raw - raw.min()) / span) / math.log1p(ALPHA)
     else:
         normalized = np.zeros(nf)
     return SdfResult(raw=raw, normalized=normalized,

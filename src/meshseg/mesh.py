@@ -234,14 +234,6 @@ def face_balls(graph: DualGraph, hops: int) -> sp.csr_matrix:
     return balls
 
 
-def face_neighborhood(graph: DualGraph, u: int, hops: int) -> set[int]:
-    """Ball of the given radius around face u, inclusive of u: row u of
-    face_balls."""
-    if not 0 <= u < graph.n_faces:
-        raise ValueError(f"face {u} not in graph with {graph.n_faces} faces")
-    return set(face_balls(graph, hops)[u].indices.tolist())
-
-
 # ---------------------------------------------------------------------------
 # parsing
 

@@ -28,18 +28,13 @@ flattened signal replaces im2col's padded copy, unfolded copy and col2im
 loop. At (256, 4, 16→32, k11), the second conv of a training step, this
 took forward from 338 to 91 µs and backward with the input gradient from
 1,959 to 229 µs (medians of three alternating runs, 1 BLAS thread, same
-machine). Beyond about the kernel's length most of a band is zeros, so
-longer signals run in tiles (see Conv1D).
+machine). The band holds length²·cin·cout entries, so this suits only
+signals about as short as the kernel (see Conv1D).
 """
 from __future__ import annotations
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-
-
-# signals up to this long convolve in one banded matmul; longer ones run
-# in tiles of this many outputs
-BAND_TILE = 32
 
 
 class Param:
@@ -83,21 +78,20 @@ class Conv1D(Layer):
     end. Each conv in this package feeds a BatchNorm, which subtracts the
     batch mean, so a bias would only collect rounding noise.
 
-    A signal of `length` ≤ BAND_TILE positions convolves as one matmul of
-    the flattened (batch, length·cin) input against the banded weight
+    Every forward call builds, from the current weight, the banded weight
     W[s, :, t, :] = weight[s − t + kernel//2], zero off the band, a
-    (length·cin, length·cout) matrix; the input gradient is one matmul
-    against W.T, and the weight gradient is x.T @ grad with each diagonal
-    of blocks summed onto its tap. Taps that never reach a real sample
-    are not in W, so their gradients are exactly 0. At lengths up to
-    about the kernel the band is (nearly) dense; past that its zeros
-    would dominate, so a longer signal runs tile by tile, BAND_TILE
-    outputs at a time, against sub-blocks of one ((BAND_TILE + kernel −
-    1)·cin, BAND_TILE·cout) band: the matrix stays that size and the
-    multiplies stay within (BAND_TILE + kernel − 1)/kernel of the direct
-    form's. The band is kept with the length and a copy of the weight it
-    was built from, and rebuilt when either differs, so a weight changed
-    in place is always seen.
+    (length·cin, length·cout) matrix, and convolves as one matmul of the
+    flattened (batch, length·cin) input against it. The input gradient is
+    one matmul against W.T, and the weight gradient is x.T @ grad with
+    each diagonal of blocks summed onto its tap. Taps that never reach a
+    real sample are not in W, so their gradients are exactly 0. Building
+    W on every call means a weight changed in place is always seen.
+
+    This form suits only short signals: the band grows as
+    length²·cin·cout, and it is (nearly) dense only up to about the
+    kernel's length. The program convolves lengths 9 and 4 (32 and 16 in
+    the gradient check); a longer per-face descriptor must measure the
+    band's memory and multiplies before it reuses this layer.
     """
 
     def __init__(self, kernel: int, in_channels: int, out_channels: int,
@@ -110,93 +104,60 @@ class Conv1D(Layer):
         self.weight = Param(f"{name}.weight", fan_in_uniform(
             rng, (kernel, in_channels, out_channels), kernel * in_channels))
         self._cache = None
-        self._memo = None  # (length, weight copy, band, tiles, lead)
 
     def parameters(self):
         return [self.weight]
 
-    def _band(self, length: int):
-        """(band matrix, tiles, lead) for signals of `length`, rebuilt only
-        when the length or the weight changed since the last call.
-
-        Each tile is (input columns, output columns, band rows, band
-        columns) as slices of the flattened signals and the band; band
-        entry (r, t) holds tap r - t + lead."""
+    def _band(self, length: int) -> np.ndarray:
+        """The (length·cin, length·cout) banded weight for signals of
+        `length`, built from the current weight."""
         w = self.weight.value
-        memo = self._memo
-        if memo is not None and memo[0] == length and np.array_equal(memo[1], w):
-            return memo[2:]
         k, cin, cout = w.shape
-        half = k // 2
-        n_out = min(length, BAND_TILE)
-        # band row r of a tile starting at t0 holds input position
-        # r + t0 - half + lead: one tile spanning the signal needs no rows
-        # for the padding; a tile of a longer signal reads half a kernel
-        # past each of its ends
-        lead = half if length <= BAND_TILE else 0
-        n_in = n_out + 2 * (half - lead)
-        # band[r, :, t, :] = weight[r - t + lead] = v[r - t + n_out - 1]:
+        # band[s, :, t, :] = weight[s - t + k//2] = v[s - t + length - 1]:
         # v is the weight with zeros around it, cut to the taps a band
         # entry can reach
-        v = np.zeros((n_in + n_out - 1, cin, cout))
-        first = n_out - 1 - lead  # where tap 0 lands in v
+        v = np.zeros((2 * length - 1, cin, cout))
+        first = length - 1 - k // 2  # where tap 0 lands in v
         lo, hi = max(0, -first), min(k, len(v) - first)
         v[first + lo:first + hi] = w[lo:hi]
         s_tap, s_in, s_out = v.strides
-        band = as_strided(v[n_out - 1:], (n_in, cin, n_out, cout),
+        band = as_strided(v[length - 1:], (length, cin, length, cout),
                           (s_tap, s_in, -s_tap, s_out), writeable=False)
-        band = band.reshape(n_in * cin, n_out * cout)  # the one copy
-        tiles = []
-        for t0 in range(0, length, n_out):
-            t1 = min(t0 + n_out, length)
-            s0, s1 = max(0, t0 - half), min(length, t1 + half)
-            r0 = s0 - t0 + half - lead
-            tiles.append((slice(s0 * cin, s1 * cin), slice(t0 * cout, t1 * cout),
-                          slice(r0 * cin, (r0 + s1 - s0) * cin),
-                          slice(0, (t1 - t0) * cout)))
-        self._memo = (length, w.copy(), band, tiles, lead)
-        return band, tiles, lead
+        return band.reshape(length * cin, length * cout)  # the one copy
 
     def forward(self, x, training=False):
         if x.ndim != 3 or x.shape[2] != self.in_channels:
             raise ValueError(
                 f"expected (batch, length, {self.in_channels}) input, got {x.shape}")
         b, length, _ = x.shape
-        band, tiles, lead = self._band(length)
+        band = self._band(length)
         xf = x.reshape(b, length * self.in_channels)
-        y = np.empty((b, length * self.out_channels))
-        for xs, ys, rows, cols in tiles:
-            np.matmul(xf[:, xs], band[rows, cols], out=y[:, ys])
-        self._cache = (xf, band, tiles, lead)
-        return y.reshape(b, length, self.out_channels)
+        self._cache = (xf, band)
+        return (xf @ band).reshape(b, length, self.out_channels)
 
     def backward(self, grad, input_grad=True):
         """Accumulate the weight gradient; return the input gradient, or
         None without computing it when `input_grad` is False."""
-        xf, band, tiles, lead = self._need_cache(self._cache, "Conv1D")
+        xf, band = self._need_cache(self._cache, "Conv1D")
         k, cin, cout = self.kernel, self.in_channels, self.out_channels
         b, length, _ = grad.shape
         gf = grad.reshape(b, length * cout)
         # the band's gradient, in a buffer with kernel - 1 row blocks more
-        # than a tile has outputs, placed so that row block q, column
-        # block t holds tap q - t; the blocks no band entry reaches stay 0
-        n_out = band.shape[1] // cout
-        shift = lead * cin
-        gband = np.zeros(((n_out + k - 1) * cin, n_out * cout))
-        for xs, ys, rows, cols in tiles:
-            gband[rows.start + shift:rows.stop + shift, cols] += xf[:, xs].T @ gf[:, ys]
+        # than the signal has positions, placed so that row block q,
+        # column block t holds tap q - t; the blocks no band entry
+        # reaches stay 0
+        half = k // 2
+        gband = np.zeros(((length + k - 1) * cin, length * cout))
+        gband[half * cin:(half + length) * cin] = xf.T @ gf
         # each tap's gradient is the sum of its diagonal of blocks
         s_row, s_col = gband.strides
-        diagonals = as_strided(gband, (k, cin, n_out, cout),
+        diagonals = as_strided(gband, (k, cin, length, cout),
                                (cin * s_row, s_row, cin * s_row + cout * s_col, s_col),
                                writeable=False)
         self.weight.grad += np.einsum("jcto->jco", diagonals)
         if not input_grad:
             return None
-        gx = np.zeros_like(xf)
-        for xs, ys, rows, cols in tiles:
-            gx[:, xs] += gf[:, ys] @ band[rows, cols].T
-        return gx.reshape(b, length, cin)
+        return (gf @ band.T).reshape(b, length, cin)
 
 
 class BatchNorm(Layer):

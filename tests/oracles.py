@@ -513,8 +513,8 @@ def multiscale_bfs(values: np.ndarray, graph, scales: int) -> np.ndarray:
 def feature_matrix_reference(mesh):
     """(channel names, (faces, 9) values): one column per channel, each
     extractor called with the pipeline's settings spelled out (5 smoothing
-    levels at 0.5/-0.53, 30 rays in a 60-degree cone, alpha 4), assembled
-    column by column."""
+    levels at 0.5/-0.53; SDF has fixed settings, 30 rays in a 60-degree
+    cone, alpha 4), assembled column by column."""
     from meshseg.features.conformal import conformal_factor_field, vertex_to_face
     from meshseg.features.curvature import curvature_field
     from meshseg.features.geodesic import average_geodesic_distance
@@ -533,9 +533,7 @@ def feature_matrix_reference(mesh):
         columns[f"conformal_factor_s{level + 1}"] = vertex_to_face(
             mesh, conformal.smoothed_cf[level])
     columns["agd"] = average_geodesic_distance(mesh, build_dual_graph(mesh))
-    columns["sdf"] = shape_diameter(mesh, n_rays=30,
-                                    cone_half_angle=math.radians(60.0),
-                                    alpha=4.0).normalized
+    columns["sdf"] = shape_diameter(mesh).normalized
     names = tuple(columns)
     return names, np.column_stack([np.asarray(columns[n], dtype=np.float64)
                                    for n in names])

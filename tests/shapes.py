@@ -1,9 +1,44 @@
-"""Small meshes that only the tests use: a noisy grid, a concave corner
-and a sphere with one spike."""
+"""Small meshes that only the tests use: a flat and a noisy grid, a
+closed cylinder, a concave corner and a sphere with one spike."""
+import math
+
 import numpy as np
 
 from meshseg.mesh import Mesh
-from meshseg.synth import icosphere, plane_grid
+from meshseg.synth import icosphere
+
+
+def plane_grid(nx: int = 4, ny: int = 4, size: float = 1.0) -> Mesh:
+    """Open rectangular grid on z=0 with nx*ny cells, 2 triangles each."""
+    xs = np.linspace(0.0, size, nx + 1)
+    ys = np.linspace(0.0, size, ny + 1)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    v = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
+    f = []
+    for i in range(nx):
+        for j in range(ny):
+            a = i * (ny + 1) + j
+            b = a + (ny + 1)
+            f += [[a, b, b + 1], [a, b + 1, a + 1]]
+    return Mesh(v, f)
+
+
+def cylinder(n_segments: int = 24, radius: float = 0.5, height: float = 2.0) -> Mesh:
+    """Closed cylinder along z, capped with triangle fans about axis points."""
+    if n_segments < 3:
+        raise ValueError("need at least 3 segments")
+    ang = 2.0 * math.pi * np.arange(n_segments) / n_segments
+    ring = np.column_stack([radius * np.cos(ang), radius * np.sin(ang)])
+    lo = np.column_stack([ring, np.full(n_segments, -height / 2.0)])
+    hi = np.column_stack([ring, np.full(n_segments, height / 2.0)])
+    v = np.vstack([lo, hi, [[0.0, 0.0, -height / 2.0]], [[0.0, 0.0, height / 2.0]]])
+    cb, ct = 2 * n_segments, 2 * n_segments + 1
+    f = []
+    for i in range(n_segments):
+        j = (i + 1) % n_segments
+        f += [[i, j, n_segments + i], [j, n_segments + j, n_segments + i]]
+        f += [[cb, j, i], [ct, n_segments + i, n_segments + j]]
+    return Mesh(v, f)
 
 
 def bumpy_patch(nx: int, ny: int, seed: int, amplitude: float = 0.15) -> Mesh:

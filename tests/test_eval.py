@@ -55,8 +55,6 @@ def test_labeled_mesh_validation(tet):
     LabeledMesh("tet", tet, np.zeros(4, dtype=int))
     with pytest.raises(ValueError, match="4 faces"):
         LabeledMesh("tet", tet, np.zeros(3, dtype=int))
-    with pytest.raises(ValueError, match="negative label"):
-        LabeledMesh("tet", tet, np.array([0, 0, -1, 0]))
 
 
 # ------------------------------------------------------------------ splits

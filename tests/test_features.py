@@ -42,7 +42,7 @@ from oracles import (
 # ---------------------------------------------------------------- curvature
 
 def test_flat_interior_deficit_zero():
-    grid = synth.plane_grid(6, 6)
+    grid = shapes.plane_grid(6, 6)
     deficits = angle_deficits(grid)
     interior = ~grid.boundary_vertices()
     assert interior.any()
@@ -269,7 +269,7 @@ def test_sdf_sphere_matches_chord_lengths(ico2):
 def test_sdf_cylinder_side_matches_chord_lengths():
     # tall closed cylinder; side-face rays stay on the wall, where the
     # chord through an infinite unit cylinder is available in closed form
-    cyl = synth.cylinder(n_segments=48, radius=1.0, height=12.0)
+    cyl = shapes.cylinder(n_segments=48, radius=1.0, height=12.0)
     result = shape_diameter(cyl)
     assert result.fallback_faces.size == 0
     dirs = _ray_directions(cyl)
@@ -286,7 +286,7 @@ def test_sdf_cylinder_side_matches_chord_lengths():
 
 
 def test_sdf_open_surface_falls_back():
-    grid = synth.plane_grid(3, 3)
+    grid = shapes.plane_grid(3, 3)
     result = shape_diameter(grid)
     assert np.array_equal(result.fallback_faces, np.arange(grid.n_faces))
     assert np.all(result.hit_counts == 0)
@@ -316,10 +316,10 @@ SDF_SHAPES = {
        for sub in (1, 2, 3) for seed in (0, 1, 2)},
     "icosphere2": lambda: synth.icosphere(2),
     "spiked_sphere": lambda: shapes.spiked_sphere(),
-    "cylinder48": lambda: synth.cylinder(48),
+    "cylinder48": lambda: shapes.cylinder(48),
     "cube": synth.cube,
     "tetrahedron": synth.tetrahedron,
-    "plane_grid3x3": lambda: synth.plane_grid(3, 3),
+    "plane_grid3x3": lambda: shapes.plane_grid(3, 3),
     "concave_corner": shapes.concave_corner,
 }
 
@@ -558,7 +558,7 @@ def test_compute_features_shapes(ico2):
 
 
 def test_compute_features_reports_fallbacks():
-    grid = synth.plane_grid(3, 3)
+    grid = shapes.plane_grid(3, 3)
     fm = compute_features(grid)
     assert grid.n_faces == 18
     assert fm.diagnostics["sdf_fallback_faces"] == list(range(grid.n_faces))

@@ -11,13 +11,13 @@ from meshseg.mesh import (
     Mesh,
     MeshError,
     build_dual_graph,
-    face_neighborhood,
+    face_balls,
     load_mesh,
     load_mesh_path,
     save_off,
 )
-from meshseg.synth import icosphere, plane_grid, tetrahedron
-from shapes import concave_corner
+from meshseg.synth import icosphere, tetrahedron
+from shapes import concave_corner, plane_grid
 
 RIGHT_TRIANGLE_OFF = """OFF
 3 1 0
@@ -149,7 +149,7 @@ def test_degenerate_face_rejected():
 
 
 def test_neighborhood_zero_hops(tet_graph):
-    assert face_neighborhood(tet_graph, 2, 0) == {2}
+    assert set(face_balls(tet_graph, 0)[2].indices) == {2}
 
 
 def test_neighborhood_planar_interior():
@@ -160,13 +160,13 @@ def test_neighborhood_planar_interior():
     assert interior.size
     u = int(interior[0])
     neighbors = {int(b if a == u else a) for a, b in graph.edges if u in (a, b)}
-    ball = face_neighborhood(graph, u, 1)
+    ball = set(face_balls(graph, 1)[u].indices)
     assert ball == {u, *neighbors}
     assert len(ball) == 4
 
 
 def test_neighborhood_tet_two_hops_covers_all(tet_graph):
-    assert face_neighborhood(tet_graph, 0, 2) == {0, 1, 2, 3}
+    assert set(face_balls(tet_graph, 2)[0].indices) == {0, 1, 2, 3}
 
 
 @settings(max_examples=25, deadline=None)
@@ -174,15 +174,15 @@ def test_neighborhood_tet_two_hops_covers_all(tet_graph):
 def test_neighborhood_monotone_in_hops(u, k1, k2):
     graph = build_dual_graph(icosphere(1))
     lo, hi = sorted((k1, k2))
-    assert face_neighborhood(graph, u, lo) <= face_neighborhood(graph, u, hi)
+    assert set(face_balls(graph, lo)[u].indices) <= set(face_balls(graph, hi)[u].indices)
 
 
 @settings(max_examples=25, deadline=None)
 @given(u=st.integers(0, 19), v=st.integers(0, 19), k=st.integers(0, 4))
 def test_neighborhood_symmetric_membership(u, v, k):
     graph = build_dual_graph(icosphere(0))
-    assert (v in face_neighborhood(graph, u, k)) == (
-        u in face_neighborhood(graph, v, k))
+    balls = face_balls(graph, k)
+    assert (v in balls[u].indices) == (u in balls[v].indices)
 
 
 def test_enclosed_volume_of_box():

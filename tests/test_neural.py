@@ -6,7 +6,6 @@ import pytest
 from meshseg.features.matrix import NormalizationStats
 from meshseg.formats import load_checkpoint, save_checkpoint
 from meshseg.neural.layers import (
-    BAND_TILE,
     BatchNorm,
     Conv1D,
     Dense,
@@ -105,15 +104,15 @@ NETWORK_CONV_SHAPES = [
     (11, 16, 32, 2),   # shorter signals: more dead taps
     (11, 16, 32, 3),
 ]
-# longer than BAND_TILE: the band runs tile by tile, the last one partial
-TILED_CONV_SHAPES = [
-    (11, 3, 4, BAND_TILE + 1),
-    (15, 2, 5, 3 * BAND_TILE + 7),
+# longer than any signal the network convolves: the band is mostly zeros
+LONG_CONV_SHAPES = [
+    (11, 3, 4, 33),
+    (15, 2, 5, 103),
 ]
 
 
 @pytest.mark.parametrize("kernel,cin,cout,length",
-                         NETWORK_CONV_SHAPES + TILED_CONV_SHAPES)
+                         NETWORK_CONV_SHAPES + LONG_CONV_SHAPES)
 def test_conv_matches_loop_oracle_at_network_shapes(kernel, cin, cout, length):
     rng = RNG(5)
     conv = Conv1D(kernel, cin, cout, rng)
@@ -124,7 +123,7 @@ def test_conv_matches_loop_oracle_at_network_shapes(kernel, cin, cout, length):
 
 
 @pytest.mark.parametrize("kernel,cin,cout,length",
-                         NETWORK_CONV_SHAPES + TILED_CONV_SHAPES)
+                         NETWORK_CONV_SHAPES + LONG_CONV_SHAPES)
 def test_conv_backward_matches_loop_oracle_at_network_shapes(kernel, cin, cout, length):
     rng = RNG(7)
     conv = Conv1D(kernel, cin, cout, rng)
@@ -170,7 +169,7 @@ def test_conv_sees_weight_changed_in_place():
 def test_conv_sees_a_new_length():
     rng = RNG(12)
     conv = Conv1D(11, 16, 32, rng)
-    for length in (4, 16, 4, 2, BAND_TILE + 3, 4):
+    for length in (4, 16, 4, 2, 35, 4):
         assert _conv_matches_loops(conv, rng.normal(size=(3, length, 16)))
 
 

@@ -3,8 +3,8 @@ import pytest
 
 from meshseg.mesh import Mesh, MeshError
 from meshseg.smoothing import taubin_smooth, umbrella_operator
-from meshseg.synth import dumbbell, icosphere, plane_grid, tetrahedron
-from shapes import spiked_sphere
+from meshseg.synth import dumbbell, icosphere, tetrahedron
+from shapes import plane_grid, spiked_sphere
 
 
 def laplacian_smooth(mesh, iterations, step=0.5):
