@@ -6,16 +6,3 @@ multi-scale neighborhood averaging, a multi-branch 1D convolutional
 classifier (plus shallow baselines), and alpha-expansion graph-cut label
 refinement with an area-weighted evaluation harness.
 """
-
-__version__ = "0.1.0"
-
-from meshseg.mesh import Mesh, DualGraph, MeshError, load_mesh, build_dual_graph
-
-__all__ = [
-    "Mesh",
-    "DualGraph",
-    "MeshError",
-    "load_mesh",
-    "build_dual_graph",
-    "__version__",
-]

@@ -30,7 +30,7 @@ from meshseg.experiment import (
     run_experiment,
     train_model,
 )
-from meshseg.features import DEFAULT_CHANNELS, compute_features
+from meshseg.features.matrix import DEFAULT_CHANNELS, compute_features
 from meshseg.formats import (
     FormatError,
     export_colored_ply,
@@ -45,7 +45,7 @@ from meshseg.formats import (
     save_labels,
     save_probabilities,
 )
-from meshseg.mesh import MeshError, build_dual_graph, load_mesh_path, save_off
+from meshseg.mesh import build_dual_graph, load_mesh_path, save_off
 from meshseg.neural.gradcheck import NETWORK_TOL, full_gradcheck
 from meshseg.numerics import SolverError
 from meshseg.smoothing import taubin_smooth
@@ -258,8 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 _CATEGORIES = (
     (FileNotFoundError, 4, "missing-file"),
-    ((MeshError, FormatError, ValueError, KeyError, json.JSONDecodeError), 3,
-     "invalid-input"),
+    (ValueError, 3, "invalid-input"),
     ((SolverError, FloatingPointError), 5, "numeric"),
 )
 

@@ -45,8 +45,6 @@ def make_splits(mesh_ids: list, protocol: str, k: int, fixed, seed: int) -> list
     sizes differing by at most one, and `fixed` is the parsed (train ids,
     test ids) of a fixed split, None otherwise."""
     ids = sorted(mesh_ids)
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate mesh ids")
     if protocol == "loo":
         if len(ids) < 2:
             raise ValueError("leave-one-out needs at least 2 meshes")

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from meshseg.evaluate import LabeledMesh, accuracy, make_splits
-from meshseg.features import (
+from meshseg.features.matrix import (
     DEFAULT_CHANNELS,
     FeatureMatrix,
     compute_features,

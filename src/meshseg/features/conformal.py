@@ -102,11 +102,6 @@ def conformal_factor_field(mesh: Mesh, levels: tuple = (),
     )
 
 
-def conformal_factor(mesh: Mesh) -> np.ndarray:
-    """Per-vertex conformal factor of a mesh, zero mean per component."""
-    return conformal_factor_field(mesh).original_cf
-
-
 def vertex_to_face(mesh: Mesh, values: np.ndarray) -> np.ndarray:
     """Transfer per-vertex values, (V,) or (V, k), to faces by averaging
     corner values."""

@@ -14,36 +14,6 @@ import numpy as np
 from meshseg.mesh import Mesh, save_off
 
 
-def tetrahedron(scale: float = 1.0) -> Mesh:
-    """Regular tetrahedron centered at the origin, outward orientation."""
-    v = scale * np.array([
-        [1.0, 1.0, 1.0],
-        [1.0, -1.0, -1.0],
-        [-1.0, 1.0, -1.0],
-        [-1.0, -1.0, 1.0],
-    ])
-    f = [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]]
-    return Mesh(v, f)
-
-
-def cube(scale: float = 1.0) -> Mesh:
-    """Axis-aligned cube [-s, s]^3, 12 outward-oriented triangles."""
-    s = scale
-    v = np.array([
-        [-s, -s, -s], [s, -s, -s], [s, s, -s], [-s, s, -s],
-        [-s, -s, s], [s, -s, s], [s, s, s], [-s, s, s],
-    ])
-    f = [
-        [0, 2, 1], [0, 3, 2],  # z = -s
-        [4, 5, 6], [4, 6, 7],  # z = +s
-        [0, 1, 5], [0, 5, 4],  # y = -s
-        [2, 3, 7], [2, 7, 6],  # y = +s
-        [1, 2, 6], [1, 6, 5],  # x = +s
-        [3, 0, 4], [3, 4, 7],  # x = -s
-    ]
-    return Mesh(v, f)
-
-
 def icosphere(subdivisions: int = 2, radius: float = 1.0) -> Mesh:
     """Icosahedron subdivided by edge midpoints and projected to a sphere."""
     if subdivisions < 0:

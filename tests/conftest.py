@@ -5,7 +5,8 @@ import pytest
 
 from meshseg.graphcut import GraphCutProblem
 from meshseg.mesh import DualGraph, Mesh, build_dual_graph
-from meshseg.synth import cube, icosphere, tetrahedron
+from meshseg.synth import icosphere
+from shapes import cube, tetrahedron
 
 
 @pytest.fixture

@@ -1,11 +1,41 @@
-"""Small meshes that only the tests use: a flat and a noisy grid, a
-closed cylinder, a concave corner and a sphere with one spike."""
+"""Small meshes that only the tests use: a regular tetrahedron, a cube,
+a flat and a noisy grid, a closed cylinder, a concave corner and a sphere
+with one spike."""
 import math
 
 import numpy as np
 
 from meshseg.mesh import Mesh
 from meshseg.synth import icosphere
+
+
+def tetrahedron() -> Mesh:
+    """Regular tetrahedron centered at the origin, outward orientation."""
+    v = np.array([
+        [1.0, 1.0, 1.0],
+        [1.0, -1.0, -1.0],
+        [-1.0, 1.0, -1.0],
+        [-1.0, -1.0, 1.0],
+    ])
+    f = [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]]
+    return Mesh(v, f)
+
+
+def cube() -> Mesh:
+    """Axis-aligned cube [-1, 1]^3, 12 outward-oriented triangles."""
+    v = np.array([
+        [-1, -1, -1], [1, -1, -1], [1, 1, -1], [-1, 1, -1],
+        [-1, -1, 1], [1, -1, 1], [1, 1, 1], [-1, 1, 1],
+    ])
+    f = [
+        [0, 2, 1], [0, 3, 2],  # z = -1
+        [4, 5, 6], [4, 6, 7],  # z = +1
+        [0, 1, 5], [0, 5, 4],  # y = -1
+        [2, 3, 7], [2, 7, 6],  # y = +1
+        [1, 2, 6], [1, 6, 5],  # x = +1
+        [3, 0, 4], [3, 4, 7],  # x = -1
+    ]
+    return Mesh(v, f)
 
 
 def plane_grid(nx: int = 4, ny: int = 4, size: float = 1.0) -> Mesh:

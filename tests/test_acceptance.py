@@ -16,18 +16,10 @@ from oracles import agd_reference, exhaustive_best_labeling, exhaustive_min_cut
 
 from meshseg.cli import main
 from meshseg.evaluate import accuracy
-from meshseg.features import (
-    DEFAULT_CHANNELS,
-    average_geodesic_distance,
-    compute_features,
-    conformal_factor,
-    conformal_factor_field,
-    curvature_field,
-    fit_stats,
-    multiscale,
-    vertex_to_face,
-)
-from meshseg.features.curvature import angle_deficits
+from meshseg.features.conformal import conformal_factor_field, vertex_to_face
+from meshseg.features.curvature import angle_deficits, curvature_field
+from meshseg.features.geodesic import average_geodesic_distance
+from meshseg.features.matrix import DEFAULT_CHANNELS, compute_features, fit_stats, multiscale
 from meshseg.graphcut import FlowNetwork, GraphCutProblem, alpha_expansion
 from meshseg.mesh import build_dual_graph
 from meshseg.neural.gradcheck import (
@@ -41,15 +33,8 @@ from meshseg.neural.network import branch_output_shape, build_multibranch
 from meshseg.neural.models import build_model
 from meshseg.neural.training import TrainConfig
 from meshseg.smoothing import taubin_smooth, umbrella_operator
-from meshseg.synth import (
-    cube,
-    dumbbell,
-    dumbbell_labels,
-    icosphere,
-    make_toy_dataset,
-    tetrahedron,
-)
-from shapes import spiked_sphere
+from meshseg.synth import dumbbell, dumbbell_labels, icosphere, make_toy_dataset
+from shapes import cube, spiked_sphere, tetrahedron
 
 
 def _line(name: str, details: str) -> None:
@@ -185,7 +170,7 @@ def test_conformal_factor_suite():
         total = field.integrated_curvature.sum()
         assert abs(field.target_curvature.sum() - total) <= 1e-9 * abs(total)
 
-    flat = float(np.abs(conformal_factor(icosphere(3))).max())
+    flat = float(np.abs(conformal_factor_field(icosphere(3)).original_cf).max())
     assert flat < 1e-3
 
     drops = []
@@ -202,7 +187,7 @@ def test_conformal_factor_suite():
     big = icosphere(5)
     assert big.n_vertices >= 10_000
     t0 = time.perf_counter()
-    conformal_factor(big)
+    conformal_factor_field(big)
     solve_s = time.perf_counter() - t0
     assert solve_s < 5.0
     _line("conformal factors",

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 import oracles
-from shapes import concave_corner, cylinder, plane_grid
-from meshseg.features import multiscale
+from shapes import concave_corner, cube, cylinder, plane_grid, tetrahedron
+from meshseg.features.matrix import multiscale
 from meshseg.mesh import Mesh, MeshError, build_dual_graph, face_balls
 from meshseg.smoothing import umbrella_operator
-from meshseg.synth import cube, dumbbell, icosphere, tetrahedron
+from meshseg.synth import dumbbell, icosphere
 
 MESHES = {
     **{f"dumbbell({s})": (dumbbell, s) for s in range(1, 5)},

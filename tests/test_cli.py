@@ -16,7 +16,7 @@ import pytest
 import meshseg.cli as cli
 import meshseg.experiment as experiment
 from meshseg.cli import THREADS_ENV, _threads, main
-from meshseg.features import DEFAULT_CHANNELS, NormalizationStats
+from meshseg.features.matrix import DEFAULT_CHANNELS, NormalizationStats
 from meshseg.formats import (
     CKPT_MAGIC,
     FormatError,
@@ -718,12 +718,14 @@ def test_numeric_failure_exit_five(monkeypatch, capsys):
 
 
 def test_unexpected_error_exit_one(monkeypatch, capsys):
-    def boom(seed):
-        raise OSError("disk on fire")
-    monkeypatch.setattr("meshseg.cli.full_gradcheck", boom)
-    code, _, err = invoke(["gradcheck"], capsys)
-    assert code == 1
-    assert err["category"] == "internal"
+    # a KeyError is a program fault: no input check raises one
+    for exc in (OSError("disk on fire"), KeyError("slot")):
+        def boom(seed):
+            raise exc
+        monkeypatch.setattr("meshseg.cli.full_gradcheck", boom)
+        code, _, err = invoke(["gradcheck"], capsys)
+        assert code == 1
+        assert err["category"] == "internal"
 
 
 # ------------------------------------------------------------- threading

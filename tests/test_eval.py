@@ -106,8 +106,6 @@ def test_fixed_split():
 
 
 def test_split_validation():
-    with pytest.raises(ValueError, match="duplicate"):
-        make_splits(["a", "a", "b"], "loo", 5, None, seed=0)
     with pytest.raises(ValueError, match="at least 2"):
         make_splits(["solo"], "loo", 5, None, seed=0)
     with pytest.raises(ValueError, match="needs at least 4"):

@@ -10,25 +10,25 @@ from hypothesis import strategies as st
 from meshseg import synth
 from meshseg.mesh import Mesh, build_dual_graph
 from meshseg.smoothing import taubin_smooth
-from meshseg.features import (
-    DEFAULT_CHANNELS,
-    angle_deficits,
-    average_geodesic_distance,
-    barycentric_areas,
-    compute_features,
-    cone_directions,
-    conformal_factor,
-    conformal_factor_field,
-    curvature_field,
-    fit_stats,
-    gaussian_curvature,
-    multiscale,
-    shape_diameter,
-    target_curvature,
-    vertex_to_face,
-)
 from meshseg.features import geodesic, matrix, sdf
-from meshseg.features.sdf import build_bvh, nearest_hits, robust_thickness, tangent_frames
+from meshseg.features.conformal import conformal_factor_field, vertex_to_face
+from meshseg.features.curvature import (
+    angle_deficits,
+    barycentric_areas,
+    curvature_field,
+    gaussian_curvature,
+    target_curvature,
+)
+from meshseg.features.geodesic import average_geodesic_distance
+from meshseg.features.matrix import DEFAULT_CHANNELS, compute_features, fit_stats, multiscale
+from meshseg.features.sdf import (
+    build_bvh,
+    cone_directions,
+    nearest_hits,
+    robust_thickness,
+    shape_diameter,
+    tangent_frames,
+)
 import shapes
 from conftest import random_small_mesh
 from oracles import (
@@ -50,7 +50,7 @@ def test_flat_interior_deficit_zero():
 
 
 def test_cube_corner_deficit():
-    cube = synth.cube()
+    cube = shapes.cube()
     deficits = angle_deficits(cube)
     # three flat quadrants meet at each corner: 2*pi - 3*pi/2
     assert deficits == pytest.approx(np.full(8, math.pi / 2), abs=1e-12)
@@ -108,18 +108,18 @@ def test_curvature_field_bundles_smoothed_levels(ico2):
 
 def test_sphere_conformal_factor_near_zero():
     # a sphere already satisfies its own target curvature
-    phi = conformal_factor(synth.icosphere(3))
+    phi = conformal_factor_field(synth.icosphere(3)).original_cf
     assert np.abs(phi).max() < 1e-3
 
 
 def test_conformal_factor_peaks_at_spike():
     spiked = shapes.spiked_sphere(2, spike=3.0)
-    phi = conformal_factor(spiked)
+    phi = conformal_factor_field(spiked).original_cf
     assert int(np.argmax(np.abs(phi))) == 0  # vertex 0 carries the spike
 
 
 def test_conformal_factor_zero_mean():
-    phi = conformal_factor(synth.dumbbell(1))
+    phi = conformal_factor_field(synth.dumbbell(1)).original_cf
     assert abs(phi.mean()) < 1e-10
 
 
@@ -131,14 +131,17 @@ def test_conformal_factor_translation_exact():
     verts = np.round(base.vertices / grid) * grid
     mesh_a = Mesh(verts, base.faces)
     mesh_b = Mesh(verts + np.array([3.0, -7.0, 11.0]), base.faces)
-    assert np.array_equal(conformal_factor(mesh_a), conformal_factor(mesh_b))
+    assert np.array_equal(conformal_factor_field(mesh_a).original_cf,
+                          conformal_factor_field(mesh_b).original_cf)
 
 
 def test_conformal_factor_rotation_invariant(ico2):
     rng = np.random.default_rng(11)
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     rotated = Mesh(ico2.vertices @ q.T, ico2.faces)
-    assert np.abs(conformal_factor(rotated) - conformal_factor(ico2)).max() < 1e-9
+    diff = (conformal_factor_field(rotated).original_cf
+            - conformal_factor_field(ico2).original_cf)
+    assert np.abs(diff).max() < 1e-9
 
 
 def test_conformal_factor_of_disjoint_copies_matches_each_copy():
@@ -151,8 +154,8 @@ def test_conformal_factor_of_disjoint_copies_matches_each_copy():
     n = len(verts)
     both = Mesh(np.vstack([verts, verts + np.array([8.0, 0.0, 0.0])]),
                 np.vstack([base.faces, base.faces + n]))
-    want = conformal_factor(Mesh(verts, base.faces))
-    phi = conformal_factor(both)
+    want = conformal_factor_field(Mesh(verts, base.faces)).original_cf
+    phi = conformal_factor_field(both).original_cf
     for half in (phi[:n], phi[n:]):
         assert np.array_equal(half, want)
         assert abs(half.mean()) < 1e-10
@@ -317,8 +320,8 @@ SDF_SHAPES = {
     "icosphere2": lambda: synth.icosphere(2),
     "spiked_sphere": lambda: shapes.spiked_sphere(),
     "cylinder48": lambda: shapes.cylinder(48),
-    "cube": synth.cube,
-    "tetrahedron": synth.tetrahedron,
+    "cube": shapes.cube,
+    "tetrahedron": shapes.tetrahedron,
     "plane_grid3x3": lambda: shapes.plane_grid(3, 3),
     "concave_corner": shapes.concave_corner,
 }
@@ -366,7 +369,7 @@ def test_sdf_bvh_equals_brute_force_at_5120_faces():
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("make", [lambda: synth.icosphere(2), synth.cube])
+@pytest.mark.parametrize("make", [lambda: synth.icosphere(2), shapes.cube])
 def test_sdf_bvh_skips_the_source_face(make):
     # with no eps cut-off, a ray meets its own face at t ~ 0; only the
     # source-face rule keeps it out
@@ -383,7 +386,7 @@ def test_sdf_bvh_axis_aligned_rays_on_the_cube():
     # edge diagonals), cast from every face: inward along the normal,
     # grazing along the face plane and outward. Zero components give
     # infinite inverse directions and 0 * inf in the slab test.
-    mesh = synth.cube()
+    mesh = shapes.cube()
     axes = np.array([v for v in np.ndindex(3, 3, 3) if v != (1, 1, 1)
                      and sum(c != 1 for c in v) <= 2], dtype=float) - 1.0
     assert len(axes) == 18
@@ -464,7 +467,7 @@ def test_sdf_scratch_reuse_across_chunks_equals_brute_force(monkeypatch, ray_chu
 
 def test_sdf_rays_that_reach_no_leaf_miss():
     # rays from outside the cube pointing away from it reach no box at all
-    bvh = build_bvh(synth.cube())
+    bvh = build_bvh(shapes.cube())
     origins = np.tile([10.0, 10.0, 10.0], (5, 1))
     dirs = np.tile([1.0, 0.0, 0.0], (5, 1))
     got = nearest_hits(bvh, origins, dirs, np.zeros(5, dtype=np.int64), 1e-9)

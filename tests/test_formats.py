@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from meshseg import formats, synth
-from meshseg.features import NormalizationStats
+from meshseg.features.matrix import NormalizationStats
 from meshseg.formats import (
     CKPT_MAGIC,
     FormatError,

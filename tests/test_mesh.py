@@ -16,7 +16,8 @@ from meshseg.mesh import (
     load_mesh_path,
     save_off,
 )
-from meshseg.synth import icosphere, tetrahedron
+from meshseg.synth import icosphere
+from shapes import cube, tetrahedron
 from shapes import concave_corner, plane_grid
 
 RIGHT_TRIANGLE_OFF = """OFF
@@ -186,7 +187,6 @@ def test_neighborhood_symmetric_membership(u, v, k):
 
 
 def test_enclosed_volume_of_box():
-    from meshseg.synth import cube
 
     # synth cube spans [-1, 1]^3
     assert cube().enclosed_volume() == pytest.approx(8.0)

@@ -3,7 +3,8 @@ import pytest
 
 from meshseg.mesh import Mesh, MeshError
 from meshseg.smoothing import taubin_smooth, umbrella_operator
-from meshseg.synth import dumbbell, icosphere, tetrahedron
+from meshseg.synth import dumbbell, icosphere
+from shapes import tetrahedron
 from shapes import plane_grid, spiked_sphere
 
 
