@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -32,7 +31,6 @@ from meshseg.experiment import (
 )
 from meshseg.features.matrix import DEFAULT_CHANNELS, compute_features
 from meshseg.formats import (
-    FormatError,
     export_colored_ply,
     load_checkpoint,
     load_experiment_config,
@@ -50,29 +48,19 @@ from meshseg.neural.gradcheck import NETWORK_TOL, full_gradcheck
 from meshseg.numerics import SolverError
 from meshseg.smoothing import taubin_smooth
 
-THREADS_ENV = "MESHSEG_THREADS"
-
 
 def _emit(doc: dict) -> None:
     print(json.dumps(doc, sort_keys=True))
 
 
-def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    env = os.environ.get(THREADS_ENV, "")
-    return max(1, int(env)) if env.isdigit() and env != "0" else 1
-
-
 def cmd_features(args) -> dict:
     mesh = load_mesh_path(args.mesh)
-    fm = compute_features(mesh)
-    save_feature_cache(args.output, fm.channel_names, fm.values,
-                       feature_cache_key(args.mesh))
+    values, sdf_fallback_faces = compute_features(mesh)
+    save_feature_cache(args.output, values, feature_cache_key(args.mesh))
     return {"command": "features", "mesh": str(args.mesh),
             "output": str(args.output), "n_faces": mesh.n_faces,
-            "channels": list(fm.channel_names),
-            "sdf_fallback_faces": len(fm.diagnostics.get("sdf_fallback_faces", ()))}
+            "channels": list(DEFAULT_CHANNELS),
+            "sdf_fallback_faces": len(sdf_fallback_faces)}
 
 
 def cmd_smooth(args) -> dict:
@@ -92,22 +80,19 @@ def cmd_train(args) -> dict:
     cfg = load_experiment_config(args.config)
     manifest = load_manifest(cfg.dataset)
     meshes = load_labeled_meshes(manifest)
-    bundles = _prepare_bundles(meshes, manifest, cfg, _threads(args))
+    bundles = _prepare_bundles(meshes, manifest, cfg, args.threads)
     stats, x, y = normalized_training_set(bundles, [lm.mesh_id for lm in meshes])
     model, final_losses = train_model(cfg, len(manifest.classes), cfg.seed, x, y)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(out, model, DEFAULT_CHANNELS, stats)
+    save_checkpoint(out, model, stats)
     return {"command": "train", "config": str(args.config), "seed": cfg.seed,
             "checkpoint": str(out), "n_meshes": len(meshes),
             "n_faces": int(len(y)), "final_losses": final_losses}
 
 
 def cmd_segment(args) -> dict:
-    model, channel_names, stats = load_checkpoint(args.checkpoint)
-    if channel_names != DEFAULT_CHANNELS:
-        raise FormatError(f"{args.checkpoint}: trained on channels "
-                          f"{list(channel_names)}, not {list(DEFAULT_CHANNELS)}")
+    model, stats = load_checkpoint(args.checkpoint)
     mesh = load_mesh_path(args.mesh)
     _, scales, _, _ = model.spec
     _, _, raw = mesh_features(mesh, scales)
@@ -126,15 +111,9 @@ def cmd_segment(args) -> dict:
 def cmd_refine(args) -> dict:
     mesh = load_mesh_path(args.mesh)
     probs = load_probabilities(args.probs)
-    names, values, key = load_feature_cache(args.features)
-    if "agd" not in names:
-        raise FormatError(f"{args.features}: no 'agd' channel for the "
-                          "feature-distance term")
-    if key != feature_cache_key(args.mesh):
-        raise FormatError(f"{args.features}: features of another mesh "
-                          f"(key {key}), not of {args.mesh}")
-    result = refine_labels(build_dual_graph(mesh), probs,
-                           values[:, names.index("agd")], args.lam, args.omega)
+    features = load_feature_cache(args.features, feature_cache_key(args.mesh))
+    result = refine_labels(build_dual_graph(mesh), probs, features,
+                           args.lam, args.omega)
     save_labels(args.output, result.labels)
     return {"command": "refine", "mesh": str(args.mesh),
             "output": str(args.output),
@@ -155,7 +134,7 @@ def cmd_eval(args) -> dict:
 def cmd_run(args) -> dict:
     cfg = load_experiment_config(args.config)
     log = (lambda msg: print(msg, file=sys.stderr)) if args.verbose else None
-    report = run_experiment(cfg, threads=_threads(args), log=log)
+    report = run_experiment(cfg, threads=args.threads, log=log)
     return {"command": "run", "config": str(args.config), "seed": cfg.seed,
             "report": str(Path(cfg.output_dir) / "report.json"),
             "n_records": report["summary"]["n_records"],
@@ -190,9 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_threads(sp):
-        sp.add_argument("--threads", type=int, default=0,
+        sp.add_argument("--threads", type=int, default=1,
                         help="worker processes for per-mesh features, at most "
-                             f"one per mesh (default: ${THREADS_ENV} or 1)")
+                             "one per mesh (default: 1)")
 
     sp = sub.add_parser("features", help="compute the per-face feature matrix")
     sp.add_argument("mesh")
@@ -224,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("mesh")
     sp.add_argument("--probs", required=True)
     sp.add_argument("--features", required=True,
-                    help="feature cache holding the 'agd' channel")
+                    help="feature cache of the mesh, from `meshseg features`")
     sp.add_argument("--lambda", dest="lam", type=float, default=1.0)
     sp.add_argument("--omega", type=float, default=1.0)
     sp.add_argument("-o", "--output", required=True)

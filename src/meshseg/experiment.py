@@ -25,7 +25,6 @@ import numpy as np
 from meshseg.evaluate import LabeledMesh, accuracy, make_splits
 from meshseg.features.matrix import (
     DEFAULT_CHANNELS,
-    FeatureMatrix,
     compute_features,
     fit_stats,
     multiscale,
@@ -79,34 +78,32 @@ def feature_cache_key(mesh_path) -> str:
     return content_hash(Path(mesh_path).read_bytes(), "\n".join(DEFAULT_CHANNELS))
 
 
-def cached_features(mesh, mesh_path, cache_dir, graph=None) -> FeatureMatrix:
-    """Compute (or reuse) the raw feature matrix for one mesh.
+def cached_features(mesh, mesh_path, cache_dir, graph) -> np.ndarray:
+    """Compute (or reuse) the raw (faces, channels) feature matrix of one
+    mesh whose dual graph is graph.
 
     The cache file is named after its key (`feature_cache_key`), so meshes
     with the same file name in different directories keep separate
-    caches; a stale or foreign cache is recomputed. graph, when given, is
-    the mesh's dual graph and is reused.
+    caches; a stale, foreign or unreadable cache is recomputed.
     """
     key = feature_cache_key(mesh_path)
     cache_path = Path(cache_dir) / f"{key}.feat"
     if cache_path.exists():
         try:
-            names, values, stored = load_feature_cache(cache_path)
-            if stored == key and names == DEFAULT_CHANNELS:
-                return FeatureMatrix(names, values)
+            return load_feature_cache(cache_path, key)
         except (FormatError, OSError):
-            pass  # unreadable cache: fall through to recompute
-    fm = compute_features(mesh, graph)
+            pass  # fall through to recompute
+    values, _ = compute_features(mesh, graph)
     Path(cache_dir).mkdir(parents=True, exist_ok=True)
-    save_feature_cache(cache_path, fm.channel_names, fm.values, key)
-    return fm
+    save_feature_cache(cache_path, values, key)
+    return values
 
 
 @dataclass
 class _MeshBundle:
     labeled: LabeledMesh
     graph: object
-    features: FeatureMatrix
+    features: np.ndarray  # (faces, channels), unnormalized
     raw_multiscale: np.ndarray  # (faces, K, channels), unnormalized
 
 
@@ -115,10 +112,10 @@ def mesh_features(mesh, scales, mesh_path=None, cache_dir=None):
     features go through the cache when cache_dir is given."""
     graph = build_dual_graph(mesh)
     if cache_dir is None:
-        fm = compute_features(mesh, graph)
+        values, _ = compute_features(mesh, graph)
     else:
-        fm = cached_features(mesh, mesh_path, cache_dir, graph)
-    return graph, fm, multiscale(fm.values, graph, scales)
+        values = cached_features(mesh, mesh_path, cache_dir, graph)
+    return graph, values, multiscale(values, graph, scales)
 
 
 def _bundle_parts(mesh_path, labeled, scales, cache_dir):
@@ -160,7 +157,7 @@ def _prepare_bundles(meshes, manifest, cfg, threads, log=None):
 def normalized_training_set(bundles, mesh_ids):
     """(stats, x, y): normalization fitted on the raw features of mesh_ids,
     their normalized multi-scale stacks and their labels, stacked in order."""
-    stats = fit_stats(np.vstack([bundles[m].features.values for m in mesh_ids]))
+    stats = fit_stats(np.vstack([bundles[m].features for m in mesh_ids]))
     x = np.concatenate([stats.apply(bundles[m].raw_multiscale) for m in mesh_ids],
                        axis=0)
     y = np.concatenate([bundles[m].labeled.labels for m in mesh_ids])
@@ -181,9 +178,11 @@ def predict(model, stats, raw_multiscale) -> np.ndarray:
     return model.predict_proba(stats.apply(raw_multiscale))
 
 
-def refine_labels(graph, probs, agd, lam, omega):
+def refine_labels(graph, probs, features, lam, omega):
     """Alpha-expansion result of the graph-cut refinement of per-face
-    probabilities, with AGD as the feature-distance term."""
+    probabilities, with the AGD column of the raw (faces, channels)
+    features as the feature-distance term."""
+    agd = features[:, DEFAULT_CHANNELS.index("agd")]
     return alpha_expansion(GraphCutProblem(graph=graph, probabilities=probs,
                                            feature=agd, lam=lam, omega=omega))
 
@@ -201,7 +200,6 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1, log=None) -> dict:
     manifest = load_manifest(cfg.dataset)
     meshes = load_labeled_meshes(manifest)
     n_classes = len(manifest.classes)
-    agd_col = DEFAULT_CHANNELS.index("agd")  # refinement's feature term
 
     fixed = load_fixed_split(cfg.fixed_split_file) if cfg.protocol == "fixed" else None
     splits = make_splits([lm.mesh_id for lm in meshes], cfg.protocol, cfg.k,
@@ -228,8 +226,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1, log=None) -> dict:
                 try:
                     probs = predict(model, stats, b.raw_multiscale)
                     pred_pre = np.asarray(probs.argmax(axis=1), dtype=np.int64)
-                    refined = refine_labels(b.graph, probs,
-                                            b.features.values[:, agd_col],
+                    refined = refine_labels(b.graph, probs, b.features,
                                             cfg.lam, cfg.omega)
                 except Exception as exc:
                     raise RuntimeError(

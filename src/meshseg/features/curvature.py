@@ -45,11 +45,6 @@ def corner_terms(mesh: Mesh) -> tuple:
     return cross, dot
 
 
-def corner_angles(mesh: Mesh) -> np.ndarray:
-    """(F, 3) interior angles; column k is the angle at faces[:, k]."""
-    return np.arctan2(*corner_terms(mesh))
-
-
 def barycentric_areas(mesh: Mesh) -> np.ndarray:
     """Per-vertex area: one third of each incident face's area."""
     areas = np.zeros(mesh.n_vertices)
@@ -63,46 +58,42 @@ def angle_deficits(mesh: Mesh) -> np.ndarray:
     """Integrated Gaussian curvature: 2*pi (interior) or pi (boundary)
     minus the sum of incident face angles at each vertex."""
     sums = np.zeros(mesh.n_vertices)
-    ang = corner_angles(mesh)
+    ang = np.arctan2(*corner_terms(mesh))  # (F, 3) interior angles
     for k in range(3):
         np.add.at(sums, mesh.faces[:, k], ang[:, k])
     full = np.where(mesh.boundary_vertices(), math.pi, 2.0 * math.pi)
     return full - sums
 
 
-def gaussian_curvature(mesh: Mesh) -> np.ndarray:
-    """Pointwise Gaussian curvature, angle deficit over barycentric area."""
-    areas = barycentric_areas(mesh)
-    dead = np.nonzero(areas <= 0.0)[0]
-    if dead.size:
-        raise ValueError(f"vertex {int(dead[0])} has an empty one-ring (zero area)")
-    return angle_deficits(mesh) / areas
-
-
-def target_curvature(mesh: Mesh, integrated: np.ndarray) -> np.ndarray:
-    """Redistribute the total integrated curvature proportionally to
-    barycentric vertex area.
+def target_curvature(mesh: Mesh, integrated: np.ndarray,
+                     areas: np.ndarray) -> np.ndarray:
+    """Redistribute the total integrated curvature proportionally to the
+    barycentric vertex areas.
 
     k_v = (sum of all integrated curvatures) * A_v / total mesh area.
     Because the A_v sum to the total area, the output total equals the
     input total.
     """
-    if len(integrated) != mesh.n_vertices:
-        raise ValueError("curvature length does not match vertex count")
     total_area = float(mesh.face_areas.sum())
     if total_area <= 0.0:
         raise ValueError("mesh has zero total area")
-    return float(np.sum(integrated)) * barycentric_areas(mesh) / total_area
+    return float(np.sum(integrated)) * areas / total_area
 
 
 def curvature_field(mesh: Mesh, levels: tuple = ()) -> CurvatureField:
     """Assemble all curvature data for a mesh, with the target curvature
-    K^sT_i of each smoothed level."""
+    K^sT_i of each smoothed level; the angle deficits and barycentric
+    areas of the mesh and of each level are computed once."""
     deficits = angle_deficits(mesh)
+    areas = barycentric_areas(mesh)
+    dead = np.nonzero(areas <= 0.0)[0]
+    if dead.size:
+        raise ValueError(f"vertex {int(dead[0])} has an empty one-ring (zero area)")
     return CurvatureField(
-        gaussian_curvature=gaussian_curvature(mesh),
+        gaussian_curvature=deficits / areas,
         integrated_curvature=deficits,
-        target_curvature=target_curvature(mesh, deficits),
+        target_curvature=target_curvature(mesh, deficits, areas),
         smoothed_target_curvature=tuple(
-            target_curvature(level, angle_deficits(level)) for level in levels),
+            target_curvature(level, angle_deficits(level), barycentric_areas(level))
+            for level in levels),
     )

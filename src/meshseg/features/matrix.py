@@ -7,7 +7,7 @@ geodesic distance, shape diameter.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,22 +50,10 @@ def fit_stats(values: np.ndarray) -> NormalizationStats:
     return NormalizationStats(mean=mean, scale=np.where(guard, 1.0, std))
 
 
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """Raw per-face feature values under their channel names."""
-
-    channel_names: tuple
-    values: np.ndarray  # (faces, channels), unnormalized
-    diagnostics: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.values.ndim != 2 or self.values.shape[1] != len(self.channel_names):
-            raise ValueError("values shape does not match channel names")
-
-
-def compute_features(mesh: Mesh, graph: DualGraph | None = None) -> FeatureMatrix:
-    """The DEFAULT_CHANNELS matrix of one mesh, every extractor at its
-    defaults.
+def compute_features(mesh: Mesh, graph: DualGraph | None = None) -> tuple:
+    """(values, sdf fallback faces) of one mesh: the raw (faces,
+    DEFAULT_CHANNELS) matrix, every extractor at its defaults, and the
+    faces whose SDF rays all missed.
 
     graph, when given, is the mesh's dual graph and is reused.
     Raises on NaN/Inf, naming the first bad channel and its first bad face.
@@ -86,10 +74,7 @@ def compute_features(mesh: Mesh, graph: DualGraph | None = None) -> FeatureMatri
         raise FloatingPointError(
             f"channel {DEFAULT_CHANNELS[col]!r} produced non-finite value "
             f"at face {int(bad[:, col].argmax())}")
-    diagnostics = {}
-    if sdf.fallback_faces.size:
-        diagnostics["sdf_fallback_faces"] = sdf.fallback_faces.tolist()
-    return FeatureMatrix(DEFAULT_CHANNELS, values, diagnostics)
+    return values, sdf.fallback_faces
 
 
 def multiscale(values: np.ndarray, graph: DualGraph, scales: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from meshseg.features.matrix import NormalizationStats
+from meshseg.features.matrix import DEFAULT_CHANNELS, NormalizationStats
 from meshseg.mesh import Mesh
 from meshseg.neural.models import build_model
 from meshseg.neural.training import TrainConfig
@@ -121,31 +121,38 @@ def _write_atomic(path, parts) -> None:
 # feature cache
 
 
-def save_feature_cache(path, channel_names, values: np.ndarray,
-                       source_hash: str = "") -> None:
+def save_feature_cache(path, values: np.ndarray, key: str) -> None:
+    """The DEFAULT_CHANNELS names, the face count, the key (see
+    `experiment.feature_cache_key`) and the (faces, channels) values."""
     values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2 or values.shape[1] != len(channel_names):
-        raise ValueError("values must be (faces, channels) matching the names")
+    if values.ndim != 2 or values.shape[1] != len(DEFAULT_CHANNELS):
+        raise ValueError(f"values must be (faces, {len(DEFAULT_CHANNELS)}), "
+                         f"got {values.shape}")
     blob = [FEATURE_MAGIC, struct.pack("<I", FORMAT_VERSION),
-            _pack_text("\n".join(channel_names)),
+            _pack_text("\n".join(DEFAULT_CHANNELS)),
             struct.pack("<Q", len(values)),
-            _pack_text(source_hash),
+            _pack_text(key),
             _pack_floats(values)]
     _write_atomic(path, blob)
 
 
-def load_feature_cache(path):
-    """Returns (channel names, values, source hash)."""
+def load_feature_cache(path, key: str) -> np.ndarray:
+    """The (faces, channels) values of a cache of the DEFAULT_CHANNELS
+    stored under key; any other cache is a FormatError."""
     r = _Reader(Path(path).read_bytes(), str(path))
     r.check_magic(FEATURE_MAGIC, FORMAT_VERSION, "feature cache")
-    names_text = r.text()
-    names = tuple(names_text.split("\n")) if names_text else ()
+    names = tuple(r.text().split("\n"))
+    if names != DEFAULT_CHANNELS:
+        raise FormatError(f"{path}: features of channels {list(names)}, "
+                          f"not {list(DEFAULT_CHANNELS)}")
     faces = r.u64()
-    source_hash = r.text()
-    data = r.take(8 * faces * len(names))
+    stored = r.text()
+    if stored != key:
+        raise FormatError(f"{path}: features of another mesh or channel set "
+                          f"(key {stored}, expected {key})")
+    data = r.take(8 * faces * len(DEFAULT_CHANNELS))
     r.finish()
-    values = np.frombuffer(data, dtype="<f8").reshape(faces, len(names)).copy()
-    return names, values, source_hash
+    return np.frombuffer(data, dtype="<f8").reshape(faces, len(DEFAULT_CHANNELS)).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -177,25 +184,25 @@ def load_probabilities(path) -> np.ndarray:
 # model checkpoint
 
 
-def save_checkpoint(path, model, channel_names, stats: NormalizationStats) -> None:
+def save_checkpoint(path, model, stats: NormalizationStats) -> None:
     """The model spec as text ("kind scales input_length classes", e.g.
-    "cnn 3 9 4"), the seed, the channel names, the per-channel
+    "cnn 3 9 4"), the seed, the DEFAULT_CHANNELS names, the per-channel
     normalization mean and scale, then every state tensor (parameters,
     batch-norm stats, PCA bases) in declaration order.
 
     The sizes stay ASCII digits so that a flipped bit changes one digit
     at most, and never asks for a huge architecture."""
-    if not len(stats.mean) == len(stats.scale) == len(channel_names):
+    if not len(stats.mean) == len(stats.scale) == len(DEFAULT_CHANNELS):
         raise ValueError("normalization stats need one entry per channel")
-    _write_atomic(path, _checkpoint_parts(model, channel_names, stats))
+    _write_atomic(path, _checkpoint_parts(model, stats))
 
 
-def _checkpoint_parts(model, channel_names, stats):
+def _checkpoint_parts(model, stats):
     slots = model.state_slots()
     yield from (CKPT_MAGIC, struct.pack("<I", CKPT_VERSION),
                 _pack_text(" ".join(map(str, model.spec))),
                 struct.pack("<Q", int(model.seed)),
-                _pack_text("\n".join(channel_names)),
+                _pack_text("\n".join(DEFAULT_CHANNELS)),
                 struct.pack("<I", len(stats.mean)),
                 _pack_floats(stats.mean), _pack_floats(stats.scale),
                 struct.pack("<I", len(slots)))
@@ -211,8 +218,10 @@ def _checkpoint_parts(model, channel_names, stats):
 
 
 def load_checkpoint(path):
-    """Returns (model, channel names, normalization stats); the model is
-    `build_model(*spec, seed)` filled with the stored tensors."""
+    """Returns (model, normalization stats); the model is
+    `build_model(*spec, seed)` filled with the stored tensors. A
+    checkpoint of other channels, or whose model reads another number of
+    them, is a FormatError."""
     r = _Reader(Path(path).read_bytes(), str(path))
     r.check_magic(CKPT_MAGIC, CKPT_VERSION, "checkpoint")
     spec = r.text()
@@ -222,6 +231,9 @@ def load_checkpoint(path):
     if n_stats != len(channel_names):
         raise FormatError(f"{path}: normalization stats for {n_stats} channels, "
                           f"checkpoint names {len(channel_names)}")
+    if channel_names != DEFAULT_CHANNELS:
+        raise FormatError(f"{path}: trained on channels "
+                          f"{list(channel_names)}, not {list(DEFAULT_CHANNELS)}")
     mean, scale = np.frombuffer(r.take(16 * n_stats), dtype="<f8").reshape(2, n_stats).copy()
     stats = NormalizationStats(mean=mean, scale=scale)
     kind, *sizes = spec.split(" ")
@@ -229,7 +241,11 @@ def load_checkpoint(path):
         if len(sizes) != 3:
             raise ValueError(f"model spec {spec!r} is not 'kind scales "
                              "input_length classes'")
-        model = build_model(kind, *map(int, sizes), seed)
+        scales, length, classes = map(int, sizes)
+        if length != len(DEFAULT_CHANNELS):
+            raise ValueError(f"model spec {spec!r} has input length {length}, "
+                             f"not the {len(DEFAULT_CHANNELS)} channels")
+        model = build_model(kind, scales, length, classes, seed)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
     slots = model.state_slots()
@@ -249,7 +265,7 @@ def load_checkpoint(path):
                               f"tensor: {shape} into {want}")
         setattr(owner, attr, np.frombuffer(data, dtype="<f8").reshape(shape).copy())
     r.finish()
-    return model, channel_names, stats
+    return model, stats
 
 
 # ---------------------------------------------------------------------------
@@ -280,38 +296,35 @@ def load_labels(path) -> np.ndarray:
 # fixed split file: `train:` / `test:` sections listing mesh ids
 
 
-def parse_fixed_split(text: str, where: str = "<split>"):
+def load_fixed_split(path):
+    """(train ids, test ids) of a split file."""
     sections: dict[str, list] = {}
     listed_under: dict[str, str] = {}  # mesh id -> its section
     current = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         s = line.split("#", 1)[0].strip()
         if not s:
             continue
         if s.endswith(":"):
             name = s[:-1].strip()
             if name not in ("train", "test"):
-                raise FormatError(f"{where}: line {lineno}: unknown section {name!r}")
+                raise FormatError(f"{path}: line {lineno}: unknown section {name!r}")
             if name in sections:
-                raise FormatError(f"{where}: line {lineno}: duplicate section {name!r}")
+                raise FormatError(f"{path}: line {lineno}: duplicate section {name!r}")
             sections[name] = []
             current = name
         elif current is None:
-            raise FormatError(f"{where}: line {lineno}: mesh id before any section")
+            raise FormatError(f"{path}: line {lineno}: mesh id before any section")
         elif s in listed_under:
-            raise FormatError(f"{where}: line {lineno}: mesh {s!r} already "
+            raise FormatError(f"{path}: line {lineno}: mesh {s!r} already "
                               f"listed under {listed_under[s]}:")
         else:
             listed_under[s] = current
             sections[current].append(s)
     for name in ("train", "test"):
         if not sections.get(name):
-            raise FormatError(f"{where}: missing or empty {name}: section")
+            raise FormatError(f"{path}: missing or empty {name}: section")
     return sections["train"], sections["test"]
-
-
-def load_fixed_split(path):
-    return parse_fixed_split(Path(path).read_text(), where=str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +341,7 @@ PALETTE = np.array([
 ], dtype=np.uint8)
 
 
-def export_colored_ply(mesh: Mesh, labels, target) -> None:
+def export_colored_ply(mesh: Mesh, labels, path) -> None:
     """ASCII PLY with one RGB color per face, deterministic by label index.
 
     Labels at or beyond the palette size wrap around (with a warning)."""
@@ -353,11 +366,7 @@ def export_colored_ply(mesh: Mesh, labels, target) -> None:
         lines.append(f"{v[0]:.9g} {v[1]:.9g} {v[2]:.9g}")
     for f, c in zip(mesh.faces, colors):
         lines.append(f"3 {f[0]} {f[1]} {f[2]} {c[0]} {c[1]} {c[2]}")
-    text = "\n".join(lines) + "\n"
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        Path(target).write_text(text)
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ every parse error. Half-edges are paired once per mesh, in one sorted table.
 """
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -238,20 +237,6 @@ def face_balls(graph: DualGraph, hops: int) -> sp.csr_matrix:
 # parsing
 
 
-def _text_lines(source) -> list[str]:
-    if isinstance(source, (str, Path)):
-        data = Path(source).read_bytes()
-    elif isinstance(source, bytes):
-        data = source
-    elif hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, str):
-            data = data.encode()
-    else:
-        raise TypeError(f"unsupported mesh source type {type(source)!r}")
-    return data.decode("utf-8", errors="replace").splitlines()
-
-
 def _parse_floats(parts, n, lineno, what):
     if len(parts) < n:
         raise MeshError(f"expected {n} numbers for {what}, found {len(parts)}", lineno)
@@ -354,48 +339,27 @@ def _parse_obj(lines: list[str]):
             face_lines)
 
 
-def load_mesh(source, format: str) -> Mesh:
-    """Load a triangle mesh from an OFF or OBJ byte/text stream or path.
+def load_mesh_path(path) -> Mesh:
+    """Load an OFF or OBJ triangle mesh, choosing the parser from the file
+    extension.
 
     Raises MeshError with a line number for malformed records, non-triangle
     faces, out-of-range indices, and degenerate (zero-area) faces.
     """
-    fmt = format.lower()
-    lines = _text_lines(source)
-    if fmt == "off":
-        verts, faces, face_lines = _parse_off(lines)
-    elif fmt == "obj":
-        verts, faces, face_lines = _parse_obj(lines)
-    else:
-        raise ValueError(f"unsupported mesh format {format!r} (expected 'off' or 'obj')")
+    p = Path(path)
+    ext = p.suffix.lower()
+    if ext not in (".off", ".obj"):
+        raise ValueError(f"cannot infer mesh format from extension {p.suffix!r}")
+    lines = p.read_bytes().decode("utf-8", errors="replace").splitlines()
+    parse = _parse_off if ext == ".off" else _parse_obj
+    verts, faces, face_lines = parse(lines)
     return Mesh(verts, faces, _face_lines=face_lines)
 
 
-def load_mesh_path(path) -> Mesh:
-    """Load a mesh choosing the format from the file extension."""
-    p = Path(path)
-    ext = p.suffix.lower().lstrip(".")
-    if ext not in ("off", "obj"):
-        raise ValueError(f"cannot infer mesh format from extension {p.suffix!r}")
-    return load_mesh(p, ext)
-
-
-def save_off(mesh_or_arrays, target) -> None:
-    """Write an OFF file from a Mesh or a (vertices, faces) pair."""
-    if isinstance(mesh_or_arrays, Mesh):
-        verts, faces = mesh_or_arrays.vertices, mesh_or_arrays.faces
-    else:
-        verts, faces = mesh_or_arrays
-    buf = io.StringIO()
-    buf.write("OFF\n")
-    buf.write(f"{len(verts)} {len(faces)} 0\n")
-    for v in verts:
-        # shortest round-trip decimal per coordinate
-        buf.write(f"{float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n")
-    for f in faces:
-        buf.write(f"3 {int(f[0])} {int(f[1])} {int(f[2])}\n")
-    data = buf.getvalue()
-    if hasattr(target, "write"):
-        target.write(data)
-    else:
-        Path(target).write_text(data)
+def save_off(mesh: Mesh, path) -> None:
+    """Write a mesh as an OFF file."""
+    lines = ["OFF", f"{mesh.n_vertices} {mesh.n_faces} 0"]
+    # shortest round-trip decimal per coordinate
+    lines += [f"{float(v[0])!r} {float(v[1])!r} {float(v[2])!r}" for v in mesh.vertices]
+    lines += [f"3 {int(f[0])} {int(f[1])} {int(f[2])}" for f in mesh.faces]
+    Path(path).write_text("\n".join(lines) + "\n")

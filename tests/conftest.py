@@ -1,8 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
+from meshseg.formats import FEATURE_MAGIC, FORMAT_VERSION
 from meshseg.graphcut import GraphCutProblem
 from meshseg.mesh import DualGraph, Mesh, build_dual_graph
 from meshseg.synth import icosphere
@@ -35,6 +37,17 @@ def strip5():
     verts = np.array([[x, y, 0.0] for x in range(4) for y in (0.0, 1.0)])
     faces = np.array([[0, 2, 1], [1, 2, 3], [2, 4, 3], [3, 4, 5], [4, 6, 5]])
     return Mesh(verts, faces)
+
+
+def write_feature_cache(path, names, values, key):
+    """A feature cache file of any channel names, packed field by field
+    (`save_feature_cache` writes only the DEFAULT_CHANNELS)."""
+    names, key = "\n".join(names).encode(), key.encode()
+    path.write_bytes(FEATURE_MAGIC + struct.pack("<I", FORMAT_VERSION)
+                     + struct.pack("<I", len(names)) + names
+                     + struct.pack("<Q", len(values))
+                     + struct.pack("<I", len(key)) + key
+                     + np.ascontiguousarray(values, dtype="<f8").tobytes())
 
 
 def random_small_mesh(rng, max_faces=50):

@@ -53,9 +53,9 @@ def bench():
         m = dumbbell(2, neck=float(rng.uniform(0.3, 0.42)),
                      top=float(rng.uniform(0.9, 1.2)),
                      bottom=float(rng.uniform(0.55, 0.8)))
-        fm = compute_features(m)
-        ms = multiscale(fm.values, build_dual_graph(m), 3)
-        rows.append((m, dumbbell_labels(m), fm.values, ms))
+        values, _ = compute_features(m)
+        ms = multiscale(values, build_dual_graph(m), 3)
+        rows.append((m, dumbbell_labels(m), values, ms))
     assert sum(m.n_faces for m, _, _, _ in rows) == 1920
     return rows
 

@@ -4,7 +4,6 @@ Every invocation goes through main(argv), so exit codes, the one-JSON-line
 stdout contract, and the error category mapping are checked without
 spawning subprocesses.
 """
-import argparse
 import json
 import multiprocessing
 import os
@@ -15,7 +14,7 @@ import pytest
 
 import meshseg.cli as cli
 import meshseg.experiment as experiment
-from meshseg.cli import THREADS_ENV, _threads, main
+from meshseg.cli import main
 from meshseg.features.matrix import DEFAULT_CHANNELS, NormalizationStats
 from meshseg.formats import (
     CKPT_MAGIC,
@@ -25,16 +24,16 @@ from meshseg.formats import (
     load_labels,
     load_probabilities,
     save_checkpoint,
-    save_feature_cache,
     save_labels,
     save_probabilities,
 )
 from meshseg.mesh import load_mesh_path, save_off
 from meshseg.neural.gradcheck import CheckEntry, GradCheckReport
-from meshseg.neural.models import CnnModel
+from meshseg.neural.models import CnnModel, PcaNnModel
 from meshseg.neural.training import TrainConfig
 from meshseg.numerics import SolverError
 from meshseg.synth import icosphere, make_toy_dataset
+from conftest import write_feature_cache
 
 
 def invoke(argv, capsys):
@@ -88,8 +87,7 @@ def test_features_writes_cache_and_summary(ws, tmp_path, capsys):
     assert doc["n_faces"] == 80
     assert doc["channels"] == list(DEFAULT_CHANNELS)
     assert doc["sdf_fallback_faces"] == 0
-    names, values, _ = load_feature_cache(out)
-    assert names == tuple(DEFAULT_CHANNELS)
+    values = load_feature_cache(out, experiment.feature_cache_key(ws["sphere"]))
     assert values.shape == (80, len(DEFAULT_CHANNELS))
     assert np.all(np.isfinite(values))
 
@@ -212,16 +210,40 @@ def test_segment_rejects_stats_channel_mismatch(ws, trained, tmp_path, capsys):
     assert "normalization stats" in err["message"]
 
 
-def test_segment_rejects_foreign_channel_checkpoint(ws, trained, tmp_path, capsys):
+def _no_features(*args):
+    raise AssertionError("features computed for a checkpoint that cannot read them")
+
+
+def test_segment_rejects_foreign_channel_checkpoint(ws, trained, tmp_path,
+                                                    monkeypatch, capsys):
     blob = trained.read_bytes()
     assert blob.count(b"agd\nsdf") == 1
     bad = tmp_path / "swapped.ckpt"
     bad.write_bytes(blob.replace(b"agd\nsdf", b"sdf\nagd"))
+    monkeypatch.setattr(experiment, "compute_features", _no_features)
     code, _, err = invoke(["segment", str(ws["mesh0"]), "--checkpoint", str(bad),
                            "-o", str(tmp_path / "junk.prob")], capsys)
     assert code == 3
     assert err["category"] == "invalid-input"
     assert str(bad) in err["message"] and "channels" in err["message"]
+    assert not (tmp_path / "junk.prob").exists()
+
+
+def test_segment_rejects_a_model_of_another_input_length(ws, tmp_path, monkeypatch,
+                                                         capsys):
+    # 9-channel stats, so only the model spec's input length is wrong
+    n = len(DEFAULT_CHANNELS)
+    model = PcaNnModel(5, 2, seed=0, train_cfg=TrainConfig(epochs=1, batch_size=8))
+    rng = np.random.default_rng(0)
+    model.fit(rng.normal(size=(16, 5)), rng.integers(0, 2, 16))
+    bad = tmp_path / "five.ckpt"
+    save_checkpoint(bad, model, NormalizationStats(np.zeros(n), np.ones(n)))
+    monkeypatch.setattr(experiment, "compute_features", _no_features)
+    code, _, err = invoke(["segment", str(ws["mesh0"]), "--checkpoint", str(bad),
+                           "-o", str(tmp_path / "junk.prob")], capsys)
+    assert code == 3
+    assert err["category"] == "invalid-input"
+    assert str(bad) in err["message"] and "input length 5" in err["message"]
     assert not (tmp_path / "junk.prob").exists()
 
 
@@ -243,8 +265,7 @@ def test_segment_rejects_batch_norm_stat_of_the_wrong_shape(ws, tmp_path, capsys
     bn = model.net.layers[0].branches[0].layers[1]
     bn.running_mean = bn.running_mean[:1]
     ckpt = tmp_path / "cut.ckpt"
-    save_checkpoint(ckpt, model, DEFAULT_CHANNELS,
-                    NormalizationStats(np.zeros(n), np.ones(n)))
+    save_checkpoint(ckpt, model, NormalizationStats(np.zeros(n), np.ones(n)))
     code, _, err = invoke(["segment", str(ws["mesh0"]), "--checkpoint", str(ckpt),
                            "-o", str(tmp_path / "junk.prob")], capsys)
     assert code == 3
@@ -280,7 +301,7 @@ def test_train_segment_with_a_two_branch_cnn(ws, tmp_path, capsys):
                            "-o", str(probs_path)], capsys)
     assert code == 0
     assert doc["n_classes"] == 2
-    model, _, stats = load_checkpoint(ckpt)
+    model, stats = load_checkpoint(ckpt)
     _, _, raw = experiment.mesh_features(load_mesh_path(ws["mesh0"]), 2)
     assert raw.shape == (80, 2, len(DEFAULT_CHANNELS))
     assert np.array_equal(load_probabilities(probs_path),
@@ -288,18 +309,22 @@ def test_train_segment_with_a_two_branch_cnn(ws, tmp_path, capsys):
 
 
 def test_refine_needs_agd_channel(ws, tmp_path, capsys):
-    probs = np.full((80, 2), 0.5)
     probs_path = tmp_path / "uniform.prob"
-    from meshseg.formats import save_probabilities
-    save_probabilities(probs_path, probs)
-    feat_path = tmp_path / "nochannel.feat"
-    save_feature_cache(feat_path, ("sdf",), np.zeros((80, 1)), "x")
-    code, _, err = invoke(["refine", str(ws["mesh0"]),
-                           "--probs", str(probs_path),
-                           "--features", str(feat_path),
-                           "-o", str(tmp_path / "r.seg")], capsys)
-    assert code == 3
-    assert "agd" in err["message"]
+    save_probabilities(probs_path, np.full((80, 2), 0.5))
+    feat_path = tmp_path / "onechannel.feat"
+    # one channel under another key, then the agd channel alone under the
+    # mesh's own key: refinement reads the nine channels or none
+    for names, key in ((("sdf",), "x"),
+                       (("agd",), experiment.feature_cache_key(ws["mesh0"]))):
+        write_feature_cache(feat_path, names, np.zeros((80, 1)), key)
+        code, _, err = invoke(["refine", str(ws["mesh0"]),
+                               "--probs", str(probs_path),
+                               "--features", str(feat_path),
+                               "-o", str(tmp_path / "r.seg")], capsys)
+        assert code == 3
+        assert err["category"] == "invalid-input"
+        assert str(feat_path) in err["message"] and "agd" in err["message"]
+        assert not (tmp_path / "r.seg").exists()
 
 
 def test_refine_rejects_features_of_another_mesh(ws, tmp_path, capsys):
@@ -659,7 +684,10 @@ def test_run_degenerate_mesh_exit_three(ws, tmp_path, capsys):
     mesh = load_mesh_path(ws["mesh0"])
     verts = np.vstack([mesh.vertices, mesh.vertices[:2].mean(axis=0)])
     faces = np.vstack([mesh.faces, [[0, 1, len(verts) - 1]]])  # zero area
-    save_off((verts, faces), tmp_path / "flat.off")
+    (tmp_path / "flat.off").write_text("\n".join(
+        ["OFF", f"{len(verts)} {len(faces)} 0",
+         *(f"{x!r} {y!r} {z!r}" for x, y, z in verts.tolist()),
+         *(f"3 {a} {b} {c}" for a, b, c in faces.tolist())]) + "\n")
     manifest = write_manifest(tmp_path / "m.json", ws, tmp_path / "flat.off")
     cfg = write_config(tmp_path / "cfg.json", manifest, tmp_path / "out")
     code, _, err = invoke(["run", "--config", str(cfg)], capsys)
@@ -726,21 +754,3 @@ def test_unexpected_error_exit_one(monkeypatch, capsys):
         code, _, err = invoke(["gradcheck"], capsys)
         assert code == 1
         assert err["category"] == "internal"
-
-
-# ------------------------------------------------------------- threading
-
-
-def test_thread_count_resolution(monkeypatch):
-    args = argparse.Namespace(threads=0)
-    monkeypatch.delenv(THREADS_ENV, raising=False)
-    assert _threads(args) == 1
-    monkeypatch.setenv(THREADS_ENV, "3")
-    assert _threads(args) == 3
-    monkeypatch.setenv(THREADS_ENV, "0")
-    assert _threads(args) == 1
-    monkeypatch.setenv(THREADS_ENV, "junk")
-    assert _threads(args) == 1
-    args = argparse.Namespace(threads=2)
-    monkeypatch.setenv(THREADS_ENV, "7")
-    assert _threads(args) == 2

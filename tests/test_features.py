@@ -16,7 +16,6 @@ from meshseg.features.curvature import (
     angle_deficits,
     barycentric_areas,
     curvature_field,
-    gaussian_curvature,
     target_curvature,
 )
 from meshseg.features.geodesic import average_geodesic_distance
@@ -43,7 +42,7 @@ from oracles import (
 
 def test_flat_interior_deficit_zero():
     grid = shapes.plane_grid(6, 6)
-    deficits = angle_deficits(grid)
+    deficits = curvature_field(grid).integrated_curvature
     interior = ~grid.boundary_vertices()
     assert interior.any()
     assert np.abs(deficits[interior]).max() < 1e-12
@@ -51,39 +50,50 @@ def test_flat_interior_deficit_zero():
 
 def test_cube_corner_deficit():
     cube = shapes.cube()
-    deficits = angle_deficits(cube)
+    field = curvature_field(cube)
+    deficits = field.integrated_curvature
     # three flat quadrants meet at each corner: 2*pi - 3*pi/2
     assert deficits == pytest.approx(np.full(8, math.pi / 2), abs=1e-12)
+    assert np.array_equal(deficits, angle_deficits(cube))
     areas = barycentric_areas(cube)
-    assert gaussian_curvature(cube) == pytest.approx(deficits / areas, rel=1e-12)
+    assert field.gaussian_curvature == pytest.approx(deficits / areas, rel=1e-12)
 
 
 def test_closed_surface_total_curvature():
     # sum of deficits = 2*pi*euler characteristic, = 4*pi on a sphere
     ico = synth.icosphere(2)
-    assert angle_deficits(ico).sum() == pytest.approx(4 * math.pi, abs=1e-6)
+    field = curvature_field(ico)
+    assert field.integrated_curvature.sum() == pytest.approx(4 * math.pi, abs=1e-6)
     areas = barycentric_areas(ico)
-    assert (gaussian_curvature(ico) * areas).sum() == pytest.approx(4 * math.pi, abs=1e-6)
+    assert (field.gaussian_curvature * areas).sum() == pytest.approx(4 * math.pi, abs=1e-6)
+
+
+def test_vertex_without_faces_is_rejected():
+    ico = synth.icosphere(0)
+    loose = Mesh(np.vstack([ico.vertices, [[5.0, 5.0, 5.0]]]), ico.faces)
+    with pytest.raises(ValueError, match="vertex 12 has an empty one-ring"):
+        curvature_field(loose)
 
 
 def test_icosahedron_target_equals_integrated():
     # all 12 vertices are equivalent, so redistribution is a no-op
     ico = synth.icosphere(0)
-    deficits = angle_deficits(ico)
-    target = target_curvature(ico, deficits)
-    assert target == pytest.approx(deficits, rel=1e-12)
+    field = curvature_field(ico)
+    assert field.target_curvature == pytest.approx(field.integrated_curvature, rel=1e-12)
 
 
 def test_target_conserves_total():
     rng = np.random.default_rng(3)
     mesh = shapes.bumpy_patch(7, 7, seed=5)
-    deficits = angle_deficits(mesh)
-    target = target_curvature(mesh, deficits)
-    total = deficits.sum()
+    curvature = curvature_field(mesh)
+    target = curvature.target_curvature
+    total = curvature.integrated_curvature.sum()
     assert abs(target.sum() - total) <= 1e-9 * max(1.0, abs(total))
     # redistribution also conserves an arbitrary vertex field
     field = rng.normal(size=mesh.n_vertices)
-    assert target_curvature(mesh, field).sum() == pytest.approx(field.sum(), rel=1e-12)
+    areas = barycentric_areas(mesh)
+    assert target_curvature(mesh, field, areas).sum() == pytest.approx(field.sum(),
+                                                                      rel=1e-12)
 
 
 def test_target_proportional_to_area():
@@ -92,7 +102,7 @@ def test_target_proportional_to_area():
     verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [2, 2, 0]])
     mesh = Mesh(verts, np.array([[0, 1, 2], [1, 3, 2]]))
     assert mesh.face_areas[1] == pytest.approx(3 * mesh.face_areas[0])
-    target = target_curvature(mesh, angle_deficits(mesh))
+    target = curvature_field(mesh).target_curvature
     assert target[3] == pytest.approx(3 * target[0], rel=1e-12)
 
 
@@ -101,7 +111,8 @@ def test_curvature_field_bundles_smoothed_levels(ico2):
     field = curvature_field(ico2, levels)
     assert len(field.smoothed_target_curvature) == 3
     for level, target in zip(levels, field.smoothed_target_curvature):
-        assert target == pytest.approx(target_curvature(level, angle_deficits(level)))
+        assert target == pytest.approx(target_curvature(
+            level, angle_deficits(level), barycentric_areas(level)))
 
 
 # ---------------------------------------------------------- conformal factor
@@ -554,17 +565,17 @@ def test_default_channel_order():
 
 
 def test_compute_features_shapes(ico2):
-    fm = compute_features(ico2)
-    assert fm.values.shape == (ico2.n_faces, len(DEFAULT_CHANNELS))
-    assert fm.channel_names == DEFAULT_CHANNELS
-    assert np.isfinite(fm.values).all()
+    values, fallback = compute_features(ico2)
+    assert values.shape == (ico2.n_faces, len(DEFAULT_CHANNELS))
+    assert np.isfinite(values).all()
+    assert fallback.size == 0
 
 
 def test_compute_features_reports_fallbacks():
     grid = shapes.plane_grid(3, 3)
-    fm = compute_features(grid)
+    _, fallback = compute_features(grid)
     assert grid.n_faces == 18
-    assert fm.diagnostics["sdf_fallback_faces"] == list(range(grid.n_faces))
+    assert fallback.tolist() == list(range(grid.n_faces))
 
 
 def test_non_finite_channel_is_named(tet, monkeypatch):
@@ -584,10 +595,10 @@ def test_non_finite_channel_is_named(tet, monkeypatch):
                          ids=["dumbbell(2)", "icosphere(2)"])
 def test_compute_features_equals_per_extractor_assembly(make):
     mesh = make()
-    fm = compute_features(mesh)
+    got, _ = compute_features(mesh)
     names, values = feature_matrix_reference(mesh)
-    assert fm.channel_names == names
-    assert np.array_equal(fm.values, values)
+    assert names == DEFAULT_CHANNELS
+    assert np.array_equal(got, values)
 
 
 # ------------------------------------------------------------ normalization

@@ -1,4 +1,3 @@
-import io
 import json
 import math
 import os
@@ -11,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from meshseg import formats, synth
-from meshseg.features.matrix import NormalizationStats
+from meshseg.features.matrix import DEFAULT_CHANNELS, NormalizationStats
 from meshseg.formats import (
     CKPT_MAGIC,
     FormatError,
@@ -28,7 +27,6 @@ from meshseg.formats import (
     load_manifest,
     load_probabilities,
     parse_experiment_config,
-    parse_fixed_split,
     save_checkpoint,
     save_feature_cache,
     save_labels,
@@ -36,6 +34,7 @@ from meshseg.formats import (
 )
 from meshseg.neural.models import CnnModel, PcaNnModel, StackedAeModel
 from meshseg.neural.training import TrainConfig
+from conftest import write_feature_cache
 
 
 # ------------------------------------------------------------- content hash
@@ -50,52 +49,66 @@ def test_content_hash_is_stable_and_injective_on_parts():
 
 # ------------------------------------------------------------ feature cache
 
+N = len(DEFAULT_CHANNELS)
+
+
 def test_feature_cache_round_trip(tmp_path):
     path = tmp_path / "m.feat"
-    values = np.random.default_rng(0).normal(size=(17, 3))
-    save_feature_cache(path, ("gc", "agd", "sdf"), values, source_hash="abc123")
-    names, loaded, src = load_feature_cache(path)
-    assert names == ("gc", "agd", "sdf")
-    assert np.array_equal(loaded, values)
-    assert src == "abc123"
+    values = np.random.default_rng(0).normal(size=(17, N))
+    save_feature_cache(path, values, "abc123")
+    assert "\n".join(DEFAULT_CHANNELS).encode() in path.read_bytes()
+    assert np.array_equal(load_feature_cache(path, "abc123"), values)
+
+
+@pytest.mark.parametrize("names, width, key, reason", [
+    (DEFAULT_CHANNELS, N, "other", "features of another mesh or channel set"),
+    (DEFAULT_CHANNELS[:7] + ("sdf", "agd"), N, "key", "features of channels"),
+    (("agd",), 1, "key", "features of channels"),
+], ids=["other-key", "reordered-names", "agd-only"])
+def test_feature_cache_rejects_other_keys_and_channels(tmp_path, names, width, key,
+                                                       reason):
+    path = tmp_path / "other.feat"
+    write_feature_cache(path, names, np.zeros((4, width)), key)
+    with pytest.raises(FormatError, match=f"{re.escape(str(path))}: {reason}"):
+        load_feature_cache(path, "key")
 
 
 def test_feature_cache_bad_magic(tmp_path):
     path = tmp_path / "bogus.feat"
     path.write_bytes(b"NOTAFEAT" + b"\x00" * 64)
     with pytest.raises(FormatError, match="not a feature cache file"):
-        load_feature_cache(path)
+        load_feature_cache(path, "key")
 
 
 def test_feature_cache_version_mismatch(tmp_path):
     path = tmp_path / "old.feat"
-    save_feature_cache(path, ("a",), np.zeros((2, 1)))
+    save_feature_cache(path, np.zeros((2, N)), "key")
     blob = bytearray(path.read_bytes())
     blob[8] = 99  # bump the little-endian version field
     path.write_bytes(bytes(blob))
     with pytest.raises(FormatError, match="version 99 unsupported.*regenerate"):
-        load_feature_cache(path)
+        load_feature_cache(path, "key")
 
 
 def test_feature_cache_truncation(tmp_path):
     path = tmp_path / "cut.feat"
-    save_feature_cache(path, ("a", "b"), np.ones((5, 2)))
+    save_feature_cache(path, np.ones((5, N)), "key")
     path.write_bytes(path.read_bytes()[:-7])
     with pytest.raises(FormatError, match="truncated"):
-        load_feature_cache(path)
+        load_feature_cache(path, "key")
 
 
 def test_feature_cache_rejects_trailing_bytes(tmp_path):
     path = tmp_path / "long.feat"
-    save_feature_cache(path, ("a", "b"), np.ones((5, 2)))
+    save_feature_cache(path, np.ones((5, N)), "key")
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(FormatError, match="1 trailing bytes"):
-        load_feature_cache(path)
+        load_feature_cache(path, "key")
 
 
 def test_feature_cache_shape_validation(tmp_path):
-    with pytest.raises(ValueError, match="matching the names"):
-        save_feature_cache(tmp_path / "x.feat", ("a", "b"), np.zeros((4, 3)))
+    with pytest.raises(ValueError, match=rf"values must be \(faces, {N}\)"):
+        save_feature_cache(tmp_path / "x.feat", np.zeros((4, 3)), "key")
 
 
 # ------------------------------------------------------------ probabilities
@@ -109,7 +122,7 @@ def test_probabilities_round_trip(tmp_path):
 
 def test_probabilities_reject_feature_file(tmp_path):
     path = tmp_path / "m.feat"
-    save_feature_cache(path, ("a",), np.zeros((2, 1)))
+    save_feature_cache(path, np.zeros((2, N)), "key")
     with pytest.raises(FormatError, match="not a probability file"):
         load_probabilities(path)
 
@@ -126,13 +139,13 @@ def test_probabilities_reject_trailing_bytes(tmp_path):
 
 def _train_tiny_cnn(seed=0):
     rng = np.random.default_rng(seed)
-    model = CnnModel(2, 8, 3, seed=seed, train_cfg=TrainConfig(epochs=2, batch_size=8))
-    x = rng.normal(size=(24, 2, 8))
+    model = CnnModel(2, N, 3, seed=seed, train_cfg=TrainConfig(epochs=2, batch_size=8))
+    x = rng.normal(size=(24, 2, N))
     model.fit(x, rng.integers(0, 3, 24))
     return model, x
 
 
-def _stats(n):
+def _stats(n=N):
     return NormalizationStats(mean=np.linspace(-1.0, 1.0, n) / 3.0,
                               scale=np.linspace(0.5, 2.0, n) / 7.0)
 
@@ -140,40 +153,40 @@ def _stats(n):
 def test_checkpoint_round_trip_cnn(tmp_path):
     model, x = _train_tiny_cnn()
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, model, ("c1", "c2", "c3"), _stats(3))
-    clone, channels, stats = load_checkpoint(path)
-    assert channels == ("c1", "c2", "c3")
-    assert np.array_equal(stats.mean, _stats(3).mean)
-    assert np.array_equal(stats.scale, _stats(3).scale)
-    assert clone.spec == model.spec == ("cnn", 2, 8, 3)
+    save_checkpoint(path, model, _stats())
+    assert "\n".join(DEFAULT_CHANNELS).encode() in path.read_bytes()
+    clone, stats = load_checkpoint(path)
+    assert np.array_equal(stats.mean, _stats().mean)
+    assert np.array_equal(stats.scale, _stats().scale)
+    assert clone.spec == model.spec == ("cnn", 2, N, 3)
     assert np.array_equal(clone.predict_proba(x), model.predict_proba(x))
 
 
 def test_checkpoint_round_trip_pca(tmp_path):
     rng = np.random.default_rng(2)
-    model = PcaNnModel(6, 2, seed=3, train_cfg=TrainConfig(epochs=2, batch_size=8))
-    x = rng.normal(size=(30, 6))
+    model = PcaNnModel(N, 2, seed=3, train_cfg=TrainConfig(epochs=2, batch_size=8))
+    x = rng.normal(size=(30, N))
     model.fit(x, rng.integers(0, 2, 30))
-    save_checkpoint(tmp_path / "m.ckpt", model, ("a",) * 6, _stats(6))
-    clone, _, _ = load_checkpoint(tmp_path / "m.ckpt")
+    save_checkpoint(tmp_path / "m.ckpt", model, _stats())
+    clone, _ = load_checkpoint(tmp_path / "m.ckpt")
     assert np.array_equal(clone.pca_basis, model.pca_basis)
     assert np.array_equal(clone.predict_proba(x), model.predict_proba(x))
 
 
 def test_checkpoint_round_trip_ae(tmp_path):
     rng = np.random.default_rng(4)
-    model = StackedAeModel(6, 2, seed=5, train_cfg=TrainConfig(epochs=2, batch_size=8))
-    x = rng.normal(size=(30, 6))
+    model = StackedAeModel(N, 2, seed=5, train_cfg=TrainConfig(epochs=2, batch_size=8))
+    x = rng.normal(size=(30, N))
     model.fit(x, rng.integers(0, 2, 30))
-    save_checkpoint(tmp_path / "m.ckpt", model, ("a",) * 6, _stats(6))
-    clone, _, _ = load_checkpoint(tmp_path / "m.ckpt")
+    save_checkpoint(tmp_path / "m.ckpt", model, _stats())
+    clone, _ = load_checkpoint(tmp_path / "m.ckpt")
     assert np.array_equal(clone.predict_proba(x), model.predict_proba(x))
 
 
 def test_checkpoint_rejects_trailing_bytes(tmp_path):
     model, _ = _train_tiny_cnn()
     path = tmp_path / "long.ckpt"
-    save_checkpoint(path, model, ("c1", "c2", "c3"), _stats(3))
+    save_checkpoint(path, model, _stats())
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(FormatError, match="1 trailing bytes"):
         load_checkpoint(path)
@@ -182,22 +195,44 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path):
 def test_checkpoint_stats_need_one_entry_per_channel(tmp_path):
     model, _ = _train_tiny_cnn()
     with pytest.raises(ValueError, match="one entry per channel"):
-        save_checkpoint(tmp_path / "m.ckpt", model, ("c1", "c2"), _stats(3))
+        save_checkpoint(tmp_path / "m.ckpt", model, _stats(N - 1))
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, model, ("c1", "c2", "c3"), _stats(3))
-    # a fourth channel name in front of three stats entries
-    names = b"c1\nc2\nc3"
+    save_checkpoint(path, model, _stats())
+    # a tenth channel name behind nine stats entries
+    names = "\n".join(DEFAULT_CHANNELS).encode()
     path.write_bytes(path.read_bytes().replace(
         struct.pack("<I", len(names)) + names,
         struct.pack("<I", len(names) + 3) + names + b"\nc4"))
-    with pytest.raises(FormatError, match="stats for 3 channels, checkpoint names 4"):
+    with pytest.raises(FormatError, match=f"stats for {N} channels, checkpoint names {N + 1}"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_other_channels(tmp_path):
+    model, _ = _train_tiny_cnn()
+    path = tmp_path / "swapped.ckpt"
+    save_checkpoint(path, model, _stats())
+    blob = path.read_bytes()
+    assert blob.count(b"agd\nsdf") == 1
+    path.write_bytes(blob.replace(b"agd\nsdf", b"sdf\nagd"))
+    with pytest.raises(FormatError, match=re.escape(f"{path}: trained on channels [")):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_a_model_of_another_input_length(tmp_path):
+    rng = np.random.default_rng(2)
+    model = PcaNnModel(5, 2, seed=3, train_cfg=TrainConfig(epochs=2, batch_size=8))
+    model.fit(rng.normal(size=(30, 5)), rng.integers(0, 2, 30))
+    path = tmp_path / "five.ckpt"
+    save_checkpoint(path, model, _stats())
+    with pytest.raises(FormatError, match=re.escape(
+            f"{path}: model spec 'pca-nn 1 5 2' has input length 5, not the {N} channels")):
         load_checkpoint(path)
 
 
 def test_checkpoint_version_one_needs_regenerating(tmp_path):
     model, _ = _train_tiny_cnn()
     path = tmp_path / "old.ckpt"
-    save_checkpoint(path, model, ("c1", "c2", "c3"), _stats(3))
+    save_checkpoint(path, model, _stats())
     blob = path.read_bytes()
     path.write_bytes(CKPT_MAGIC + struct.pack("<I", 1) + blob[len(CKPT_MAGIC) + 4:])
     with pytest.raises(FormatError, match="version 1 unsupported.*regenerate"):
@@ -208,7 +243,7 @@ def test_checkpoint_version_two_needs_regenerating(tmp_path):
     # version 2 stored a bias for every conv; version 3 has none
     model, _ = _train_tiny_cnn()
     path = tmp_path / "v2.ckpt"
-    save_checkpoint(path, model, ("c1", "c2", "c3"), _stats(3))
+    save_checkpoint(path, model, _stats())
     blob = path.read_bytes()
     path.write_bytes(CKPT_MAGIC + struct.pack("<I", 2) + blob[len(CKPT_MAGIC) + 4:])
     with pytest.raises(FormatError, match="version 2 unsupported.*regenerate"):
@@ -219,18 +254,18 @@ def test_checkpoint_version_three_needs_regenerating(tmp_path):
     # version 3 opened with an architecture descriptor; version 4 with the spec
     model, _ = _train_tiny_cnn()
     path = tmp_path / "v3.ckpt"
-    save_checkpoint(path, model, ("c1", "c2", "c3"), _stats(3))
+    save_checkpoint(path, model, _stats())
     blob = path.read_bytes()
-    assert b"cnn 2 8 3" in blob
+    assert b"cnn 2 9 3" in blob
     path.write_bytes(CKPT_MAGIC + struct.pack("<I", 3) + blob[len(CKPT_MAGIC) + 4:])
     with pytest.raises(FormatError, match="version 3 unsupported.*regenerate"):
         load_checkpoint(path)
 
 
 def test_checkpoint_untrained_cnn_fails_loudly(tmp_path):
-    model = CnnModel(1, 8, 2, seed=0)
+    model = CnnModel(1, N, 2, seed=0)
     with pytest.raises(ValueError, match="untrained"):
-        save_checkpoint(tmp_path / "m.ckpt", model, ("a",), _stats(1))
+        save_checkpoint(tmp_path / "m.ckpt", model, _stats())
 
 
 def test_checkpoint_rejects_batch_norm_stat_of_the_wrong_shape(tmp_path):
@@ -239,7 +274,7 @@ def test_checkpoint_rejects_batch_norm_stat_of_the_wrong_shape(tmp_path):
     assert bn.gamma.name == "b0.bn1.gamma"
     bn.running_mean = bn.running_mean[:1]
     path = tmp_path / "cut.ckpt"
-    save_checkpoint(path, model, ("c1", "c2", "c3"), _stats(3))
+    save_checkpoint(path, model, _stats())
     with pytest.raises(FormatError, match=re.escape(
             f"{path}: tensor 'b0.bn1.running_mean': shape mismatch loading "
             "tensor: (1,) into (16,)")):
@@ -260,20 +295,18 @@ def test_checkpoint_failing_partway_keeps_the_old_file(tmp_path):
     # the header and the first conv tensors have been written
     model, _ = _train_tiny_cnn()
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, model, ("c1", "c2", "c3"), _stats(3))
+    save_checkpoint(path, model, _stats())
     before = path.read_bytes()
     with pytest.raises(ValueError, match="untrained"):
-        save_checkpoint(path, CnnModel(2, 8, 3, seed=1), ("c1", "c2", "c3"),
-                        _stats(3))
+        save_checkpoint(path, CnnModel(2, N, 3, seed=1), _stats())
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["model.ckpt"]
 
 
 @pytest.mark.parametrize("save", [
-    lambda p: save_feature_cache(p, ("a", "b"), np.ones((4, 2)), "key"),
+    lambda p: save_feature_cache(p, np.ones((4, N)), "key"),
     lambda p: save_probabilities(p, np.full((4, 2), 0.5)),
-    lambda p: save_checkpoint(p, _train_tiny_cnn()[0], ("c1", "c2", "c3"),
-                              _stats(3)),
+    lambda p: save_checkpoint(p, _train_tiny_cnn()[0], _stats()),
 ], ids=["feature-cache", "probabilities", "checkpoint"])
 def test_failed_write_keeps_the_old_file(save, tmp_path, monkeypatch):
     path = tmp_path / "artifact.bin"
@@ -297,22 +330,20 @@ def test_failed_write_keeps_the_old_file(save, tmp_path, monkeypatch):
 
 def _pca_checkpoint(path):
     rng = np.random.default_rng(2)
-    model = PcaNnModel(4, 2, seed=3, train_cfg=TrainConfig(epochs=2, batch_size=8))
-    model.fit(rng.normal(size=(30, 4)), rng.integers(0, 2, 30))
-    save_checkpoint(path, model, ("a", "b", "c", "d"), _stats(4))
+    model = PcaNnModel(N, 2, seed=3, train_cfg=TrainConfig(epochs=2, batch_size=8))
+    model.fit(rng.normal(size=(30, N)), rng.integers(0, 2, 30))
+    save_checkpoint(path, model, _stats())
 
 
 CORRUPTIBLE = {  # writer and loader of each binary format
     "feature-cache": (
-        lambda p: save_feature_cache(p, ("gc", "agd"), np.ones((3, 2)), "key"),
-        load_feature_cache),
+        lambda p: save_feature_cache(p, np.ones((3, N)), "key"),
+        lambda p: load_feature_cache(p, "key")),
     "probabilities": (
         lambda p: save_probabilities(p, np.full((3, 2), 0.5)), load_probabilities),
     "checkpoint-pca": (_pca_checkpoint, load_checkpoint),
     "checkpoint-cnn": (
-        lambda p: save_checkpoint(p, _train_tiny_cnn()[0], ("c1", "c2", "c3"),
-                                  _stats(3)),
-        load_checkpoint),
+        lambda p: save_checkpoint(p, _train_tiny_cnn()[0], _stats()), load_checkpoint),
 }
 
 
@@ -342,22 +373,25 @@ def _flip(blob: bytes, bit: int) -> bytes:
 
 
 @pytest.mark.parametrize("kind, marker, offset, bit, reason", [
-    ("feature-cache", b"gc", 0, 7, "not UTF-8"),  # channel name
-    ("checkpoint-cnn", b"cnn 2 8 3", 0, 7, "not UTF-8"),  # model spec
-    # the pca-nn spec is "pca-nn 1 4 2": 4 inputs, 2 classes
-    ("checkpoint-pca", b"pca-nn 1 4", 9, 2, "input length 0"),  # 4 -> 0
-    ("checkpoint-pca", b"pca-nn 1 4", 9, 0,  # 4 -> 5 inputs, tensors for 4
-     r"tensor 'pca.mean'.*\(4,\) into \(5,\)"),
-    ("checkpoint-pca", b"pca.basis", 13, 0,  # basis (5, 4), model (4, 4)
-     r"\(5, 4\) into \(4, 4\)"),
-    ("checkpoint-pca", b"pca.basis", 20, 6, "truncated"),  # (4 + 2**62, 4)
-    # the cnn spec is "cnn 2 8 3": 2 branches of length 8, 3 classes
-    ("checkpoint-cnn", b"cnn 2 8 3", 4, 2, "branch count"),  # 2 -> 6 branches
-    ("checkpoint-cnn", b"cnn 2 8 3", 6, 3, "input length 0"),  # 8 -> 0
-    ("checkpoint-cnn", b"cnn 2 8 3", 5, 4,  # space -> "0": "cnn 208 3"
-     "'cnn 208 3' is not 'kind scales input_length classes'"),
-], ids=["name-utf8", "spec-utf8", "zero-size", "bad-size", "wrong-shape",
-        "huge-dim", "cnn-six-branches", "cnn-zero-length", "spec-three-fields"])
+    ("feature-cache", b"gaussian", 0, 7, "not UTF-8"),  # channel name
+    ("checkpoint-cnn", b"cnn 2 9 3", 0, 7, "not UTF-8"),  # model spec
+    # the pca-nn spec is "pca-nn 1 9 2": 9 inputs, 2 classes
+    ("checkpoint-pca", b"pca-nn 1 9 2", 11, 1, "0 classes: need at least 2"),  # 2 -> 0
+    ("checkpoint-pca", b"pca-nn 1 9 2", 11, 0,  # 2 -> 3 classes, tensors for 2
+     r"tensor 'out.weight'.*\(2, 2\) into \(2, 3\)"),
+    ("checkpoint-pca", b"pca-nn 1 9", 9, 0,  # 9 -> 8 inputs for 9 channels
+     "'pca-nn 1 8 2' has input length 8, not the 9 channels"),
+    ("checkpoint-pca", b"pca.basis", 13, 0,  # basis (8, 9), model (9, 9)
+     r"\(8, 9\) into \(9, 9\)"),
+    ("checkpoint-pca", b"pca.basis", 20, 6, "truncated"),  # (9 + 2**62, 9)
+    # the cnn spec is "cnn 2 9 3": 2 branches of length 9, 3 classes
+    ("checkpoint-cnn", b"cnn 2 9 3", 4, 2, "branch count"),  # 2 -> 6 branches
+    ("checkpoint-cnn", b"cnn 2 9 3", 8, 1, "1 classes: need at least 2"),  # 3 -> 1
+    ("checkpoint-cnn", b"cnn 2 9 3", 5, 4,  # space -> "0": "cnn 209 3"
+     "'cnn 209 3' is not 'kind scales input_length classes'"),
+], ids=["name-utf8", "spec-utf8", "zero-size", "bad-size", "other-length",
+        "wrong-shape", "huge-dim", "cnn-six-branches", "cnn-one-class",
+        "spec-three-fields"])
 def test_known_bit_flips_are_format_errors(corrupt_dir, kind, marker, offset, bit,
                                            reason):
     blob, load, bad = _pristine(kind, corrupt_dir)
@@ -423,28 +457,34 @@ def test_labels_skip_blank_lines(tmp_path):
 
 # -------------------------------------------------------------- fixed split
 
-def test_fixed_split_parses_sections():
-    train, test = parse_fixed_split(
-        "# comment\ntrain:\n a\n b\ntest:\n c # trailing\n")
+def _split(tmp_path, text):
+    """load_fixed_split of a file holding text."""
+    path = tmp_path / "split.txt"
+    path.write_text(text)
+    return load_fixed_split(path)
+
+
+def test_fixed_split_parses_sections(tmp_path):
+    train, test = _split(tmp_path, "# comment\ntrain:\n a\n b\ntest:\n c # trailing\n")
     assert train == ["a", "b"]
     assert test == ["c"]
 
 
-def test_fixed_split_errors():
+def test_fixed_split_errors(tmp_path):
     with pytest.raises(FormatError, match="unknown section 'val'"):
-        parse_fixed_split("val:\n a\n")
+        _split(tmp_path, "val:\n a\n")
     with pytest.raises(FormatError, match="before any section"):
-        parse_fixed_split("a\ntrain:\n")
+        _split(tmp_path, "a\ntrain:\n")
     with pytest.raises(FormatError, match="duplicate section"):
-        parse_fixed_split("train:\na\ntrain:\nb\ntest:\nc\n")
+        _split(tmp_path, "train:\na\ntrain:\nb\ntest:\nc\n")
     with pytest.raises(FormatError, match="missing or empty test"):
-        parse_fixed_split("train:\n a\n")
+        _split(tmp_path, "train:\n a\n")
     with pytest.raises(FormatError, match="missing or empty train"):
-        parse_fixed_split("train:\ntest:\n c\n")
+        _split(tmp_path, "train:\ntest:\n c\n")
     with pytest.raises(FormatError, match="line 4: mesh 'a' already listed under train:"):
-        parse_fixed_split("train:\n a\ntest:\n a\n")
+        _split(tmp_path, "train:\n a\ntest:\n a\n")
     with pytest.raises(FormatError, match="line 3: mesh 'b' already listed under train:"):
-        parse_fixed_split("train:\n b\n b\ntest:\n c\n")
+        _split(tmp_path, "train:\n b\n b\ntest:\n c\n")
 
 
 def test_fixed_split_from_file(tmp_path):
@@ -458,13 +498,13 @@ def test_fixed_split_from_file(tmp_path):
 
 # --------------------------------------------------------------- PLY export
 
-def test_ply_export_deterministic(tet):
+def test_ply_export_deterministic(tet, tmp_path):
     labels = np.array([0, 1, 2, 1])
-    a, b = io.StringIO(), io.StringIO()
+    a, b = tmp_path / "a.ply", tmp_path / "b.ply"
     export_colored_ply(tet, labels, a)
     export_colored_ply(tet, labels, b)
-    assert a.getvalue() == b.getvalue()
-    text = a.getvalue()
+    assert a.read_bytes() == b.read_bytes()
+    text = a.read_text()
     assert text.startswith("ply\nformat ascii 1.0\n")
     face_lines = [l for l in text.splitlines() if l.startswith("3 ")]
     assert len(face_lines) == 4
@@ -483,9 +523,10 @@ def test_ply_export_palette_wrap_warns(tet, tmp_path):
     assert wrapped.endswith(f"{r} {g} {b}")  # label 22 wraps to color 0
 
 
-def test_ply_export_label_count_mismatch(tet):
+def test_ply_export_label_count_mismatch(tet, tmp_path):
     with pytest.raises(ValueError, match="labels for 4 faces"):
-        export_colored_ply(tet, np.zeros(3, dtype=int), io.StringIO())
+        export_colored_ply(tet, np.zeros(3, dtype=int), tmp_path / "m.ply")
+    assert not (tmp_path / "m.ply").exists()
 
 
 # ----------------------------------------------------------------- manifest

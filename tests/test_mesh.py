@@ -1,4 +1,3 @@
-import io
 import math
 import pickle
 
@@ -12,7 +11,6 @@ from meshseg.mesh import (
     MeshError,
     build_dual_graph,
     face_balls,
-    load_mesh,
     load_mesh_path,
     save_off,
 )
@@ -29,24 +27,31 @@ RIGHT_TRIANGLE_OFF = """OFF
 """
 
 
-def test_off_right_triangle():
-    mesh = load_mesh(io.StringIO(RIGHT_TRIANGLE_OFF), "off")
+def _load_text(tmp_path, text, ext="off"):
+    """The mesh of the given file text, written to a file with extension ext."""
+    path = tmp_path / f"mesh.{ext}"
+    path.write_text(text)
+    return load_mesh_path(path)
+
+
+def test_off_right_triangle(tmp_path):
+    mesh = _load_text(tmp_path, RIGHT_TRIANGLE_OFF)
     assert mesh.n_vertices == 3 and mesh.n_faces == 1
     assert mesh.face_areas == pytest.approx([0.5])
     assert mesh.face_normals[0] == pytest.approx([0.0, 0.0, 1.0])
 
 
-def test_off_face_shortfall_names_missing_count():
+def test_off_face_shortfall_names_missing_count(tmp_path):
     text = "OFF\n4 4 0\n" + "\n".join("0 0 %d" % i for i in range(4))
     text += "\n3 0 1 2\n3 0 1 3\n3 0 2 3\n"
     with pytest.raises(MeshError, match="expected 4 face"):
-        load_mesh(io.StringIO(text), "off")
+        _load_text(tmp_path, text)
 
 
-def test_off_reports_line_numbers():
+def test_off_reports_line_numbers(tmp_path):
     bad = "OFF\n3 1 0\n0 0 0\n1 0 x\n0 1 0\n3 0 1 2\n"
     with pytest.raises(MeshError, match="line 4"):
-        load_mesh(io.StringIO(bad), "off")
+        _load_text(tmp_path, bad)
 
 
 def test_obj_round_trip(tmp_path):
@@ -57,9 +62,9 @@ def test_obj_round_trip(tmp_path):
     assert mesh.face_areas == pytest.approx([0.5])
 
 
-def test_obj_rejects_negative_indices():
+def test_obj_rejects_negative_indices(tmp_path):
     with pytest.raises(MeshError, match="negative"):
-        load_mesh(io.StringIO("v 0 0 0\nv 1 0 0\nv 0 1 0\nf -1 -2 -3\n"), "obj")
+        _load_text(tmp_path, "v 0 0 0\nv 1 0 0\nv 0 1 0\nf -1 -2 -3\n", "obj")
 
 
 def test_save_off_round_trips_bitwise(tmp_path):
@@ -126,20 +131,20 @@ def _grid_off(bad_faces):
                       *(f"3 {a} {b} {c}" for a, b, c in faces)]) + "\n"
 
 
-def test_first_bad_face_is_reported_with_its_line():
+def test_first_bad_face_is_reported_with_its_line(tmp_path):
     # face 3 is out of range and face 7 repeats an index: face 3 comes
     # first, on line 2 + 16 vertices + 4 = 22
     text = _grid_off({3: [0, 1, 99], 7: [4, 4, 5]})
     with pytest.raises(MeshError, match=r"line 22: face 3 references vertex "
                                         r"out of range \[0, 16\)"):
-        load_mesh(io.StringIO(text), "off")
+        _load_text(tmp_path, text)
     with pytest.raises(MeshError, match="line 22: face 3 repeats"):
-        load_mesh(io.StringIO(_grid_off({3: [7, 7, 5], 7: [0, 1, 99]})), "off")
+        _load_text(tmp_path, _grid_off({3: [7, 7, 5], 7: [0, 1, 99]}))
 
 
-def test_repeat_wins_over_range_within_one_face():
+def test_repeat_wins_over_range_within_one_face(tmp_path):
     with pytest.raises(MeshError, match="face 2 repeats a vertex index"):
-        load_mesh(io.StringIO(_grid_off({2: [-1, -1, 3]})), "off")
+        _load_text(tmp_path, _grid_off({2: [-1, -1, 3]}))
     with pytest.raises(MeshError, match="face 0 references vertex out of range"):
         Mesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, -1]])
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from meshseg.features.matrix import NormalizationStats
+from meshseg.features.matrix import DEFAULT_CHANNELS, NormalizationStats
 from meshseg.formats import load_checkpoint, save_checkpoint
 from meshseg.neural.layers import (
     BatchNorm,
@@ -174,17 +174,18 @@ def test_conv_sees_a_new_length():
 
 
 def test_conv_sees_checkpoint_loaded_into_a_model_that_has_run(tmp_path):
-    x = RNG(13).normal(size=(16, 2, 8))
+    n = len(DEFAULT_CHANNELS)
+    x = RNG(13).normal(size=(16, 2, n))
     labels = RNG(13).integers(0, 2, 16)
     cfg = TrainConfig(epochs=1, batch_size=8)
-    used, other = CnnModel(2, 8, 2, seed=0, train_cfg=cfg), \
-        CnnModel(2, 8, 2, seed=1, train_cfg=cfg)
+    used, other = CnnModel(2, n, 2, seed=0, train_cfg=cfg), \
+        CnnModel(2, n, 2, seed=1, train_cfg=cfg)
     used.fit(x, labels)
     other.fit(x, labels)
     before = used.predict_proba(x)
     path = tmp_path / "other.ckpt"
-    save_checkpoint(path, other, ("c",), NormalizationStats(np.zeros(1), np.ones(1)))
-    loaded, _, _ = load_checkpoint(path)
+    save_checkpoint(path, other, NormalizationStats(np.zeros(n), np.ones(n)))
+    loaded, _ = load_checkpoint(path)
     for (_, owner, attr, _), (_, src, src_attr, _) in zip(used.state_slots(),
                                                           loaded.state_slots()):
         getattr(owner, attr)[...] = getattr(src, src_attr)

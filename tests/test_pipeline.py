@@ -17,6 +17,7 @@ from meshseg.formats import (
     save_feature_cache,
     save_labels,
 )
+from meshseg.mesh import build_dual_graph
 from meshseg.synth import make_toy_dataset
 
 
@@ -87,12 +88,12 @@ def test_cached_features_computes_once(toy_manifest, tmp_path, monkeypatch):
 
     monkeypatch.setattr(experiment, "compute_features", counting)
     cache_dir = tmp_path / "cache"
-    first = cached_features(lm.mesh, mesh_path, cache_dir)
+    graph = build_dual_graph(lm.mesh)
+    first = cached_features(lm.mesh, mesh_path, cache_dir, graph)
     assert len(calls) == 1
-    again = cached_features(lm.mesh, mesh_path, cache_dir)
+    again = cached_features(lm.mesh, mesh_path, cache_dir, graph)
     assert len(calls) == 1  # served from the cache file
-    assert np.array_equal(first.values, again.values)
-    assert first.channel_names == again.channel_names
+    assert np.array_equal(first, again)
 
 
 def test_cached_features_recomputes_on_stale_or_garbage(toy_manifest, tmp_path,
@@ -109,23 +110,31 @@ def test_cached_features_recomputes_on_stale_or_garbage(toy_manifest, tmp_path,
 
     monkeypatch.setattr(experiment, "compute_features", counting)
     cache_dir = tmp_path / "cache"
-    cached_features(lm.mesh, mesh_path, cache_dir)
+    graph = build_dual_graph(lm.mesh)
+    cached_features(lm.mesh, mesh_path, cache_dir, graph)
     cache_file = cache_dir / (feature_cache_key(mesh_path) + ".feat")
     assert cache_file.exists()
 
     cache_file.write_bytes(b"garbage, not a cache at all")
-    cached_features(lm.mesh, mesh_path, cache_dir)
+    cached_features(lm.mesh, mesh_path, cache_dir, graph)
     assert len(calls) == 2  # unreadable cache is silently rebuilt
 
     # a cache that holds another mesh's key under this mesh's file name is
     # also rejected
     other_path = [e[1] for e in manifest.entries if e[1] != mesh_path][0]
-    fm = cached_features(lm.mesh, mesh_path, cache_dir)
+    values = cached_features(lm.mesh, mesh_path, cache_dir, graph)
     assert len(calls) == 2
-    save_feature_cache(cache_file, fm.channel_names, fm.values,
-                       feature_cache_key(other_path))
-    cached_features(lm.mesh, mesh_path, cache_dir)
+    save_feature_cache(cache_file, values, feature_cache_key(other_path))
+    cached_features(lm.mesh, mesh_path, cache_dir, graph)
     assert len(calls) == 3
+
+    # and so is one whose channel names are in another order
+    blob = cache_file.read_bytes()
+    assert blob.count(b"agd\nsdf") == 1
+    cache_file.write_bytes(blob.replace(b"agd\nsdf", b"sdf\nagd"))
+    cached_features(lm.mesh, mesh_path, cache_dir, graph)
+    assert len(calls) == 4
+    assert cache_file.read_bytes() == blob
 
 
 def test_cached_features_propagates_loader_bugs(toy_manifest, tmp_path, monkeypatch):
@@ -135,14 +144,15 @@ def test_cached_features_propagates_loader_bugs(toy_manifest, tmp_path, monkeypa
     lm = load_labeled_meshes(manifest)[0]
     mesh_path = dict((e[0], e[1]) for e in manifest.entries)[lm.mesh_id]
     cache_dir = tmp_path / "cache"
-    cached_features(lm.mesh, mesh_path, cache_dir)
+    graph = build_dual_graph(lm.mesh)
+    cached_features(lm.mesh, mesh_path, cache_dir, graph)
 
-    def broken(path):
+    def broken(path, key):
         raise TypeError("loader bug")
 
     monkeypatch.setattr(experiment, "load_feature_cache", broken)
     with pytest.raises(TypeError, match="loader bug"):
-        cached_features(lm.mesh, mesh_path, cache_dir)
+        cached_features(lm.mesh, mesh_path, cache_dir, graph)
 
 
 def test_cached_features_same_stem_in_two_directories(toy_manifest, tmp_path,
@@ -165,13 +175,15 @@ def test_cached_features_same_stem_in_two_directories(toy_manifest, tmp_path,
 
     monkeypatch.setattr(experiment, "compute_features", counting)
     cache_dir = tmp_path / "cache"
-    first = [cached_features(lm.mesh, path, cache_dir) for lm, path in copies]
+    first = [cached_features(lm.mesh, path, cache_dir, build_dual_graph(lm.mesh))
+             for lm, path in copies]
     assert len(calls) == 2
-    again = [cached_features(lm.mesh, path, cache_dir) for lm, path in copies]
+    again = [cached_features(lm.mesh, path, cache_dir, build_dual_graph(lm.mesh))
+             for lm, path in copies]
     assert len(calls) == 2  # neither file overwrote the other's cache
     for a, b in zip(first, again):
-        assert np.array_equal(a.values, b.values)
-    assert not np.array_equal(first[0].values, first[1].values)
+        assert np.array_equal(a, b)
+    assert not np.array_equal(first[0], first[1])
 
 
 # -------------------------------------------------------------- experiment
