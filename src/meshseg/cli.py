@@ -56,7 +56,7 @@ def _emit(doc: dict) -> None:
 def cmd_features(args) -> dict:
     mesh = load_mesh_path(args.mesh)
     values, sdf_fallback_faces = compute_features(mesh)
-    save_feature_cache(args.output, values, feature_cache_key(args.mesh))
+    save_feature_cache(args.output, values, feature_cache_key(mesh))
     return {"command": "features", "mesh": str(args.mesh),
             "output": str(args.output), "n_faces": mesh.n_faces,
             "channels": list(DEFAULT_CHANNELS),
@@ -80,7 +80,7 @@ def cmd_train(args) -> dict:
     cfg = load_experiment_config(args.config)
     manifest = load_manifest(cfg.dataset)
     meshes = load_labeled_meshes(manifest)
-    bundles = _prepare_bundles(meshes, manifest, cfg, args.threads)
+    bundles = _prepare_bundles(meshes, cfg, args.threads)
     stats, x, y = normalized_training_set(bundles, [lm.mesh_id for lm in meshes])
     model, final_losses = train_model(cfg, len(manifest.classes), cfg.seed, x, y)
     out = Path(args.output)
@@ -95,8 +95,8 @@ def cmd_segment(args) -> dict:
     model, stats = load_checkpoint(args.checkpoint)
     mesh = load_mesh_path(args.mesh)
     _, scales, _, _ = model.spec
-    _, _, raw = mesh_features(mesh, scales)
-    probs = predict(model, stats, raw)
+    _, stack = mesh_features(mesh, scales)
+    probs = predict(model, stats, stack)
     save_probabilities(args.output, probs)
     summary = {"command": "segment", "mesh": str(args.mesh),
                "checkpoint": str(args.checkpoint), "seed": int(model.seed),
@@ -111,7 +111,7 @@ def cmd_segment(args) -> dict:
 def cmd_refine(args) -> dict:
     mesh = load_mesh_path(args.mesh)
     probs = load_probabilities(args.probs)
-    features = load_feature_cache(args.features, feature_cache_key(args.mesh))
+    features = load_feature_cache(args.features, feature_cache_key(mesh))
     result = refine_labels(build_dual_graph(mesh), probs, features,
                            args.lam, args.omega)
     save_labels(args.output, result.labels)
@@ -161,6 +161,12 @@ def cmd_gradcheck(args) -> dict:
             "_exit_nonzero": verdict != "PASS"}
 
 
+def _worker_count(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="meshseg",
@@ -169,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_threads(sp):
-        sp.add_argument("--threads", type=int, default=1,
+        sp.add_argument("--threads", type=_worker_count, default=1,
                         help="worker processes for per-mesh features, at most "
                              "one per mesh (default: 1)")
 

@@ -7,13 +7,14 @@ each step; `run_experiment` and the single-step commands of the CLI both
 call them.
 
 Raw per-face features are split-independent and cached per mesh keyed by
-a content hash of the mesh file and the channel names. Normalization is
+a hash of the channel names and the parsed mesh's arrays. Normalization is
 affine per channel, so it commutes with neighborhood averaging; raw
 multi-scale stacks are therefore built once and train-fold statistics are
 applied per split.
 """
 from __future__ import annotations
 
+import hashlib
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -33,7 +34,6 @@ from meshseg.formats import (
     DatasetManifest,
     ExperimentConfig,
     FormatError,
-    content_hash,
     dump_json,
     experiment_config_to_dict,
     load_feature_cache,
@@ -72,21 +72,26 @@ def load_labeled_meshes(manifest: DatasetManifest) -> list:
     return sorted(out, key=lambda lm: lm.mesh_id)
 
 
-def feature_cache_key(mesh_path) -> str:
-    """Hash of the mesh file bytes and the channel names: the raw features
-    are a function of exactly these."""
-    return content_hash(Path(mesh_path).read_bytes(), "\n".join(DEFAULT_CHANNELS))
+def feature_cache_key(mesh) -> str:
+    """Hash of the channel names and the mesh's vertex and face arrays:
+    the raw features are a function of exactly these. The vertex count
+    goes in first, so face bytes cannot pass for vertex bytes."""
+    h = hashlib.blake2b("\n".join(DEFAULT_CHANNELS).encode(), digest_size=16)
+    h.update(mesh.n_vertices.to_bytes(8, "little"))
+    h.update(np.ascontiguousarray(mesh.vertices, dtype="<f8"))
+    h.update(np.ascontiguousarray(mesh.faces, dtype="<i8"))
+    return h.hexdigest()
 
 
-def cached_features(mesh, mesh_path, cache_dir, graph) -> np.ndarray:
+def cached_features(mesh, cache_dir, graph) -> np.ndarray:
     """Compute (or reuse) the raw (faces, channels) feature matrix of one
     mesh whose dual graph is graph.
 
-    The cache file is named after its key (`feature_cache_key`), so meshes
-    with the same file name in different directories keep separate
-    caches; a stale, foreign or unreadable cache is recomputed.
+    The cache file is named after its key (`feature_cache_key`), so two
+    meshes share a cache exactly when their arrays match, whichever files
+    they came from; a stale, foreign or unreadable cache is recomputed.
     """
-    key = feature_cache_key(mesh_path)
+    key = feature_cache_key(mesh)
     cache_path = Path(cache_dir) / f"{key}.feat"
     if cache_path.exists():
         try:
@@ -103,29 +108,21 @@ def cached_features(mesh, mesh_path, cache_dir, graph) -> np.ndarray:
 class _MeshBundle:
     labeled: LabeledMesh
     graph: object
-    features: np.ndarray  # (faces, channels), unnormalized
-    raw_multiscale: np.ndarray  # (faces, K, channels), unnormalized
+    stack: np.ndarray  # (faces, K, channels), unnormalized; scale 0 is raw
 
 
-def mesh_features(mesh, scales, mesh_path=None, cache_dir=None):
-    """(dual graph, raw features, raw multi-scale stack) of one mesh; the
-    features go through the cache when cache_dir is given."""
+def mesh_features(mesh, scales, cache_dir=None):
+    """(dual graph, raw multi-scale stack) of one mesh; the features go
+    through the cache when cache_dir is given."""
     graph = build_dual_graph(mesh)
     if cache_dir is None:
         values, _ = compute_features(mesh, graph)
     else:
-        values = cached_features(mesh, mesh_path, cache_dir, graph)
-    return graph, values, multiscale(values, graph, scales)
+        values = cached_features(mesh, cache_dir, graph)
+    return graph, multiscale(values, graph, scales)
 
 
-def _bundle_parts(mesh_path, labeled, scales, cache_dir):
-    """`mesh_features` of one labeled mesh; module-level so that a worker
-    process can run it and send back only the graph and features."""
-    return mesh_features(labeled.mesh, scales, mesh_path=mesh_path,
-                         cache_dir=cache_dir)
-
-
-def _prepare_bundles(meshes, manifest, cfg, threads, log=None):
+def _prepare_bundles(meshes, cfg, threads, log=None):
     """Bundle per mesh id, with as many scales as the configured model
     reads; features are built through the cache on up to `threads` worker
     processes, never more than there are meshes.
@@ -136,17 +133,15 @@ def _prepare_bundles(meshes, manifest, cfg, threads, log=None):
     worker would do, the features are built in this process. Bundles come
     out in the order of `meshes` either way.
     """
-    paths = {mesh_id: mesh_path for mesh_id, mesh_path, _ in manifest.entries}
-    mesh_paths = [paths[lm.mesh_id] for lm in meshes]
-    build = partial(_bundle_parts, scales=cfg.branches,
+    build = partial(mesh_features, scales=cfg.branches,
                     cache_dir=Path(cfg.output_dir) / "cache")
     workers = min(threads, len(meshes))
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         with ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            parts = list(pool.map(build, mesh_paths, meshes))
+            parts = list(pool.map(build, [lm.mesh for lm in meshes]))
     else:
-        parts = map(build, mesh_paths, meshes)
+        parts = map(build, [lm.mesh for lm in meshes])
     bundles = [_MeshBundle(lm, *p) for lm, p in zip(meshes, parts)]
     for b in bundles:
         if log:
@@ -155,11 +150,10 @@ def _prepare_bundles(meshes, manifest, cfg, threads, log=None):
 
 
 def normalized_training_set(bundles, mesh_ids):
-    """(stats, x, y): normalization fitted on the raw features of mesh_ids,
-    their normalized multi-scale stacks and their labels, stacked in order."""
-    stats = fit_stats(np.vstack([bundles[m].features for m in mesh_ids]))
-    x = np.concatenate([stats.apply(bundles[m].raw_multiscale) for m in mesh_ids],
-                       axis=0)
+    """(stats, x, y): normalization fitted on the raw features (scale 0)
+    of mesh_ids, their normalized stacks and labels, stacked in order."""
+    stats = fit_stats(np.vstack([bundles[m].stack[:, 0] for m in mesh_ids]))
+    x = np.concatenate([stats.apply(bundles[m].stack) for m in mesh_ids], axis=0)
     y = np.concatenate([bundles[m].labeled.labels for m in mesh_ids])
     return stats, x, y
 
@@ -173,9 +167,9 @@ def train_model(cfg: ExperimentConfig, n_classes, seed, x, y):
     return model, {stage: curve[-1] for stage, curve in curves.items()}
 
 
-def predict(model, stats, raw_multiscale) -> np.ndarray:
+def predict(model, stats, stack) -> np.ndarray:
     """Class probabilities per face from a raw multi-scale stack."""
-    return model.predict_proba(stats.apply(raw_multiscale))
+    return model.predict_proba(stats.apply(stack))
 
 
 def refine_labels(graph, probs, features, lam, omega):
@@ -204,7 +198,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1, log=None) -> dict:
     fixed = load_fixed_split(cfg.fixed_split_file) if cfg.protocol == "fixed" else None
     splits = make_splits([lm.mesh_id for lm in meshes], cfg.protocol, cfg.k,
                          fixed, cfg.seed)
-    bundles = _prepare_bundles(meshes, manifest, cfg, threads, log)
+    bundles = _prepare_bundles(meshes, cfg, threads, log)
 
     out_dir = Path(cfg.output_dir)
     (out_dir / "probs").mkdir(parents=True, exist_ok=True)
@@ -224,9 +218,9 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1, log=None) -> dict:
             for mesh_id in test_ids:
                 b = bundles[mesh_id]
                 try:
-                    probs = predict(model, stats, b.raw_multiscale)
+                    probs = predict(model, stats, b.stack)
                     pred_pre = np.asarray(probs.argmax(axis=1), dtype=np.int64)
-                    refined = refine_labels(b.graph, probs, b.features,
+                    refined = refine_labels(b.graph, probs, b.stack[:, 0],
                                             cfg.lam, cfg.omega)
                 except Exception as exc:
                     raise RuntimeError(
@@ -253,10 +247,9 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1, log=None) -> dict:
     record_rows.sort(key=lambda r: (r["mesh_id"], r["replicate"], r["split"]))
     pre = [r["accuracy_pre"] for r in record_rows]
     post = [r["accuracy_post"] for r in record_rows]
-    rep_means = []
-    for rep in range(cfg.replicates):
-        vals = [r["accuracy_post"] for r in record_rows if r["replicate"] == rep]
-        rep_means.append(float(np.mean(vals)))
+    rep_means = [float(np.mean([r["accuracy_post"] for r in record_rows
+                                if r["replicate"] == rep]))
+                 for rep in range(cfg.replicates)]
     per_mesh = {}
     for lm in meshes:
         vals = [r["accuracy_post"] for r in record_rows if r["mesh_id"] == lm.mesh_id]
@@ -272,11 +265,10 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1, log=None) -> dict:
         "records": record_rows,
         "summary": {
             "n_records": len(record_rows),
-            "mean_accuracy_pre": float(np.mean(pre)) if pre else None,
-            "mean_accuracy_post": float(np.mean(post)) if post else None,
+            "mean_accuracy_pre": float(np.mean(pre)),
+            "mean_accuracy_post": float(np.mean(post)),
             "replicate_means_post": rep_means,
-            "replicate_spread_post": (float(max(rep_means) - min(rep_means))
-                                      if rep_means else None),
+            "replicate_spread_post": float(max(rep_means) - min(rep_means)),
             "per_mesh_post": per_mesh,
         },
     }

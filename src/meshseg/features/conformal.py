@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import connected_components
 
 from meshseg.mesh import Mesh
 from meshseg.numerics import SparseSymmetric, solve_singular_spd
-from meshseg.features.curvature import CurvatureField, corner_terms, curvature_field
+from meshseg.features.curvature import CurvatureField, curvature_field
 
 COT_CLAMP = 1e4
 
@@ -31,14 +31,15 @@ class ConformalFactorField:
     smoothed_cf: tuple
 
 
-def cotangent_laplacian(mesh: Mesh) -> SparseSymmetric:
-    """Symmetric cotangent-weight Laplacian (no area normalization).
+def cotangent_laplacian(mesh: Mesh, terms: tuple) -> SparseSymmetric:
+    """Symmetric cotangent-weight Laplacian (no area normalization); terms
+    is `curvature.corner_terms(mesh)`.
 
     Off-diagonal (i, j) gets -0.5 * (cot of each angle opposite the edge);
     cotangents are clamped against sliver triangles. Diagonal holds the
     negated row sum, so the matrix annihilates constants.
     """
-    cross, dot = corner_terms(mesh)
+    cross, dot = terms
     w = 0.5 * np.clip(dot / np.maximum(cross, 1e-300), -COT_CLAMP, COT_CLAMP)
     rows, cols, vals = [], [], []
     for k in range(3):
@@ -85,20 +86,21 @@ def conformal_factor_field(mesh: Mesh, levels: tuple = (),
     against the BASE mesh's target curvature (K^sT_i - K^T): the field then
     measures curvature displaced by smoothing rather than by
     redistribution alone. field, when given, is curvature_field(mesh,
-    levels). The levels share the mesh's connectivity, so its components
-    are found once.
+    levels), whose corner terms the Laplacians reuse. The levels share
+    the mesh's connectivity, so its components are found once.
     """
     if field is None:
         field = curvature_field(mesh, levels)
     labels = _vertex_components(mesh)
     k_t = field.target_curvature
+    terms, *level_terms = field.corner_terms
     return ConformalFactorField(
         original_cf=_solve_componentwise(
-            labels, cotangent_laplacian(mesh), k_t - field.integrated_curvature),
+            labels, cotangent_laplacian(mesh, terms), k_t - field.integrated_curvature),
         smoothed_cf=tuple(
-            _solve_componentwise(labels, cotangent_laplacian(level), k_st - k_t)
-            for level, k_st in zip(levels, field.smoothed_target_curvature,
-                                   strict=True)),
+            _solve_componentwise(labels, cotangent_laplacian(level, t), k_st - k_t)
+            for level, t, k_st in zip(levels, level_terms,
+                                      field.smoothed_target_curvature, strict=True)),
     )
 
 

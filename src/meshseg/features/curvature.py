@@ -28,7 +28,8 @@ class CurvatureField:
     gaussian_curvature: np.ndarray
     integrated_curvature: np.ndarray
     target_curvature: np.ndarray
-    smoothed_target_curvature: tuple = ()
+    smoothed_target_curvature: tuple
+    corner_terms: tuple  # `corner_terms` of the mesh, then of each level
 
 
 def corner_terms(mesh: Mesh) -> tuple:
@@ -54,11 +55,12 @@ def barycentric_areas(mesh: Mesh) -> np.ndarray:
     return areas
 
 
-def angle_deficits(mesh: Mesh) -> np.ndarray:
+def angle_deficits(mesh: Mesh, terms: tuple) -> np.ndarray:
     """Integrated Gaussian curvature: 2*pi (interior) or pi (boundary)
-    minus the sum of incident face angles at each vertex."""
+    minus the sum of incident face angles at each vertex; terms is
+    `corner_terms(mesh)`."""
     sums = np.zeros(mesh.n_vertices)
-    ang = np.arctan2(*corner_terms(mesh))  # (F, 3) interior angles
+    ang = np.arctan2(*terms)  # (F, 3) interior angles
     for k in range(3):
         np.add.at(sums, mesh.faces[:, k], ang[:, k])
     full = np.where(mesh.boundary_vertices(), math.pi, 2.0 * math.pi)
@@ -82,9 +84,10 @@ def target_curvature(mesh: Mesh, integrated: np.ndarray,
 
 def curvature_field(mesh: Mesh, levels: tuple = ()) -> CurvatureField:
     """Assemble all curvature data for a mesh, with the target curvature
-    K^sT_i of each smoothed level; the angle deficits and barycentric
-    areas of the mesh and of each level are computed once."""
-    deficits = angle_deficits(mesh)
+    K^sT_i of each smoothed level; the corner terms, angle deficits and
+    barycentric areas of the mesh and of each level are computed once."""
+    terms = tuple(corner_terms(m) for m in (mesh, *levels))
+    deficits = angle_deficits(mesh, terms[0])
     areas = barycentric_areas(mesh)
     dead = np.nonzero(areas <= 0.0)[0]
     if dead.size:
@@ -94,6 +97,7 @@ def curvature_field(mesh: Mesh, levels: tuple = ()) -> CurvatureField:
         integrated_curvature=deficits,
         target_curvature=target_curvature(mesh, deficits, areas),
         smoothed_target_curvature=tuple(
-            target_curvature(level, angle_deficits(level), barycentric_areas(level))
-            for level in levels),
+            target_curvature(level, angle_deficits(level, t), barycentric_areas(level))
+            for level, t in zip(levels, terms[1:])),
+        corner_terms=terms,
     )

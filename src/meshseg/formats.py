@@ -9,7 +9,6 @@ lists, OFF/OBJ/PLY) stay as their consumers expect.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -37,18 +36,6 @@ CKPT_MAGIC = b"MSEGCKPT"
 
 class FormatError(ValueError):
     """Malformed or mismatched artifact file."""
-
-
-def content_hash(*parts) -> str:
-    """Stable hex digest over byte/str parts; used to key feature caches
-    to their source mesh and channel names."""
-    h = hashlib.blake2b(digest_size=16)
-    for part in parts:
-        if isinstance(part, str):
-            part = part.encode()
-        h.update(part)
-        h.update(b"\x1f")
-    return h.hexdigest()
 
 
 class _Reader:
@@ -194,7 +181,23 @@ def save_checkpoint(path, model, stats: NormalizationStats) -> None:
     at most, and never asks for a huge architecture."""
     if not len(stats.mean) == len(stats.scale) == len(DEFAULT_CHANNELS):
         raise ValueError("normalization stats need one entry per channel")
+    _parse_spec(" ".join(map(str, model.spec)))
     _write_atomic(path, _checkpoint_parts(model, stats))
+
+
+def _parse_spec(spec: str) -> tuple:
+    """(kind, scales, input length, classes) of a model spec text; a spec
+    whose model reads another number of channels than DEFAULT_CHANNELS is
+    a ValueError."""
+    kind, *sizes = spec.split(" ")
+    if len(sizes) != 3:
+        raise ValueError(f"model spec {spec!r} is not 'kind scales "
+                         "input_length classes'")
+    scales, length, classes = map(int, sizes)
+    if length != len(DEFAULT_CHANNELS):
+        raise ValueError(f"model spec {spec!r} has input length {length}, "
+                         f"not the {len(DEFAULT_CHANNELS)} channels")
+    return kind, scales, length, classes
 
 
 def _checkpoint_parts(model, stats):
@@ -236,16 +239,8 @@ def load_checkpoint(path):
                           f"{list(channel_names)}, not {list(DEFAULT_CHANNELS)}")
     mean, scale = np.frombuffer(r.take(16 * n_stats), dtype="<f8").reshape(2, n_stats).copy()
     stats = NormalizationStats(mean=mean, scale=scale)
-    kind, *sizes = spec.split(" ")
     try:
-        if len(sizes) != 3:
-            raise ValueError(f"model spec {spec!r} is not 'kind scales "
-                             "input_length classes'")
-        scales, length, classes = map(int, sizes)
-        if length != len(DEFAULT_CHANNELS):
-            raise ValueError(f"model spec {spec!r} has input length {length}, "
-                             f"not the {len(DEFAULT_CHANNELS)} channels")
-        model = build_model(kind, scales, length, classes, seed)
+        model = build_model(*_parse_spec(spec), seed)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
     slots = model.state_slots()

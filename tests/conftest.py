@@ -50,6 +50,22 @@ def write_feature_cache(path, names, values, key):
                      + np.ascontiguousarray(values, dtype="<f8").tobytes())
 
 
+def same_mesh_in_other_files(off_path, out_dir):
+    """(OBJ path, OFF path) of two files that store the mesh of the OFF
+    file at off_path in other bytes: once as OBJ with the same vertex
+    tokens, once as OFF behind an added comment line."""
+    text = off_path.read_text()
+    lines = text.splitlines()
+    nv, nf = map(int, lines[1].split()[:2])
+    obj = out_dir / f"{off_path.stem}.obj"
+    obj.write_text("".join(f"v {ln}\n" for ln in lines[2:2 + nv])
+                   + "".join("f " + " ".join(str(int(i) + 1) for i in ln.split()[1:4])
+                             + "\n" for ln in lines[2 + nv:2 + nv + nf]))
+    commented = out_dir / f"{off_path.stem}-commented.off"
+    commented.write_text("# the same mesh, in other bytes\n" + text)
+    return obj, commented
+
+
 def random_small_mesh(rng, max_faces=50):
     """Jittered icosahedron patches for oracle comparisons."""
     base = icosphere(rng.integers(0, 2))

@@ -17,7 +17,7 @@ from oracles import agd_reference, exhaustive_best_labeling, exhaustive_min_cut
 from meshseg.cli import main
 from meshseg.evaluate import accuracy
 from meshseg.features.conformal import conformal_factor_field, vertex_to_face
-from meshseg.features.curvature import angle_deficits, curvature_field
+from meshseg.features.curvature import angle_deficits, corner_terms, curvature_field
 from meshseg.features.geodesic import average_geodesic_distance
 from meshseg.features.matrix import DEFAULT_CHANNELS, compute_features, fit_stats, multiscale
 from meshseg.graphcut import FlowNetwork, GraphCutProblem, alpha_expansion
@@ -165,7 +165,8 @@ def test_conformal_factor_suite():
         # closed manifold: E = 3F/2, all these are genus 0
         chi = mesh.n_vertices - 3 * mesh.n_faces // 2 + mesh.n_faces
         assert chi == 2
-        assert abs(angle_deficits(mesh).sum() - 2.0 * np.pi * chi) <= 1e-6
+        assert abs(angle_deficits(mesh, corner_terms(mesh)).sum()
+                   - 2.0 * np.pi * chi) <= 1e-6
         field = curvature_field(mesh)
         total = field.integrated_curvature.sum()
         assert abs(field.target_curvature.sum() - total) <= 1e-9 * abs(total)

@@ -29,11 +29,11 @@ from meshseg.formats import (
 )
 from meshseg.mesh import load_mesh_path, save_off
 from meshseg.neural.gradcheck import CheckEntry, GradCheckReport
-from meshseg.neural.models import CnnModel, PcaNnModel
+from meshseg.neural.models import CnnModel
 from meshseg.neural.training import TrainConfig
 from meshseg.numerics import SolverError
 from meshseg.synth import icosphere, make_toy_dataset
-from conftest import write_feature_cache
+from conftest import same_mesh_in_other_files, write_feature_cache
 
 
 def invoke(argv, capsys):
@@ -87,7 +87,8 @@ def test_features_writes_cache_and_summary(ws, tmp_path, capsys):
     assert doc["n_faces"] == 80
     assert doc["channels"] == list(DEFAULT_CHANNELS)
     assert doc["sdf_fallback_faces"] == 0
-    values = load_feature_cache(out, experiment.feature_cache_key(ws["sphere"]))
+    values = load_feature_cache(
+        out, experiment.feature_cache_key(load_mesh_path(ws["sphere"])))
     assert values.shape == (80, len(DEFAULT_CHANNELS))
     assert np.all(np.isfinite(values))
 
@@ -183,9 +184,9 @@ def test_train_threads_change_no_checkpoint_byte(ws, trained, tmp_path,
     workers = []
     real = cli._prepare_bundles
 
-    def recording(meshes, manifest, cfg, threads):
+    def recording(meshes, cfg, threads):
         workers.append(threads)
-        return real(meshes, manifest, cfg, threads)
+        return real(meshes, cfg, threads)
 
     monkeypatch.setattr(cli, "_prepare_bundles", recording)
     cfg = write_config(tmp_path / "cfg.json", ws["manifest"], tmp_path / "out")
@@ -229,15 +230,13 @@ def test_segment_rejects_foreign_channel_checkpoint(ws, trained, tmp_path,
     assert not (tmp_path / "junk.prob").exists()
 
 
-def test_segment_rejects_a_model_of_another_input_length(ws, tmp_path, monkeypatch,
-                                                         capsys):
+def test_segment_rejects_a_model_of_another_input_length(ws, trained, tmp_path,
+                                                         monkeypatch, capsys):
     # 9-channel stats, so only the model spec's input length is wrong
-    n = len(DEFAULT_CHANNELS)
-    model = PcaNnModel(5, 2, seed=0, train_cfg=TrainConfig(epochs=1, batch_size=8))
-    rng = np.random.default_rng(0)
-    model.fit(rng.normal(size=(16, 5)), rng.integers(0, 2, 16))
+    blob = trained.read_bytes()
+    assert blob.count(b"pca-nn 1 9 2") == 1
     bad = tmp_path / "five.ckpt"
-    save_checkpoint(bad, model, NormalizationStats(np.zeros(n), np.ones(n)))
+    bad.write_bytes(blob.replace(b"pca-nn 1 9 2", b"pca-nn 1 5 2"))
     monkeypatch.setattr(experiment, "compute_features", _no_features)
     code, _, err = invoke(["segment", str(ws["mesh0"]), "--checkpoint", str(bad),
                            "-o", str(tmp_path / "junk.prob")], capsys)
@@ -302,10 +301,10 @@ def test_train_segment_with_a_two_branch_cnn(ws, tmp_path, capsys):
     assert code == 0
     assert doc["n_classes"] == 2
     model, stats = load_checkpoint(ckpt)
-    _, _, raw = experiment.mesh_features(load_mesh_path(ws["mesh0"]), 2)
-    assert raw.shape == (80, 2, len(DEFAULT_CHANNELS))
+    _, stack = experiment.mesh_features(load_mesh_path(ws["mesh0"]), 2)
+    assert stack.shape == (80, 2, len(DEFAULT_CHANNELS))
     assert np.array_equal(load_probabilities(probs_path),
-                          experiment.predict(model, stats, raw))
+                          experiment.predict(model, stats, stack))
 
 
 def test_refine_needs_agd_channel(ws, tmp_path, capsys):
@@ -314,8 +313,8 @@ def test_refine_needs_agd_channel(ws, tmp_path, capsys):
     feat_path = tmp_path / "onechannel.feat"
     # one channel under another key, then the agd channel alone under the
     # mesh's own key: refinement reads the nine channels or none
-    for names, key in ((("sdf",), "x"),
-                       (("agd",), experiment.feature_cache_key(ws["mesh0"]))):
+    key = experiment.feature_cache_key(load_mesh_path(ws["mesh0"]))
+    for names, key in ((("sdf",), "x"), (("agd",), key)):
         write_feature_cache(feat_path, names, np.zeros((80, 1)), key)
         code, _, err = invoke(["refine", str(ws["mesh0"]),
                                "--probs", str(probs_path),
@@ -343,6 +342,24 @@ def test_refine_rejects_features_of_another_mesh(ws, tmp_path, capsys):
     assert err["category"] == "invalid-input"
     assert "another mesh" in err["message"]
     assert not (tmp_path / "r.seg").exists()
+
+
+def test_refine_reuses_the_features_of_the_same_mesh_in_other_files(ws, tmp_path,
+                                                                   capsys):
+    probs_path = tmp_path / "skewed.prob"
+    rng = np.random.default_rng(0)
+    save_probabilities(probs_path, rng.dirichlet(np.ones(2), size=80))
+    feat_path = tmp_path / "m0.feat"
+    assert main(["features", str(ws["mesh0"]), "-o", str(feat_path)]) == 0
+    capsys.readouterr()
+    refined = {}
+    for mesh in (ws["mesh0"], *same_mesh_in_other_files(ws["mesh0"], tmp_path)):
+        out = tmp_path / f"{mesh.name}.seg"
+        code, _, err = invoke(["refine", str(mesh), "--probs", str(probs_path),
+                               "--features", str(feat_path), "-o", str(out)], capsys)
+        assert code == 0, err
+        refined[mesh.name] = out.read_bytes()
+    assert len(refined) == 3 and len(set(refined.values())) == 1
 
 
 # --------------------------------------------------------------------- run
@@ -456,6 +473,21 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["features"])  # missing required -o
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["train", "run"])
+@pytest.mark.parametrize("threads", ["0", "-5"])
+def test_threads_below_one_exit_two(ws, tmp_path, capsys, command, threads):
+    cfg = write_config(tmp_path / "cfg.json", ws["manifest"], tmp_path / "out")
+    argv = [command, "--config", str(cfg), "--threads", threads]
+    if command == "train":
+        argv += ["-o", str(tmp_path / "model.ckpt")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--threads: must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "model.ckpt").exists()
 
 
 def test_missing_file_exit_four(tmp_path, capsys):

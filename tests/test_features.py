@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -15,6 +16,7 @@ from meshseg.features.conformal import conformal_factor_field, vertex_to_face
 from meshseg.features.curvature import (
     angle_deficits,
     barycentric_areas,
+    corner_terms,
     curvature_field,
     target_curvature,
 )
@@ -54,7 +56,7 @@ def test_cube_corner_deficit():
     deficits = field.integrated_curvature
     # three flat quadrants meet at each corner: 2*pi - 3*pi/2
     assert deficits == pytest.approx(np.full(8, math.pi / 2), abs=1e-12)
-    assert np.array_equal(deficits, angle_deficits(cube))
+    assert np.array_equal(deficits, angle_deficits(cube, corner_terms(cube)))
     areas = barycentric_areas(cube)
     assert field.gaussian_curvature == pytest.approx(deficits / areas, rel=1e-12)
 
@@ -112,7 +114,25 @@ def test_curvature_field_bundles_smoothed_levels(ico2):
     assert len(field.smoothed_target_curvature) == 3
     for level, target in zip(levels, field.smoothed_target_curvature):
         assert target == pytest.approx(target_curvature(
-            level, angle_deficits(level), barycentric_areas(level)))
+            level, angle_deficits(level, corner_terms(level)), barycentric_areas(level)))
+
+
+def test_corner_terms_computed_once_per_mesh_and_level():
+    # the mesh and its five smoothed levels, one call each, by whatever
+    # name the caller reaches corner_terms
+    code = corner_terms.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(1)
+
+    sys.setprofile(profile)
+    try:
+        compute_features(synth.dumbbell(1))
+    finally:
+        sys.setprofile(None)
+    assert len(calls) == 6
 
 
 # ---------------------------------------------------------- conformal factor

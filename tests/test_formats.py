@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -10,12 +11,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from meshseg import formats, synth
+from meshseg.experiment import feature_cache_key
 from meshseg.features.matrix import DEFAULT_CHANNELS, NormalizationStats
 from meshseg.formats import (
     CKPT_MAGIC,
     FormatError,
     PALETTE,
-    content_hash,
     dump_json,
     experiment_config_to_dict,
     export_colored_ply,
@@ -32,19 +33,37 @@ from meshseg.formats import (
     save_labels,
     save_probabilities,
 )
+from meshseg.mesh import Mesh
 from meshseg.neural.models import CnnModel, PcaNnModel, StackedAeModel
 from meshseg.neural.training import TrainConfig
 from conftest import write_feature_cache
 
 
-# ------------------------------------------------------------- content hash
+# -------------------------------------------------------- feature cache key
 
-def test_content_hash_is_stable_and_injective_on_parts():
-    a = content_hash(b"mesh-bytes", "agd\nsdf", "params")
-    assert a == content_hash(b"mesh-bytes", "agd\nsdf", "params")
-    assert a != content_hash(b"mesh-bytes", "agd", "sdfparams")
-    assert a != content_hash(b"mesh-byte", "sagd\nsdf", "params")
-    assert len(a) == 32
+def test_feature_cache_key_hashes_the_names_and_the_mesh_arrays():
+    mesh = synth.icosphere(1)
+    key = feature_cache_key(mesh)
+    # the channel names, the vertex count as 8 little-endian bytes, then
+    # the vertices as <f8 and the faces as <i8
+    h = hashlib.blake2b(digest_size=16)
+    for part in ("\n".join(DEFAULT_CHANNELS).encode(),
+                 struct.pack("<Q", mesh.n_vertices),
+                 mesh.vertices.astype("<f8").tobytes(),
+                 mesh.faces.astype("<i8").tobytes()):
+        h.update(part)
+    assert key == h.hexdigest()
+    assert len(key) == 32
+    assert key == feature_cache_key(Mesh(mesh.vertices.copy(), mesh.faces.copy()))
+
+
+def test_feature_cache_key_differs_for_a_moved_coordinate_or_reordered_faces():
+    mesh = synth.icosphere(1)
+    key = feature_cache_key(mesh)
+    moved = mesh.vertices.copy()
+    moved[3, 1] = np.nextafter(moved[3, 1], 2.0)
+    assert feature_cache_key(Mesh(moved, mesh.faces)) != key
+    assert feature_cache_key(Mesh(mesh.vertices, mesh.faces[::-1])) != key
 
 
 # ------------------------------------------------------------ feature cache
@@ -220,13 +239,27 @@ def test_checkpoint_rejects_other_channels(tmp_path):
 
 def test_checkpoint_rejects_a_model_of_another_input_length(tmp_path):
     rng = np.random.default_rng(2)
-    model = PcaNnModel(5, 2, seed=3, train_cfg=TrainConfig(epochs=2, batch_size=8))
-    model.fit(rng.normal(size=(30, 5)), rng.integers(0, 2, 30))
+    model = PcaNnModel(N, 2, seed=3, train_cfg=TrainConfig(epochs=2, batch_size=8))
+    model.fit(rng.normal(size=(30, N)), rng.integers(0, 2, 30))
     path = tmp_path / "five.ckpt"
     save_checkpoint(path, model, _stats())
+    blob = path.read_bytes()
+    assert blob.count(b"pca-nn 1 9 2") == 1
+    path.write_bytes(blob.replace(b"pca-nn 1 9 2", b"pca-nn 1 5 2"))
     with pytest.raises(FormatError, match=re.escape(
             f"{path}: model spec 'pca-nn 1 5 2' has input length 5, not the {N} channels")):
         load_checkpoint(path)
+
+
+def test_save_checkpoint_refuses_a_model_of_another_input_length(tmp_path):
+    # the check load_checkpoint makes, made before any byte is written
+    rng = np.random.default_rng(2)
+    model = PcaNnModel(5, 2, seed=3, train_cfg=TrainConfig(epochs=2, batch_size=8))
+    model.fit(rng.normal(size=(30, 5)), rng.integers(0, 2, 30))
+    with pytest.raises(ValueError, match=re.escape(
+            f"model spec 'pca-nn 1 5 2' has input length 5, not the {N} channels")):
+        save_checkpoint(tmp_path / "five.ckpt", model, _stats())
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_checkpoint_version_one_needs_regenerating(tmp_path):

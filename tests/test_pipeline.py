@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +18,9 @@ from meshseg.formats import (
     save_feature_cache,
     save_labels,
 )
-from meshseg.mesh import build_dual_graph
+from meshseg.mesh import build_dual_graph, load_mesh_path
 from meshseg.synth import make_toy_dataset
+from conftest import same_mesh_in_other_files
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +80,6 @@ def test_load_labeled_meshes_names_failing_mesh(toy_manifest, tmp_path):
 def test_cached_features_computes_once(toy_manifest, tmp_path, monkeypatch):
     manifest = load_manifest(toy_manifest)
     lm = load_labeled_meshes(manifest)[0]
-    mesh_path = dict((e[0], e[1]) for e in manifest.entries)[lm.mesh_id]
     calls = []
     real = experiment.compute_features
 
@@ -89,9 +90,9 @@ def test_cached_features_computes_once(toy_manifest, tmp_path, monkeypatch):
     monkeypatch.setattr(experiment, "compute_features", counting)
     cache_dir = tmp_path / "cache"
     graph = build_dual_graph(lm.mesh)
-    first = cached_features(lm.mesh, mesh_path, cache_dir, graph)
+    first = cached_features(lm.mesh, cache_dir, graph)
     assert len(calls) == 1
-    again = cached_features(lm.mesh, mesh_path, cache_dir, graph)
+    again = cached_features(lm.mesh, cache_dir, graph)
     assert len(calls) == 1  # served from the cache file
     assert np.array_equal(first, again)
 
@@ -99,8 +100,7 @@ def test_cached_features_computes_once(toy_manifest, tmp_path, monkeypatch):
 def test_cached_features_recomputes_on_stale_or_garbage(toy_manifest, tmp_path,
                                                         monkeypatch):
     manifest = load_manifest(toy_manifest)
-    lm = load_labeled_meshes(manifest)[0]
-    mesh_path = dict((e[0], e[1]) for e in manifest.entries)[lm.mesh_id]
+    lm, other = load_labeled_meshes(manifest)[:2]
     calls = []
     real = experiment.compute_features
 
@@ -111,28 +111,27 @@ def test_cached_features_recomputes_on_stale_or_garbage(toy_manifest, tmp_path,
     monkeypatch.setattr(experiment, "compute_features", counting)
     cache_dir = tmp_path / "cache"
     graph = build_dual_graph(lm.mesh)
-    cached_features(lm.mesh, mesh_path, cache_dir, graph)
-    cache_file = cache_dir / (feature_cache_key(mesh_path) + ".feat")
+    cached_features(lm.mesh, cache_dir, graph)
+    cache_file = cache_dir / (feature_cache_key(lm.mesh) + ".feat")
     assert cache_file.exists()
 
     cache_file.write_bytes(b"garbage, not a cache at all")
-    cached_features(lm.mesh, mesh_path, cache_dir, graph)
+    cached_features(lm.mesh, cache_dir, graph)
     assert len(calls) == 2  # unreadable cache is silently rebuilt
 
     # a cache that holds another mesh's key under this mesh's file name is
     # also rejected
-    other_path = [e[1] for e in manifest.entries if e[1] != mesh_path][0]
-    values = cached_features(lm.mesh, mesh_path, cache_dir, graph)
+    values = cached_features(lm.mesh, cache_dir, graph)
     assert len(calls) == 2
-    save_feature_cache(cache_file, values, feature_cache_key(other_path))
-    cached_features(lm.mesh, mesh_path, cache_dir, graph)
+    save_feature_cache(cache_file, values, feature_cache_key(other.mesh))
+    cached_features(lm.mesh, cache_dir, graph)
     assert len(calls) == 3
 
     # and so is one whose channel names are in another order
     blob = cache_file.read_bytes()
     assert blob.count(b"agd\nsdf") == 1
     cache_file.write_bytes(blob.replace(b"agd\nsdf", b"sdf\nagd"))
-    cached_features(lm.mesh, mesh_path, cache_dir, graph)
+    cached_features(lm.mesh, cache_dir, graph)
     assert len(calls) == 4
     assert cache_file.read_bytes() == blob
 
@@ -142,30 +141,29 @@ def test_cached_features_propagates_loader_bugs(toy_manifest, tmp_path, monkeypa
     # other error from the loader is a bug and surfaces
     manifest = load_manifest(toy_manifest)
     lm = load_labeled_meshes(manifest)[0]
-    mesh_path = dict((e[0], e[1]) for e in manifest.entries)[lm.mesh_id]
     cache_dir = tmp_path / "cache"
     graph = build_dual_graph(lm.mesh)
-    cached_features(lm.mesh, mesh_path, cache_dir, graph)
+    cached_features(lm.mesh, cache_dir, graph)
 
     def broken(path, key):
         raise TypeError("loader bug")
 
     monkeypatch.setattr(experiment, "load_feature_cache", broken)
     with pytest.raises(TypeError, match="loader bug"):
-        cached_features(lm.mesh, mesh_path, cache_dir, graph)
+        cached_features(lm.mesh, cache_dir, graph)
 
 
 def test_cached_features_same_stem_in_two_directories(toy_manifest, tmp_path,
                                                       monkeypatch):
     manifest = load_manifest(toy_manifest)
     meshes = load_labeled_meshes(manifest)[:2]
-    paths = dict((e[0], e[1]) for e in manifest.entries)
+    source = dict((e[0], e[1]) for e in manifest.entries)
     copies = []
     for sub, lm in zip("ab", meshes):
         path = tmp_path / sub / "chair.off"
         path.parent.mkdir()
-        path.write_bytes(paths[lm.mesh_id].read_bytes())
-        copies.append((lm, path))
+        path.write_bytes(source[lm.mesh_id].read_bytes())
+        copies.append(path)
     calls = []
     real = experiment.compute_features
 
@@ -175,15 +173,44 @@ def test_cached_features_same_stem_in_two_directories(toy_manifest, tmp_path,
 
     monkeypatch.setattr(experiment, "compute_features", counting)
     cache_dir = tmp_path / "cache"
-    first = [cached_features(lm.mesh, path, cache_dir, build_dual_graph(lm.mesh))
-             for lm, path in copies]
+    loaded = [load_mesh_path(path) for path in copies]
+    first = [cached_features(mesh, cache_dir, build_dual_graph(mesh))
+             for mesh in loaded]
     assert len(calls) == 2
-    again = [cached_features(lm.mesh, path, cache_dir, build_dual_graph(lm.mesh))
-             for lm, path in copies]
+    again = [cached_features(mesh, cache_dir, build_dual_graph(mesh))
+             for mesh in loaded]
     assert len(calls) == 2  # neither file overwrote the other's cache
     for a, b in zip(first, again):
         assert np.array_equal(a, b)
     assert not np.array_equal(first[0], first[1])
+
+
+def test_cached_features_reuse_the_cache_of_the_same_mesh_in_other_files(
+        toy_manifest, tmp_path, monkeypatch):
+    manifest = load_manifest(toy_manifest)
+    (_, mesh_path, _), (_, other_path, _) = manifest.entries[:2]
+    calls = []
+    real = experiment.compute_features
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(experiment, "compute_features", counting)
+    cache_dir = tmp_path / "cache"
+    mesh = load_mesh_path(mesh_path)
+    values = cached_features(mesh, cache_dir, build_dual_graph(mesh))
+    assert len(calls) == 1
+    for copy in same_mesh_in_other_files(mesh_path, tmp_path):
+        assert copy.read_bytes() != mesh_path.read_bytes()
+        same = load_mesh_path(copy)
+        assert np.array_equal(cached_features(same, cache_dir, build_dual_graph(same)),
+                              values)
+        assert len(calls) == 1, copy.name
+    other = load_mesh_path(other_path)
+    cached_features(other, cache_dir, build_dual_graph(other))
+    assert len(calls) == 2
+    assert len(list(cache_dir.glob("*.feat"))) == 2
 
 
 # -------------------------------------------------------------- experiment
@@ -247,6 +274,24 @@ def test_artifacts_on_disk(toy_report):
     assert probs[0].endswith(".prob") and labels[0].endswith(".seg")
     cache = list((out / "cache").glob("*.feat"))
     assert len(cache) == 6
+
+
+def test_run_reads_each_mesh_file_once(toy_manifest, tmp_path, monkeypatch):
+    reads = []
+    real = Path.read_bytes
+
+    def recording(path):
+        reads.append(path)
+        return real(path)
+
+    monkeypatch.setattr(Path, "read_bytes", recording)
+    cfg = _config(toy_manifest, tmp_path / "once",
+                  protocol={"kind": "kfold", "k": 3, "replicates": 1},
+                  model={"kind": "pca-nn"}, train={"epochs": 1, "batch_size": 64})
+    run_experiment(cfg, threads=1)
+    mesh_reads = sorted(p.name for p in reads if p.suffix == ".off")
+    mesh_files = sorted(e[1].name for e in load_manifest(toy_manifest).entries)
+    assert mesh_reads == mesh_files
 
 
 def test_rerun_is_byte_identical(toy_report):
@@ -315,7 +360,7 @@ def test_no_more_workers_than_meshes(tmp_path, monkeypatch):
     manifest = load_manifest(manifest_path)
     lone = load_labeled_meshes(manifest)[:1]
     cfg = _config(manifest_path, tmp_path / "lone", **over)
-    bundles = experiment._prepare_bundles(lone, manifest, cfg, threads=4)
+    bundles = experiment._prepare_bundles(lone, cfg, threads=4)
     assert list(bundles) == [lone[0].mesh_id]
     assert started == [2]
     assert pids.read_text().split() == [str(os.getpid())]
