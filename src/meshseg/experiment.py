@@ -191,6 +191,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1, log=None) -> dict:
     Artifacts land under cfg.output_dir: feature caches, per-run
     probability grids and refined label files, and report.json.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     manifest = load_manifest(cfg.dataset)
     meshes = load_labeled_meshes(manifest)
     n_classes = len(manifest.classes)

@@ -10,14 +10,23 @@ temporaries: a select on a float64 array costs several times a multiply,
 and every extra array of the batch's size is new memory to fault in.
 LeakyReLU is a `np.maximum` forward and a multiply by a factor built from
 its mask; MaxPool1D picks with `np.maximum` and routes with multiplies by
-its mask; BatchNorm runs the same operations in the same order in two
-buffers. Per call at (256, 9, 16), on a 2-vCPU Xeon with numpy 2.4.6, this
-took LeakyReLU from 299 to 31 µs forward and 271 to 47 µs backward, and
-MaxPool1D from 215 to 91 µs and 236 to 73 µs, with results bit-identical
-to the select forms. Training also asks Conv1D and Dense for parameter
-gradients only (`backward(grad, input_grad=False)`) where the input
-gradient would be discarded, which took the first Conv1D's backward from
-482 to 149 µs.
+its mask. Per call at (256, 9, 16), on a 2-vCPU Xeon with numpy 2.4.6,
+this took LeakyReLU from 299 to 31 µs forward and 271 to 47 µs backward,
+and MaxPool1D from 215 to 91 µs and 236 to 73 µs, with results
+bit-identical to the select forms. Training also asks Conv1D and Dense for
+parameter gradients only (`backward(grad, input_grad=False)`) where the
+input gradient would be discarded, which took the first Conv1D's backward
+from 482 to 149 µs.
+
+BatchNorm sums per channel in two stages, over the batch and then over
+the positions, rather than over both axes at once, whose inner loop runs
+one channel row (16 or 32 values) at a time. Backward takes its two
+reductions from the parameter gradients' sums, and every per-channel
+vector is tiled along the length. Its results differ from the
+term-by-term form in the last bits (within 1e-13 of the largest
+magnitude; `tests/oracles.py` keeps that form). At (256, 9, 16) this took
+forward from 352–496 to 164–194 µs and backward from 550–592 to
+133–168 µs (three alternating runs, 1 BLAS thread, same machine).
 
 Conv1D is one matmul against its banded (Toeplitz) weight rather than the
 general im2col form (Chellapilla et al. 2006), which `tests/oracles.py`
@@ -145,10 +154,13 @@ class Conv1D(Layer):
         # the band's gradient, in a buffer with kernel - 1 row blocks more
         # than the signal has positions, placed so that row block q,
         # column block t holds tap q - t; the blocks no band entry
-        # reaches stay 0
+        # reaches are 0. Only those are zeroed: zeroing all of it would
+        # write the rows the matmul writes next once more
         half = k // 2
-        gband = np.zeros(((length + k - 1) * cin, length * cout))
-        gband[half * cin:(half + length) * cin] = xf.T @ gf
+        gband = np.empty(((length + k - 1) * cin, length * cout))
+        gband[:half * cin] = 0.0
+        gband[(half + length) * cin:] = 0.0
+        np.matmul(xf.T, gf, out=gband[half * cin:(half + length) * cin])
         # each tap's gradient is the sum of its diagonal of blocks
         s_row, s_col = gband.strides
         diagonals = as_strided(gband, (k, cin, length, cout),
@@ -160,12 +172,41 @@ class Conv1D(Layer):
         return (gf @ band.T).reshape(b, length, cin)
 
 
+def _channel_sums(rows: np.ndarray, channels: int, other=None) -> np.ndarray:
+    """Per-channel sums of (batch, length·channels) rows, or of their
+    products with `other`'s: over the batch first, then over the
+    positions. The batch stage runs its inner loop along whole rows,
+    where one sum over (batch, length) would run it along one channel row
+    at a time, and it sums products without storing them. It uses no BLAS,
+    so its bits do not depend on the BLAS thread count."""
+    if other is None:
+        per_column = rows.sum(axis=0)
+    else:
+        per_column = np.einsum("ij,ij->j", rows, other)
+    return per_column.reshape(-1, channels).sum(axis=0)
+
+
+def _tiled(v: np.ndarray, length: int) -> np.ndarray:
+    """A per-channel vector repeated for each of `length` positions; one
+    broadcast copy, where `np.tile`'s Python-level set-up costs more than
+    the copy at these sizes."""
+    out = np.empty((length, len(v)))
+    out[...] = v
+    return out.reshape(-1)
+
+
 class BatchNorm(Layer):
     """Per-channel standardization over all non-channel axes.
 
     Training uses batch statistics and folds them into running stats
     (retention factor `momentum`; the first batch initializes them).
     Evaluation uses the running stats and fails loudly if none exist yet.
+
+    Both passes work on the input as (batch, length·channels) rows, with
+    every per-channel vector tiled along the length, so each broadcast
+    runs its inner loop over a whole row. The cache keeps the deviations
+    from the mean rather than the standardized input: forward then scales
+    by γ/σ in one pass instead of two.
     """
 
     eps = 1e-5
@@ -183,19 +224,18 @@ class BatchNorm(Layer):
         return [self.gamma, self.beta]
 
     def forward(self, x, training=False):
-        if x.shape[-1] != self.channels:
-            raise ValueError(f"expected {self.channels} channels, got {x.shape[-1]}")
-        axes = tuple(range(x.ndim - 1))
+        c = self.channels
+        if x.shape[-1] != c:
+            raise ValueError(f"expected {c} channels, got {x.shape[-1]}")
+        rows = x.reshape(len(x), -1)
+        length = rows.shape[1] // c
         if training:
             if x.shape[0] < 2:
                 raise ValueError("batch normalization needs batch size >= 2 in training")
-            # the same sums and divisions x.mean and x.var make, without
-            # computing the mean a second time
-            n = x.size // self.channels
-            mean = x.sum(axis=axes) / n
-            dev = x - mean
-            out = dev * dev  # the squares' buffer is reused for the output
-            var = out.sum(axis=axes) / n
+            n = rows.size // c
+            mean = _channel_sums(rows, c) / n
+            dev = rows - _tiled(mean, length)
+            var = _channel_sums(dev, c, dev) / n
             if self.running_mean is None:
                 self.running_mean = mean.copy()
                 self.running_var = var.copy()
@@ -206,36 +246,34 @@ class BatchNorm(Layer):
         else:
             if self.running_mean is None:
                 raise RuntimeError("batch norm evaluated before any training batch")
-            dev = x - self.running_mean
+            dev = rows - _tiled(self.running_mean, length)
             var = self.running_var
-            out = np.empty_like(dev)
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = dev
-        xhat *= inv_std
-        self._cache = (xhat, inv_std, axes, training)
-        np.multiply(xhat, self.gamma.value, out=out)
-        out += self.beta.value
-        return out
+        self._cache = (dev, inv_std, training)
+        out = dev * _tiled(self.gamma.value * inv_std, length)
+        out += _tiled(self.beta.value, length)
+        return out.reshape(x.shape)
 
     def backward(self, grad):
-        xhat, inv_std, axes, training = self._need_cache(self._cache, "BatchNorm")
-        prod = grad * xhat
-        self.gamma.grad += prod.sum(axis=axes)
-        self.beta.grad += grad.sum(axis=axes)
-        gxhat = grad * self.gamma.value
+        dev, inv_std, training = self._need_cache(self._cache, "BatchNorm")
+        c = self.channels
+        length = dev.shape[1] // c
+        g = grad.reshape(dev.shape)
+        sum_gxhat = _channel_sums(g, c, dev) * inv_std  # Σ g·x̂
+        sum_g = _channel_sums(g, c)
+        self.gamma.grad += sum_gxhat
+        self.beta.grad += sum_g
+        scale = _tiled(self.gamma.value * inv_std, length)
         if not training:
-            gxhat *= inv_std
-            return gxhat
-        n = xhat.size // xhat.shape[-1]
-        # (inv_std/n)·(n·gxhat − Σgxhat − xhat·Σ(gxhat·xhat)), evaluated in
-        # that order, in gxhat's buffer and one scratch buffer
-        s1 = gxhat.sum(axis=axes)
-        s2 = np.multiply(gxhat, xhat, out=prod).sum(axis=axes)
-        gxhat *= n
-        gxhat -= s1
-        gxhat -= np.multiply(xhat, s2, out=prod)
-        gxhat *= inv_std / n
-        return gxhat
+            return (g * scale).reshape(grad.shape)
+        # γσ⁻¹·(g − Σg/n − x̂·Σ(g·x̂)/n), with x̂ = dev·σ⁻¹, built in the
+        # output's buffer: a temporary would be fresh memory to fault in
+        n = dev.size // c
+        out = np.multiply(dev, _tiled(sum_gxhat * inv_std / n, length))
+        np.subtract(g, out, out=out)
+        out -= _tiled(sum_g / n, length)
+        out *= scale
+        return out.reshape(grad.shape)
 
 
 class LeakyReLU(Layer):
@@ -283,13 +321,15 @@ class MaxPool1D(Layer):
             raise ValueError("sequence too short to pool")
         pairs = x[:, :2 * half].reshape(b, half, 2, c)
         first, second = pairs[:, :, 0, :], pairs[:, :, 1, :]
-        # `first >= second` is False on a NaN in either slot; a NaN first
-        # must still win, hence the `first == first` guard
-        take_second = ~(first >= second) & (first == first)
+        # np.maximum returns its second argument on a tie (±0 included)
+        # and NaN when either slot is NaN
+        out = np.maximum(second, first)
+        # so the output differs from `first` where the second slot wins,
+        # and where the first is NaN, which must win: hence the guard
+        take_second = out != first
+        take_second &= first == first
         self._cache = (take_second, x.shape)
-        # the same pick as take_second: np.maximum returns its second
-        # argument on a tie (±0 included) and NaN when either slot is NaN
-        return np.maximum(second, first)
+        return out
 
     def backward(self, grad):
         """Route each pair's gradient to the slot that won. The losing slot
@@ -339,7 +379,13 @@ class Dense(Layer):
 class Dropout(Layer):
     """Inverted dropout: training scales kept units by 1/keep so that
     evaluation is the identity. fixed_mask (same shape as the input, values
-    already divided by keep) pins the mask for gradient checking."""
+    already divided by keep) pins the mask for gradient checking.
+
+    The mask is built in the buffer of its own uniform draw: the compare
+    writes 1.0 or 0.0 over the draw, and one in-place pass scales it to
+    1/keep or 0.0. That is the mask (draw < keep) / keep without the bool
+    array and the float mask as temporaries of the batch's size.
+    """
 
     def __init__(self, rate: float = 0.5, rng: np.random.Generator | None = None):
         if not 0.0 <= rate < 1.0:
@@ -359,7 +405,10 @@ class Dropout(Layer):
             if self.rng is None:
                 raise RuntimeError("dropout needs an RNG in training mode")
             keep = 1.0 - self.rate
-            self._mask = (self.rng.random(x.shape) < keep) / keep
+            mask = self.rng.random(x.shape)
+            np.less(mask, keep, out=mask)
+            mask *= 1.0 / keep
+            self._mask = mask
         return x * self._mask
 
     def backward(self, grad):

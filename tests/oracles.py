@@ -574,6 +574,23 @@ def maxpool_where_backward(layer, grad):
     return gx
 
 
+def dropout_float_mask_forward(layer, x, training=False):
+    """Dropout as one multiply by a float mask already divided by keep."""
+    if not training or layer.rate == 0.0:
+        layer._mask = np.ones(())
+        return x
+    if layer.fixed_mask is not None:
+        layer._mask = layer.fixed_mask
+    else:
+        keep = 1.0 - layer.rate
+        layer._mask = (layer.rng.random(x.shape) < keep) / keep
+    return x * layer._mask
+
+
+def dropout_float_mask_backward(layer, grad):
+    return grad * layer._mask
+
+
 def batchnorm_temporaries_forward(layer, x, training=False):
     """Batch norm as written out term by term, one fresh array per term."""
     axes = tuple(range(x.ndim - 1))

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -319,6 +321,25 @@ def test_threads_do_not_change_the_report(toy_manifest, tmp_path):
     a, b = _artifacts(tmp_path / "a"), _artifacts(tmp_path / "b")
     assert len(a) == 6 + 12 + 12  # caches, then a .prob and a .seg per record
     assert a == b
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_run_rejects_fewer_than_one_worker(toy_manifest, tmp_path, threads):
+    cfg = _config(toy_manifest, tmp_path / "out")
+    with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+        run_experiment(cfg, threads=threads)
+    assert not (tmp_path / "out").exists()
+
+
+def test_toy_script_rejects_fewer_than_one_worker(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_toy_experiment.py"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, str(script), "--fast", "--threads", "-3",
+                           "--workdir", str(tmp_path / "toy")],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode != 0
+    assert "threads must be at least 1, got -3" in done.stderr
+    assert not (tmp_path / "toy" / "out").exists()
 
 
 def test_no_more_workers_than_meshes(tmp_path, monkeypatch):
