@@ -240,7 +240,13 @@ def load_checkpoint(path):
     mean, scale = np.frombuffer(r.take(16 * n_stats), dtype="<f8").reshape(2, n_stats).copy()
     stats = NormalizationStats(mean=mean, scale=scale)
     try:
-        model = build_model(*_parse_spec(spec), seed)
+        kind, scales, length, classes = _parse_spec(spec)
+        # the output bias alone stores one float64 per class
+        left = len(r.blob) - r.pos
+        if 8 * classes > left:
+            raise ValueError(f"model spec {spec!r} claims {classes} classes, "
+                             f"more than the {left} bytes left can hold")
+        model = build_model(kind, scales, length, classes, seed)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
     slots = model.state_slots()
@@ -385,11 +391,17 @@ _JSON_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a l
 
 def _json(value, name: str, kind: type):
     """`value` itself if it is a JSON value of `kind`: int for an integer,
-    float for any number, str or list. A bool is no number, though Python
-    counts it an int."""
+    float for any number a float holds, str or list. A bool is no number,
+    though Python counts it an int."""
     kinds = (int, float) if kind is float else kind
     if isinstance(value, bool) or not isinstance(value, kinds):
         raise ValueError(f"{name} must be {_JSON_KINDS[kind]}, got {value!r}")
+    if kind is float:
+        try:
+            float(value)
+        except OverflowError:
+            raise ValueError(f"{name} must be a number a float can hold, got "
+                             f"an integer of {value.bit_length()} bits") from None
     return value
 
 

@@ -251,14 +251,12 @@ def _parse_off(lines: list[str]):
     content = [(no, ln) for no, ln in content if ln]
     if not content:
         raise MeshError("empty OFF stream", 1)
-    pos = 0
-    no, ln = content[pos]
+    no, ln = content[0]
     if ln.upper() != "OFF":
         raise MeshError(f"missing OFF header, found {ln!r}", no)
-    pos += 1
-    if pos >= len(content):
+    if len(content) < 2:
         raise MeshError("missing counts line", no)
-    no, ln = content[pos]
+    no, ln = content[1]
     parts = ln.split()
     if len(parts) < 2:
         raise MeshError(f"counts line needs vertex and face counts, found {ln!r}", no)
@@ -266,22 +264,22 @@ def _parse_off(lines: list[str]):
         nv, nf = int(parts[0]), int(parts[1])
     except ValueError:
         raise MeshError(f"malformed counts line {ln!r}", no) from None
-    pos += 1
+    # one line per record: counts the file cannot hold fail before allocating
+    records = content[2:]
+    if nv > len(records):
+        raise MeshError(f"expected {nv} vertices, found {len(records)} lines "
+                        "after the counts line", no)
+    if nf > len(records) - nv:
+        raise MeshError(f"expected {nf} faces, found {len(records) - nv} lines "
+                        "after the vertices", no)
 
     verts = np.zeros((nv, 3))
-    for k in range(nv):
-        if pos >= len(content):
-            raise MeshError(f"expected {nv} vertices, found {k}", no)
-        no, ln = content[pos]
+    for k, (no, ln) in enumerate(records[:nv]):
         verts[k] = _parse_floats(ln.split(), 3, no, "vertex")
-        pos += 1
 
     faces = np.zeros((nf, 3), dtype=np.int64)
     face_lines = []
-    for k in range(nf):
-        if pos >= len(content):
-            raise MeshError(f"expected {nf} faces, found {k}", no)
-        no, ln = content[pos]
+    for k, (no, ln) in enumerate(records[nv:nv + nf]):
         parts = ln.split()
         try:
             cnt = int(parts[0])
@@ -296,7 +294,6 @@ def _parse_off(lines: list[str]):
         except ValueError as exc:
             raise MeshError(f"malformed face index: {exc}", no) from None
         face_lines.append(no)
-        pos += 1
     return verts, faces, face_lines
 
 

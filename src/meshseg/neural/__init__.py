@@ -1,1 +1,1 @@
-"""From-scratch 1D networks: layers, assemblies, training, gradient checks."""
+"""From-scratch 1D networks: layers, assemblies, training."""

@@ -378,8 +378,7 @@ class Dense(Layer):
 
 class Dropout(Layer):
     """Inverted dropout: training scales kept units by 1/keep so that
-    evaluation is the identity. fixed_mask (same shape as the input, values
-    already divided by keep) pins the mask for gradient checking.
+    evaluation is the identity.
 
     The mask is built in the buffer of its own uniform draw: the compare
     writes 1.0 or 0.0 over the draw, and one in-place pass scales it to
@@ -387,28 +386,22 @@ class Dropout(Layer):
     array and the float mask as temporaries of the batch's size.
     """
 
-    def __init__(self, rate: float = 0.5, rng: np.random.Generator | None = None):
+    def __init__(self, rate: float, rng: np.random.Generator):
         if not 0.0 <= rate < 1.0:
             raise ValueError("dropout rate must be in [0, 1)")
         self.rate = rate
         self.rng = rng
-        self.fixed_mask = None
         self._mask = None
 
     def forward(self, x, training=False):
         if not training or self.rate == 0.0:
             self._mask = np.ones(())
             return x
-        if self.fixed_mask is not None:
-            self._mask = self.fixed_mask
-        else:
-            if self.rng is None:
-                raise RuntimeError("dropout needs an RNG in training mode")
-            keep = 1.0 - self.rate
-            mask = self.rng.random(x.shape)
-            np.less(mask, keep, out=mask)
-            mask *= 1.0 / keep
-            self._mask = mask
+        keep = 1.0 - self.rate
+        mask = self.rng.random(x.shape)
+        np.less(mask, keep, out=mask)
+        mask *= 1.0 / keep
+        self._mask = mask
         return x * self._mask
 
     def backward(self, grad):

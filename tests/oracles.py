@@ -579,11 +579,8 @@ def dropout_float_mask_forward(layer, x, training=False):
     if not training or layer.rate == 0.0:
         layer._mask = np.ones(())
         return x
-    if layer.fixed_mask is not None:
-        layer._mask = layer.fixed_mask
-    else:
-        keep = 1.0 - layer.rate
-        layer._mask = (layer.rng.random(x.shape) < keep) / keep
+    keep = 1.0 - layer.rate
+    layer._mask = (layer.rng.random(x.shape) < keep) / keep
     return x * layer._mask
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import random_problem, random_small_mesh
+from gradcheck import LAYER_KINDS, LAYER_TOL, NETWORK_TOL, check_layer, check_network
 from oracles import agd_reference, exhaustive_best_labeling, exhaustive_min_cut
 
 from meshseg.cli import main
@@ -22,13 +23,6 @@ from meshseg.features.geodesic import average_geodesic_distance
 from meshseg.features.matrix import DEFAULT_CHANNELS, compute_features, fit_stats, multiscale
 from meshseg.graphcut import FlowNetwork, GraphCutProblem, alpha_expansion
 from meshseg.mesh import build_dual_graph
-from meshseg.neural.gradcheck import (
-    LAYER_KINDS,
-    LAYER_TOL,
-    NETWORK_TOL,
-    check_layer,
-    check_network,
-)
 from meshseg.neural.network import branch_output_shape, build_multibranch
 from meshseg.neural.models import build_model
 from meshseg.neural.training import TrainConfig

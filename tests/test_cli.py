@@ -4,10 +4,13 @@ Every invocation goes through main(argv), so exit codes, the one-JSON-line
 stdout contract, and the error category mapping are checked without
 spawning subprocesses.
 """
+import argparse
 import json
 import multiprocessing
 import os
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +31,6 @@ from meshseg.formats import (
     save_probabilities,
 )
 from meshseg.mesh import load_mesh_path, save_off
-from meshseg.neural.gradcheck import CheckEntry, GradCheckReport
 from meshseg.neural.models import CnnModel
 from meshseg.neural.training import TrainConfig
 from meshseg.numerics import SolverError
@@ -434,35 +436,6 @@ def test_export_colored_rejects_count_mismatch(ws, tmp_path, capsys):
     assert err["category"] == "invalid-input"
 
 
-# --------------------------------------------------------------- gradcheck
-
-
-def _fake_report(max_rel):
-    entry = CheckEntry(target="dense", max_rel_error=max_rel,
-                       coords_checked=10, tolerance=1e-5)
-    return GradCheckReport(entries=(entry,), seed=0)
-
-
-def test_gradcheck_pass_exit_zero(monkeypatch, capsys):
-    monkeypatch.setattr("meshseg.cli.full_gradcheck",
-                        lambda seed: _fake_report(1e-9))
-    code, doc, _ = invoke(["gradcheck", "--seed", "7"], capsys)
-    assert code == 0
-    assert doc["verdict"] == "PASS"
-    assert doc["status"] == "ok"
-    assert doc["seed"] == 7
-    assert "_exit_nonzero" not in doc
-
-
-def test_gradcheck_fail_exit_one(monkeypatch, capsys):
-    monkeypatch.setattr("meshseg.cli.full_gradcheck",
-                        lambda seed: _fake_report(0.5))
-    code, doc, _ = invoke(["gradcheck"], capsys)
-    assert code == 1
-    assert doc["verdict"] == "FAIL"
-    assert doc["status"] == "failed"
-
-
 # ----------------------------------------------------------- exit codes
 
 
@@ -473,6 +446,24 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["features"])  # missing required -o
     assert exc.value.code == 2
+
+
+def test_gradcheck_is_not_a_command(capsys):
+    # the finite-difference check runs in the test suite, not the CLI
+    with pytest.raises(SystemExit) as exc:
+        main(["gradcheck"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "gradcheck" in err
+
+
+def test_readme_command_table_names_every_subcommand():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    documented = re.findall(r"^\| `meshseg ([\w-]+)", readme, re.MULTILINE)
+    subparsers, = (a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    assert len(documented) == len(set(documented))
+    assert set(documented) == set(subparsers.choices)
 
 
 @pytest.mark.parametrize("command", ["train", "run"])
@@ -563,6 +554,25 @@ def test_run_rejects_config_values_of_the_wrong_type(ws, tmp_path, capsys,
     assert code == 3
     assert err["category"] == "invalid-input"
     assert str(cfg) in err["message"] and key in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section, key", [
+    (None, "lambda"), (None, "omega"), ("train", "lr_start"),
+    ("train", "lr_end"), ("train", "momentum"),
+])
+def test_run_rejects_numbers_too_large_for_a_float(ws, tmp_path, capsys,
+                                                   section, key):
+    cfg = write_config(tmp_path / "cfg.json", ws["manifest"], tmp_path / "out")
+    doc = json.loads(cfg.read_text())
+    (doc[section] if section else doc)[key] = 10 ** 400
+    cfg.write_text(json.dumps(doc))
+    code, _, err = invoke(["run", "--config", str(cfg)], capsys)
+    assert code == 3
+    assert err["category"] == "invalid-input"
+    name = f"{section}.{key}" if section else key
+    assert err["message"] == (f"{cfg}: {name} must be a number a float can "
+                              "hold, got an integer of 1329 bits")
     assert not (tmp_path / "out").exists()
 
 
@@ -768,21 +778,28 @@ def test_feature_worker_failure_keeps_exit_code(ws, tmp_path, monkeypatch, capsy
     assert pids["2"] and os.getpid() not in pids["2"]
 
 
-def test_numeric_failure_exit_five(monkeypatch, capsys):
-    def boom(seed):
-        raise SolverError("iteration diverged")
-    monkeypatch.setattr("meshseg.cli.full_gradcheck", boom)
-    code, _, err = invoke(["gradcheck"], capsys)
-    assert code == 5
-    assert err["category"] == "numeric"
+def _smooth_raising(exc, ws, tmp_path, monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr("meshseg.cli.taubin_smooth", boom)
+    out = tmp_path / "smoothed.off"
+    result = invoke(["smooth", str(ws["sphere"]), "-o", str(out)], capsys)
+    assert not out.exists()
+    return result
 
 
-def test_unexpected_error_exit_one(monkeypatch, capsys):
+def test_numeric_failure_exit_five(ws, tmp_path, monkeypatch, capsys):
+    code, out, err = _smooth_raising(SolverError("iteration diverged"),
+                                     ws, tmp_path, monkeypatch, capsys)
+    assert code == 5 and out is None
+    assert err == {"status": "error", "category": "numeric",
+                   "message": "iteration diverged"}
+
+
+def test_unexpected_error_exit_one(ws, tmp_path, monkeypatch, capsys):
     # a KeyError is a program fault: no input check raises one
     for exc in (OSError("disk on fire"), KeyError("slot")):
-        def boom(seed):
-            raise exc
-        monkeypatch.setattr("meshseg.cli.full_gradcheck", boom)
-        code, _, err = invoke(["gradcheck"], capsys)
-        assert code == 1
-        assert err["category"] == "internal"
+        code, out, err = _smooth_raising(exc, ws, tmp_path, monkeypatch, capsys)
+        assert code == 1 and out is None
+        assert err == {"status": "error", "category": "internal",
+                       "message": str(exc)}

@@ -251,6 +251,24 @@ def test_checkpoint_rejects_a_model_of_another_input_length(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_class_count_larger_than_the_file_fails_before_building(tmp_path):
+    # a (2, 99999999999) output layer would need 1.46 TiB
+    rng = np.random.default_rng(2)
+    model = PcaNnModel(N, 2, seed=3, train_cfg=TrainConfig(epochs=2, batch_size=8))
+    model.fit(rng.normal(size=(30, N)), rng.integers(0, 2, 30))
+    path = tmp_path / "huge.ckpt"
+    save_checkpoint(path, model, _stats())
+    blob = path.read_bytes()
+    spec, huge = b"pca-nn 1 9 2", b"pca-nn 1 9 99999999999"
+    assert blob.count(spec) == 1
+    path.write_bytes(blob.replace(struct.pack("<I", len(spec)) + spec,
+                                  struct.pack("<I", len(huge)) + huge))
+    with pytest.raises(FormatError, match=re.escape(
+            f"{path}: model spec 'pca-nn 1 9 99999999999' claims 99999999999 "
+            "classes, more than the ") + r"\d+ bytes left can hold$"):
+        load_checkpoint(path)
+
+
 def test_save_checkpoint_refuses_a_model_of_another_input_length(tmp_path):
     # the check load_checkpoint makes, made before any byte is written
     rng = np.random.default_rng(2)
@@ -670,6 +688,17 @@ def test_config_semantic_errors_carry_location():
 def test_config_rejects_bad_refinement_weights(key, value):
     with pytest.raises(FormatError, match=key):
         parse_experiment_config({"dataset": "d", key: value}, where="cfg.json")
+
+
+def test_config_echoes_integers_a_float_can_hold():
+    big = 10 ** 308  # over 2**1023, under the largest float
+    doc = experiment_config_to_dict(parse_experiment_config({
+        "dataset": "d", "lambda": big, "omega": -3,
+        "train": {"lr_start": 1, "lr_end": big, "momentum": 0}}))
+    assert doc["lambda"] == float(big) and type(doc["lambda"]) is float
+    assert doc["omega"] == -3.0 and type(doc["omega"]) is float
+    for key, value in (("lr_start", 1), ("lr_end", big), ("momentum", 0)):
+        assert doc["train"][key] == value and type(doc["train"][key]) is int
 
 
 def test_load_experiment_config_from_file(tmp_path):
