@@ -22,13 +22,15 @@ import numpy as np
 
 from meshseg.features.matrix import DEFAULT_CHANNELS, NormalizationStats
 from meshseg.mesh import Mesh
+from meshseg.neural.layers import DTYPE
 from meshseg.neural.models import build_model
 from meshseg.neural.training import TrainConfig
 
 FORMAT_VERSION = 1  # feature caches and probability grids
 # checkpoints: 2 put the normalization stats after the channel names, 3
-# dropped the conv biases, 4 stores the model spec in place of a descriptor
-CKPT_VERSION = 4
+# dropped the conv biases, 4 stores the model spec in place of a descriptor,
+# 5 stores the state tensors as float32
+CKPT_VERSION = 5
 FEATURE_MAGIC = b"MSEGFEAT"
 PROB_MAGIC = b"MSEGPROB"
 CKPT_MAGIC = b"MSEGCKPT"
@@ -85,8 +87,8 @@ def _pack_text(s: str) -> bytes:
     return struct.pack("<I", len(raw)) + raw
 
 
-def _pack_floats(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
+def _pack_floats(arr: np.ndarray, dtype: str = "<f8") -> bytes:
+    return np.ascontiguousarray(arr, dtype=dtype).tobytes()
 
 
 def _write_atomic(path, parts) -> None:
@@ -174,8 +176,9 @@ def load_probabilities(path) -> np.ndarray:
 def save_checkpoint(path, model, stats: NormalizationStats) -> None:
     """The model spec as text ("kind scales input_length classes", e.g.
     "cnn 3 9 4"), the seed, the DEFAULT_CHANNELS names, the per-channel
-    normalization mean and scale, then every state tensor (parameters,
-    batch-norm stats, PCA bases) in declaration order.
+    normalization mean and scale (float64), then every state tensor
+    (parameters, batch-norm stats, PCA bases) in declaration order, as
+    float32 like the model holds it.
 
     The sizes stay ASCII digits so that a flipped bit changes one digit
     at most, and never asks for a huge architecture."""
@@ -217,7 +220,7 @@ def _checkpoint_parts(model, stats):
         yield _pack_text(name)
         yield struct.pack("<I", arr.ndim)
         yield from (struct.pack("<Q", d) for d in arr.shape)
-        yield _pack_floats(arr)
+        yield _pack_floats(arr, "<f4")
 
 
 def load_checkpoint(path):
@@ -241,9 +244,9 @@ def load_checkpoint(path):
     stats = NormalizationStats(mean=mean, scale=scale)
     try:
         kind, scales, length, classes = _parse_spec(spec)
-        # the output bias alone stores one float64 per class
+        # the output bias alone stores one float32 per class
         left = len(r.blob) - r.pos
-        if 8 * classes > left:
+        if 4 * classes > left:
             raise ValueError(f"model spec {spec!r} claims {classes} classes, "
                              f"more than the {left} bytes left can hold")
         model = build_model(kind, scales, length, classes, seed)
@@ -260,11 +263,11 @@ def load_checkpoint(path):
             raise FormatError(f"{path}: tensor {stored!r} where {name!r} expected")
         ndim = r.u32()
         shape = tuple(r.u64() for _ in range(ndim))
-        data = r.take(8 * math.prod(shape))
+        data = r.take(4 * math.prod(shape))
         if shape != want:
             raise FormatError(f"{path}: tensor {name!r}: shape mismatch loading "
                               f"tensor: {shape} into {want}")
-        setattr(owner, attr, np.frombuffer(data, dtype="<f8").reshape(shape).copy())
+        setattr(owner, attr, np.frombuffer(data, dtype="<f4").reshape(shape).astype(DTYPE))
     r.finish()
     return model, stats
 
@@ -483,8 +486,9 @@ class ExperimentConfig:
         if self.model_kind != "cnn" and self.branches != 1:
             raise ValueError(f"model.branches must be 1 for {self.model_kind}, "
                              f"got {self.branches}")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        # a checkpoint stores the seed as an unsigned 64-bit integer
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed must be in [0, 2**64 - 1], got {self.seed}")
         if not (math.isfinite(self.lam) and self.lam >= 0.0):
             raise ValueError(f"lambda must be finite and nonnegative, got {self.lam}")
         if not math.isfinite(self.omega):

@@ -264,6 +264,8 @@ def _parse_off(lines: list[str]):
         nv, nf = int(parts[0]), int(parts[1])
     except ValueError:
         raise MeshError(f"malformed counts line {ln!r}", no) from None
+    if nv < 0 or nf < 0:
+        raise MeshError(f"negative vertex or face count in counts line {ln!r}", no)
     # one line per record: counts the file cannot hold fail before allocating
     records = content[2:]
     if nv > len(records):

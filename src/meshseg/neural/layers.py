@@ -1,4 +1,12 @@
-"""From-scratch differentiable layers over float64 numpy arrays.
+"""From-scratch differentiable layers over float32 numpy arrays.
+
+Every Param holds DTYPE (float32), and every buffer a layer allocates
+takes the dtype of its input or parameter, so a float32 input keeps a
+whole network in float32: half the bytes per element of float64, which
+roughly halves the per-element cost of a training step. Layers built with
+float64 parameters and fed float64 inputs run in float64 throughout (the
+finite-difference check in the tests does that). The loss value is
+reduced in float64 and predict_probabilities takes its softmax in float64.
 
 Conventions: sequence tensors are (batch, length, channels); flat tensors
 are (batch, features). Every layer caches what its backward pass needs
@@ -6,17 +14,17 @@ during forward; backward before forward is an error. Gradients accumulate
 into Param.grad and are zeroed by the optimizer step.
 
 The layers a training step runs most often avoid `np.where` and fresh
-temporaries: a select on a float64 array costs several times a multiply,
+temporaries: a select on a float array costs several times a multiply,
 and every extra array of the batch's size is new memory to fault in.
 LeakyReLU is a `np.maximum` forward and a multiply by a factor built from
 its mask; MaxPool1D picks with `np.maximum` and routes with multiplies by
 its mask. Per call at (256, 9, 16), on a 2-vCPU Xeon with numpy 2.4.6,
-this took LeakyReLU from 299 to 31 µs forward and 271 to 47 µs backward,
-and MaxPool1D from 215 to 91 µs and 236 to 73 µs, with results
-bit-identical to the select forms. Training also asks Conv1D and Dense for
-parameter gradients only (`backward(grad, input_grad=False)`) where the
-input gradient would be discarded, which took the first Conv1D's backward
-from 482 to 149 µs.
+in float64 (as are all the kernel timings below), this took LeakyReLU
+from 299 to 31 µs forward and 271 to 47 µs backward, and MaxPool1D from
+215 to 91 µs and 236 to 73 µs, with results bit-identical to the select
+forms. Training also asks Conv1D and Dense for parameter gradients only
+(`backward(grad, input_grad=False)`) where the input gradient would be
+discarded, which took the first Conv1D's backward from 482 to 149 µs.
 
 BatchNorm sums per channel in two stages, over the batch and then over
 the positions, rather than over both axes at once, whose inner loop runs
@@ -45,15 +53,20 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+# the dtype of every parameter and of the rows the models feed in
+DTYPE = np.float32
+
 
 class Param:
-    """A learnable tensor with its gradient and momentum buffer."""
+    """A learnable tensor with its gradient and momentum buffer, all
+    DTYPE. Initial values are drawn in float64 and then cast, so the
+    random streams do not depend on DTYPE."""
 
     __slots__ = ("name", "value", "grad", "velocity")
 
     def __init__(self, name: str, value: np.ndarray):
         self.name = name
-        self.value = np.array(value, dtype=np.float64)
+        self.value = np.array(value, dtype=DTYPE)
         self.grad = np.zeros_like(self.value)
         self.velocity = np.zeros_like(self.value)
 
@@ -125,7 +138,7 @@ class Conv1D(Layer):
         # band[s, :, t, :] = weight[s - t + k//2] = v[s - t + length - 1]:
         # v is the weight with zeros around it, cut to the taps a band
         # entry can reach
-        v = np.zeros((2 * length - 1, cin, cout))
+        v = np.zeros((2 * length - 1, cin, cout), dtype=w.dtype)
         first = length - 1 - k // 2  # where tap 0 lands in v
         lo, hi = max(0, -first), min(k, len(v) - first)
         v[first + lo:first + hi] = w[lo:hi]
@@ -157,7 +170,7 @@ class Conv1D(Layer):
         # reaches are 0. Only those are zeroed: zeroing all of it would
         # write the rows the matmul writes next once more
         half = k // 2
-        gband = np.empty(((length + k - 1) * cin, length * cout))
+        gband = np.empty(((length + k - 1) * cin, length * cout), dtype=xf.dtype)
         gband[:half * cin] = 0.0
         gband[(half + length) * cin:] = 0.0
         np.matmul(xf.T, gf, out=gband[half * cin:(half + length) * cin])
@@ -190,7 +203,7 @@ def _tiled(v: np.ndarray, length: int) -> np.ndarray:
     """A per-channel vector repeated for each of `length` positions; one
     broadcast copy, where `np.tile`'s Python-level set-up costs more than
     the copy at these sizes."""
-    out = np.empty((length, len(v)))
+    out = np.empty((length, len(v)), dtype=v.dtype)
     out[...] = v
     return out.reshape(-1)
 
@@ -296,7 +309,7 @@ class LeakyReLU(Layer):
         # factor = slope + mask·(1 − slope): exactly slope where the mask is
         # off, and exactly 1 where it is on, because fl(slope + fl(1 − slope))
         # is 1 for every slope in (0, 1)
-        factor = mask.astype(np.float64)
+        factor = mask.astype(grad.dtype)
         factor *= 1.0 - self.slope
         factor += self.slope
         factor *= grad
@@ -340,7 +353,7 @@ class MaxPool1D(Layer):
         take_second, shape = self._need_cache(self._cache, "MaxPool1D")
         b, length, c = shape
         half = length // 2
-        gx = np.empty(shape)
+        gx = np.empty(shape, dtype=grad.dtype)
         gx[:, 2 * half:] = 0.0
         gpairs = gx[:, :2 * half].reshape(b, half, 2, c)
         np.multiply(grad, ~take_second, out=gpairs[:, :, 0, :])
@@ -380,10 +393,11 @@ class Dropout(Layer):
     """Inverted dropout: training scales kept units by 1/keep so that
     evaluation is the identity.
 
-    The mask is built in the buffer of its own uniform draw: the compare
-    writes 1.0 or 0.0 over the draw, and one in-place pass scales it to
+    The uniform draw is float64 whatever the input's dtype, so the random
+    stream does not depend on it. The compare writes 1.0 or 0.0 straight
+    into a mask of the input's dtype, and one in-place pass scales it to
     1/keep or 0.0. That is the mask (draw < keep) / keep without the bool
-    array and the float mask as temporaries of the batch's size.
+    array as a temporary of the batch's size.
     """
 
     def __init__(self, rate: float, rng: np.random.Generator):
@@ -395,11 +409,11 @@ class Dropout(Layer):
 
     def forward(self, x, training=False):
         if not training or self.rate == 0.0:
-            self._mask = np.ones(())
+            self._mask = np.ones((), dtype=x.dtype)
             return x
         keep = 1.0 - self.rate
-        mask = self.rng.random(x.shape)
-        np.less(mask, keep, out=mask)
+        mask = np.less(self.rng.random(x.shape), keep,
+                       out=np.empty(x.shape, dtype=x.dtype))
         mask *= 1.0 / keep
         self._mask = mask
         return x * self._mask
@@ -446,7 +460,8 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy of integer labels under softmax(logits).
 
     Returns (loss, gradient wrt logits, probabilities); the gradient is
-    the fused (p - onehot) / batch form.
+    the fused (p - onehot) / batch form, in the logits' dtype. The loss
+    is a float64 mean whatever that dtype is.
     """
     if logits.ndim != 2:
         raise ValueError("logits must be (batch, classes)")
@@ -454,7 +469,7 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
         raise ValueError("labels length does not match batch")
     z = logits - logits.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1))
-    loss = float(np.mean(lse - z[np.arange(len(labels)), labels]))
+    loss = float(np.mean(lse - z[np.arange(len(labels)), labels], dtype=np.float64))
     p = np.exp(z - lse[:, None])
     grad = p.copy()
     grad[np.arange(len(labels)), labels] -= 1.0
@@ -463,8 +478,10 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
 
 
 def mean_squared_error(pred: np.ndarray, target: np.ndarray):
-    """Mean over all elements; returns (loss, gradient wrt pred)."""
+    """Mean over all elements, reduced in float64; returns (loss,
+    gradient wrt pred), the gradient in pred's dtype."""
     if pred.shape != target.shape:
         raise ValueError("shape mismatch")
     diff = pred - target
-    return float(np.mean(diff * diff)), (2.0 / diff.size) * diff
+    return (float(np.mean(diff * diff, dtype=np.float64)),
+            (2.0 / diff.size) * diff)

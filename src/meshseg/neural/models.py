@@ -10,13 +10,16 @@ state_slots lists the tensors to checkpoint in order (parameters plus
 batch-norm running statistics and PCA bases), each as (name, owner,
 attribute, shape): the array is `getattr(owner, attribute)`, and a
 checkpoint holds it at that shape.
+
+Every network runs in DTYPE (float32): the models cast their input rows to
+it, while the features and the probabilities they return stay float64.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from meshseg.numerics import SeededRng, pca_fit
-from meshseg.neural.layers import BatchNorm, Dense, LeakyReLU, Sigmoid
+from meshseg.neural.layers import DTYPE, BatchNorm, Dense, LeakyReLU, Sigmoid
 from meshseg.neural.network import LEAKY_SLOPE, Branches, Sequential, build_multibranch
 from meshseg.neural.training import (
     TrainConfig,
@@ -44,7 +47,7 @@ def _sequential_slots(seq: Sequential) -> list:
 
 def _flat_rows(x: np.ndarray, spec: tuple) -> np.ndarray:
     """Scale 0 of a (faces, scales, channels) stack, or plain (faces,
-    channels) rows, checked to be as wide as the spec's input."""
+    channels) rows, checked to be as wide as the spec's input; float64."""
     _, _, width, _ = spec
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 3:
@@ -70,9 +73,10 @@ class CnnModel:
         self._train_seed = root.derive_seed("train")
 
     def _inputs(self, x: np.ndarray) -> np.ndarray:
-        """The (faces, K, length) stack as K one-channel signals per face."""
+        """The (faces, K, length) stack as K one-channel DTYPE signals per
+        face."""
         _, n_branches, input_length, _ = self.spec
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=DTYPE)
         if x.ndim != 3:
             raise ValueError("expected (faces, scales, channels) multi-scale values")
         if x.shape[1] != n_branches:
@@ -125,17 +129,19 @@ class PcaNnModel:
         layers.append(out)
         self.net = Sequential(layers)
         self._train_seed = root.derive_seed("train")
-        self.pca_mean = np.zeros(input_dim)
-        self.pca_basis = np.zeros((input_dim, p))
+        self.pca_mean = np.zeros(input_dim, dtype=DTYPE)
+        self.pca_basis = np.zeros((input_dim, p), dtype=DTYPE)
 
     def _project(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.pca_mean) @ self.pca_basis
+        return (x.astype(DTYPE) - self.pca_mean) @ self.pca_basis
 
     def fit(self, x: np.ndarray, labels: np.ndarray) -> dict:
-        """Loss curve per training stage ({"train": [...]})."""
+        """Loss curve per training stage ({"train": [...]}). PCA is fitted
+        in float64 and kept in DTYPE, as a checkpoint stores it."""
         x = _flat_rows(x, self.spec)
         _, _, _, n_classes = self.spec
-        self.pca_mean, self.pca_basis, _ = pca_fit(x, self.components)
+        mean, basis, _ = pca_fit(x, self.components)
+        self.pca_mean, self.pca_basis = mean.astype(DTYPE), basis.astype(DTYPE)
         return {"train": train_classifier(self.net, self._project(x), labels,
                                           self.train_cfg, self._train_seed, n_classes)}
 
@@ -183,7 +189,7 @@ class StackedAeModel:
 
     def fit(self, x: np.ndarray, labels: np.ndarray) -> dict:
         """Loss curve per stage: ae1, ae2, head, finetune."""
-        x = _flat_rows(x, self.spec)
+        x = _flat_rows(x, self.spec).astype(DTYPE)
         _, _, _, n_classes = self.spec
         cfg, seeds = self.train_cfg, self._seeds
         ae1 = Sequential([self.enc1, Sigmoid(), self.dec1])
@@ -199,7 +205,8 @@ class StackedAeModel:
         return curves
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return predict_probabilities(self.stack, _flat_rows(x, self.spec))
+        return predict_probabilities(self.stack,
+                                     _flat_rows(x, self.spec).astype(DTYPE))
 
     def state_slots(self) -> list:
         return _sequential_slots(self.stack)

@@ -145,7 +145,8 @@ def train_reconstruction(model, x: np.ndarray, cfg: TrainConfig,
 
 
 def predict_probabilities(model, x: np.ndarray) -> np.ndarray:
-    """Evaluation-mode class probabilities, one row per sample.
+    """Evaluation-mode class probabilities, one float64 row per sample:
+    the softmax is taken in float64 from the network's logits.
 
     Each batch is zero-padded to a multiple of ROW_BLOCK rows and the
     padding sliced off again. A BLAS matmul may take a different
@@ -159,7 +160,7 @@ def predict_probabilities(model, x: np.ndarray) -> np.ndarray:
         short = -rows % ROW_BLOCK
         if short:
             chunk = np.pad(chunk, [(0, short)] + [(0, 0)] * (chunk.ndim - 1))
-        logits = model.forward(chunk, training=False)[:rows]
+        logits = model.forward(chunk, training=False)[:rows].astype(np.float64)
         z = logits - logits.max(axis=1, keepdims=True)
         e = np.exp(z)
         out.append(e / e.sum(axis=1, keepdims=True))

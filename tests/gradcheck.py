@@ -14,6 +14,11 @@ one-sided derivative. Those coordinates are detected by disagreement
 between consecutive step sizes and skipped (the quotient is the unreliable
 party, not the backward pass); skips are counted and must stay a small
 minority for a check to pass.
+
+Finite differences at these step sizes need float64, while the program's
+layers hold float32 parameters. Layers follow the dtype of their
+parameters and input, so every layer and network checked here has its
+parameters cast to float64 (`float64_params`) and is fed float64 inputs.
 """
 from __future__ import annotations
 
@@ -56,10 +61,20 @@ class CheckEntry:
         return usable and self.max_rel_error <= self.tolerance
 
 
+def float64_params(layer):
+    """Cast the value, gradient and momentum buffer of every Param of a
+    layer or network to float64, in place; returns the layer."""
+    for p in layer.parameters():
+        p.value = p.value.astype(np.float64)
+        p.grad = p.grad.astype(np.float64)
+        p.velocity = p.velocity.astype(np.float64)
+    return layer
+
+
 class FixedDraw:
     """Stands in for Dropout's generator to pin its mask: random(shape)
     returns a copy of one uniform draw, so every forward pass builds the
-    same mask. A copy, because Dropout builds its mask in that buffer."""
+    same mask, whatever a layer does with the array it gets."""
 
     def __init__(self, draw: np.ndarray):
         self.draw = draw
@@ -174,7 +189,7 @@ def _layer_case(kind: str, rng):
         layer = Conv1D(kernel, c, cout, rng)
         return layer, _away_from_zero(rng, (b, length, c)), False
     if kind == "batchnorm":
-        layer = BatchNorm(c)
+        layer = float64_params(BatchNorm(c))
         layer.gamma.value[...] = rng.uniform(0.5, 1.5, size=c)
         layer.beta.value[...] = rng.uniform(-0.5, 0.5, size=c)
         return layer, rng.normal(size=(b, length, c)), True
@@ -216,7 +231,9 @@ def check_layer(kind: str, seed: int, cases: int = 20, coord_cap: int = 40) -> l
 def check_layer_case(kind: str, layer, x: np.ndarray, training: bool, rng,
                      coord_cap: int = 40) -> list:
     """Finite-difference check of one layer on one input, driven by a
-    random linear functional of its output; one entry per tensor."""
+    random linear functional of its output; one entry per tensor. The
+    layer's parameters are cast to float64 first."""
+    float64_params(layer)
     upstream_shape = layer.forward(x, training=training).shape
     proj = rng.normal(size=upstream_shape)
 
@@ -240,7 +257,8 @@ def check_network(seed: int, cases: int = 3, coord_cap: int = 16) -> list:
     entries: dict[str, CheckEntry] = {}
     for case in range(cases):
         rng = root.stream(f"net/{case}")
-        net = build_multibranch(2, 32, 3, root.derive_seed(f"net-init/{case}"))
+        net = float64_params(
+            build_multibranch(2, 32, 3, root.derive_seed(f"net-init/{case}")))
         b = 4
         x = _away_from_zero(rng, (b, 2, 32, 1))
         labels = rng.integers(0, 3, size=b)

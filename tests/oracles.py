@@ -567,7 +567,7 @@ def maxpool_where_backward(layer, grad):
     take_second, shape = layer._cache
     b, length, c = shape
     half = length // 2
-    gx = np.zeros(shape)
+    gx = np.zeros(shape, dtype=grad.dtype)
     gpairs = gx[:, :2 * half].reshape(b, half, 2, c)
     gpairs[:, :, 0, :] = np.where(take_second, 0.0, grad)
     gpairs[:, :, 1, :] = np.where(take_second, grad, 0.0)
@@ -577,10 +577,10 @@ def maxpool_where_backward(layer, grad):
 def dropout_float_mask_forward(layer, x, training=False):
     """Dropout as one multiply by a float mask already divided by keep."""
     if not training or layer.rate == 0.0:
-        layer._mask = np.ones(())
+        layer._mask = np.ones((), dtype=x.dtype)
         return x
     keep = 1.0 - layer.rate
-    layer._mask = (layer.rng.random(x.shape) < keep) / keep
+    layer._mask = ((layer.rng.random(x.shape) < keep) / keep).astype(x.dtype)
     return x * layer._mask
 
 

@@ -506,6 +506,29 @@ def test_bad_config_exit_three(ws, tmp_path, capsys):
     assert "bogus" in err["message"]
 
 
+def test_seed_too_large_for_the_checkpoint_exit_three(ws, tmp_path, capsys):
+    # a checkpoint stores the seed as an unsigned 64-bit integer
+    cfg = write_config(tmp_path / "cfg.json", ws["manifest"], tmp_path / "out",
+                       seed=2 ** 64)
+    ckpt = tmp_path / "m.ckpt"
+    code, _, err = invoke(["train", "--config", str(cfg), "-o", str(ckpt)], capsys)
+    assert code == 3
+    assert err["category"] == "invalid-input"
+    assert str(cfg) in err["message"] and "seed" in err["message"]
+    assert not ckpt.exists()
+
+
+def test_features_negative_off_count_exit_three(tmp_path, capsys):
+    mesh = tmp_path / "neg.off"
+    mesh.write_text("OFF\n# counts\n3 -1 0\n0 0 0\n1 0 0\n0 1 0\n")
+    code, _, err = invoke(["features", str(mesh), "-o", str(tmp_path / "m.feat")],
+                          capsys)
+    assert code == 3
+    assert err["category"] == "invalid-input"
+    assert "line 3: negative vertex or face count" in err["message"]
+    assert not (tmp_path / "m.feat").exists()
+
+
 @pytest.mark.parametrize("key, value", [("omega", float("nan")),
                                         ("lambda", -1.0)])
 def test_run_rejects_bad_refinement_weight_before_any_work(ws, tmp_path, capsys,

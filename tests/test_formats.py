@@ -190,6 +190,12 @@ def test_checkpoint_round_trip_pca(tmp_path):
     clone, _ = load_checkpoint(tmp_path / "m.ckpt")
     assert np.array_equal(clone.pca_basis, model.pca_basis)
     assert np.array_equal(clone.predict_proba(x), model.predict_proba(x))
+    # the model in memory holds exactly what its checkpoint restores
+    for (name, owner, attr, _), (_, c_owner, c_attr, _) in zip(
+            model.state_slots(), clone.state_slots()):
+        got, want = getattr(c_owner, c_attr), getattr(owner, attr)
+        assert got.dtype == want.dtype == np.float32, name
+        assert np.array_equal(got, want), name
 
 
 def test_checkpoint_round_trip_ae(tmp_path):
@@ -310,6 +316,17 @@ def test_checkpoint_version_three_needs_regenerating(tmp_path):
     assert b"cnn 2 9 3" in blob
     path.write_bytes(CKPT_MAGIC + struct.pack("<I", 3) + blob[len(CKPT_MAGIC) + 4:])
     with pytest.raises(FormatError, match="version 3 unsupported.*regenerate"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_version_four_needs_regenerating(tmp_path):
+    # version 4 stored every state tensor as float64; version 5 as float32
+    model, _ = _train_tiny_cnn()
+    path = tmp_path / "v4.ckpt"
+    save_checkpoint(path, model, _stats())
+    blob = path.read_bytes()
+    path.write_bytes(CKPT_MAGIC + struct.pack("<I", 4) + blob[len(CKPT_MAGIC) + 4:])
+    with pytest.raises(FormatError, match="version 4 unsupported.*regenerate"):
         load_checkpoint(path)
 
 

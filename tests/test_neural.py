@@ -16,6 +16,7 @@ from meshseg.neural.layers import (
     Flatten,
     LeakyReLU,
     MaxPool1D,
+    Sigmoid,
     mean_squared_error,
     softmax_cross_entropy,
 )
@@ -717,6 +718,39 @@ def test_training_is_bit_identical_to_reference_kernels(kind, monkeypatch):
     assert fast[2] == reference[2]
 
 
+@pytest.mark.parametrize("kind", ["cnn", "pca-nn", "ae-nn"])
+def test_networks_train_and_predict_in_float32(kind, monkeypatch):
+    # one float64 buffer anywhere would silently promote a whole branch
+    seen = []
+    for cls in (Conv1D, BatchNorm, LeakyReLU, MaxPool1D, Dense, Dropout,
+                Flatten, Sigmoid, Sequential, Branches):
+        for method in ("forward", "backward"):
+            def recording(self, *args, _run=getattr(cls, method),
+                          _where=f"{cls.__name__}.{method}", **kwargs):
+                out = _run(self, *args, **kwargs)
+                if out is not None:  # no input gradient was asked for
+                    seen.append((_where, out.dtype))
+                return out
+            monkeypatch.setattr(cls, method, recording)
+    rng = RNG(3)
+    scales = 3 if kind == "cnn" else 1
+    x = rng.normal(size=(40, scales, 9))
+    model = build_model(kind, scales, 9, 3, seed=1,
+                        train_cfg=TrainConfig(epochs=1, batch_size=40))
+    model.fit(x, rng.integers(0, 3, 40))
+    probs = model.predict_proba(x)
+    assert probs.dtype == np.float64
+    assert {where for where, _ in seen} >= {"Dense.forward", "Dense.backward"}
+    assert [w for w, dtype in seen if dtype != np.float32] == []
+    params = [p for part in vars(model).values() if hasattr(part, "parameters")
+              for p in part.parameters()]
+    assert params
+    for p in params:
+        assert p.value.dtype == p.grad.dtype == p.velocity.dtype == np.float32, p.name
+    for name, owner, attr, _ in model.state_slots():
+        assert getattr(owner, attr).dtype == np.float32, name
+
+
 _TRAIN_AND_SAVE = """
 import sys
 import numpy as np
@@ -726,7 +760,7 @@ from meshseg.neural.models import build_model
 from meshseg.neural.training import TrainConfig
 
 rng = np.random.default_rng(21)
-x = rng.normal(size=(512, 3, 9))
+x = rng.normal(size=(int(sys.argv[2]), 3, 9))
 labels = (x[:, 0, :3].sum(axis=1) > 0).astype(int)
 model = build_model("cnn", 3, 9, 2, seed=8,
                     train_cfg=TrainConfig(epochs=3, batch_size=256))
@@ -739,20 +773,22 @@ save_probabilities(sys.argv[1] + "/train.prob", model.predict_proba(x))
 
 def test_training_bytes_do_not_depend_on_blas_threads(tmp_path):
     # BLAS reads its thread count once, at load: one process per count.
-    # The rows fill whole batches, as in the benchmark's cnn-kfold: a
-    # ragged last batch of 33 to 172 rows takes a thread-dependent BLAS
-    # path in the first Dense layer (CHANGES.md), which this does not cover
-    outputs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"blas{threads}"
-        out.mkdir()
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(sys.path))
-        subprocess.run([sys.executable, "-c", _TRAIN_AND_SAVE, str(out)],
-                       env=env, check=True, timeout=300)
-        outputs.append([(out / name).read_bytes()
-                        for name in ("model.ckpt", "train.prob")])
-    assert outputs[0] == outputs[1]
+    # 512 rows fill whole batches, as in the benchmark's cnn-kfold; 600
+    # leave a ragged last batch of 88 rows. In float64, the first Dense
+    # layer took a thread-dependent dgemm path at 33 to 172 rows, so the
+    # 600-row fit wrote other bytes at 2 threads; the float32 sgemm does not
+    for rows in ("512", "600"):
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"rows{rows}-blas{threads}"
+            out.mkdir()
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            subprocess.run([sys.executable, "-c", _TRAIN_AND_SAVE, str(out), rows],
+                           env=env, check=True, timeout=300)
+            outputs.append([(out / name).read_bytes()
+                            for name in ("model.ckpt", "train.prob")])
+        assert outputs[0] == outputs[1], f"{rows} rows"
 
 
 # ------------------------------------------------------------------ models
@@ -800,8 +836,13 @@ def test_pca_nn_structure_and_fit():
     model.fit(wide, labels)
     probs = model.predict_proba(wide)
     assert (probs.argmax(axis=1) == labels).mean() >= 0.95
+    # PCA is fitted in float64 and kept in float32, so the projection
+    # centers the rows up to the float32 rounding of their mean
+    mean = wide.mean(axis=0)
+    assert np.array_equal(model.pca_mean, mean.astype(np.float32))
     projected = (wide - model.pca_mean) @ model.pca_basis
-    assert np.abs(projected.mean(axis=0)).max() < 1e-10
+    rounding = np.linalg.norm(mean - model.pca_mean)
+    assert np.abs(projected.mean(axis=0)).max() <= 1.001 * rounding + 1e-12
 
 
 def test_pca_nn_narrow_input_keeps_all_components():
