@@ -112,8 +112,8 @@ def cmd_refine(args) -> dict:
     save_labels(args.output, result.labels)
     return {"command": "refine", "mesh": str(args.mesh),
             "output": str(args.output),
-            "initial_energy": result.initial_energy,
-            "final_energy": result.final_energy,
+            "initial_energy": result.energy_trace[0],
+            "final_energy": result.energy_trace[-1],
             "accepted_moves": len(result.energy_trace) - 1}
 
 

@@ -53,8 +53,7 @@ def cotangent_laplacian(mesh: Mesh, terms: tuple) -> SparseSymmetric:
 
 
 def _vertex_components(mesh: Mesh) -> np.ndarray:
-    i = np.concatenate([mesh.faces[:, 0], mesh.faces[:, 1], mesh.faces[:, 2]])
-    j = np.concatenate([mesh.faces[:, 1], mesh.faces[:, 2], mesh.faces[:, 0]])
+    i, j = mesh.half_edges[mesh.edge_start[:-1], :2].T  # each edge once
     adj = sp.csr_matrix((np.ones(len(i)), (i, j)),
                         shape=(mesh.n_vertices, mesh.n_vertices))
     _, labels = connected_components(adj, directed=False)

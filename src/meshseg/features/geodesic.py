@@ -49,10 +49,11 @@ def average_geodesic_distance(mesh: Mesh, graph: DualGraph) -> np.ndarray:
         return np.zeros(0)
     w = agd_edge_weights(mesh, graph)
     adj = sp.csr_matrix((w, (graph.edges[:, 0], graph.edges[:, 1])), shape=(n, n))
+    adj = (adj + adj.T).tocsr()  # symmetric once, not per dijkstra call
     agd = np.empty(n)
     for lo in range(0, n, AGD_BLOCK):
         rows = np.arange(lo, min(lo + AGD_BLOCK, n))
-        dist = dijkstra(adj, directed=False, indices=rows)
+        dist = dijkstra(adj, directed=True, indices=rows)
         finite = np.isfinite(dist)
         agd[rows] = np.where(finite, dist, 0.0).sum(axis=1) / finite.sum(axis=1)
     peak = float(agd.max())

@@ -84,8 +84,6 @@ def multiscale(values: np.ndarray, graph: DualGraph, scales: int) -> np.ndarray:
     Scale 1 is the row itself; scale k is the unweighted mean over the
     inclusive ball of radius k-1, summed in ascending face order.
     """
-    if not 1 <= scales <= 4:
-        raise ValueError("scales must be in 1..4")
     values = np.asarray(values, dtype=np.float64)
     if len(values) != graph.n_faces:
         raise ValueError("row count does not match face count")

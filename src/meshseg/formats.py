@@ -23,7 +23,7 @@ import numpy as np
 from meshseg.features.matrix import DEFAULT_CHANNELS, NormalizationStats
 from meshseg.mesh import Mesh
 from meshseg.neural.layers import DTYPE
-from meshseg.neural.models import build_model
+from meshseg.neural.models import build_model, check_spec
 from meshseg.neural.training import TrainConfig
 
 FORMAT_VERSION = 1  # feature caches and probability grids
@@ -426,9 +426,7 @@ class DatasetManifest:
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     doc = _read_json(path, "manifest")
-    unknown = set(doc) - {"name", "classes", "meshes", "format", "version"}
-    if unknown:
-        raise FormatError(f"{path}: unknown manifest keys {sorted(unknown)}")
+    _check_keys(doc, ("name", "classes", "meshes", "format", "version"), str(path))
     for key in ("name", "classes", "meshes"):
         if key not in doc:
             raise FormatError(f"{path}: manifest missing {key!r}")
@@ -479,13 +477,7 @@ class ExperimentConfig:
         if self.replicates < 1:
             raise ValueError(f"protocol.replicates must be at least 1, "
                              f"got {self.replicates}")
-        if self.model_kind not in ("cnn", "pca-nn", "ae-nn"):
-            raise ValueError(f"unknown model kind {self.model_kind!r}")
-        if not 1 <= self.branches <= 4:
-            raise ValueError("model.branches must be in 1..4")
-        if self.model_kind != "cnn" and self.branches != 1:
-            raise ValueError(f"model.branches must be 1 for {self.model_kind}, "
-                             f"got {self.branches}")
+        check_spec(self.model_kind, self.branches)
         # a checkpoint stores the seed as an unsigned 64-bit integer
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must be in [0, 2**64 - 1], got {self.seed}")

@@ -183,14 +183,6 @@ class ExpansionResult:
     labels: np.ndarray
     energy_trace: tuple = field(default_factory=tuple)
 
-    @property
-    def initial_energy(self) -> float:
-        return self.energy_trace[0]
-
-    @property
-    def final_energy(self) -> float:
-        return self.energy_trace[-1]
-
 
 def alpha_expansion(problem: GraphCutProblem) -> ExpansionResult:
     """Cycle over labels, accepting each expansion only on strict energy

@@ -18,13 +18,10 @@ temporaries: a select on a float array costs several times a multiply,
 and every extra array of the batch's size is new memory to fault in.
 LeakyReLU is a `np.maximum` forward and a multiply by a factor built from
 its mask; MaxPool1D picks with `np.maximum` and routes with multiplies by
-its mask. Per call at (256, 9, 16), on a 2-vCPU Xeon with numpy 2.4.6,
-in float64 (as are all the kernel timings below), this took LeakyReLU
-from 299 to 31 µs forward and 271 to 47 µs backward, and MaxPool1D from
-215 to 91 µs and 236 to 73 µs, with results bit-identical to the select
-forms. Training also asks Conv1D and Dense for parameter gradients only
+its mask, with results bit-identical to the select forms. Training also
+asks Conv1D and Dense for parameter gradients only
 (`backward(grad, input_grad=False)`) where the input gradient would be
-discarded, which took the first Conv1D's backward from 482 to 149 µs.
+discarded.
 
 BatchNorm sums per channel in two stages, over the batch and then over
 the positions, rather than over both axes at once, whose inner loop runs
@@ -32,9 +29,7 @@ one channel row (16 or 32 values) at a time. Backward takes its two
 reductions from the parameter gradients' sums, and every per-channel
 vector is tiled along the length. Its results differ from the
 term-by-term form in the last bits (within 1e-13 of the largest
-magnitude; `tests/oracles.py` keeps that form). At (256, 9, 16) this took
-forward from 352–496 to 164–194 µs and backward from 550–592 to
-133–168 µs (three alternating runs, 1 BLAS thread, same machine).
+magnitude; `tests/oracles.py` keeps that form).
 
 Conv1D is one matmul against its banded (Toeplitz) weight rather than the
 general im2col form (Chellapilla et al. 2006), which `tests/oracles.py`
@@ -42,10 +37,7 @@ keeps as a reference. The network's branches convolve signals of 9 and 4
 positions with kernels of 15 and 11 taps, so every output sees (nearly)
 the whole input: the band is (nearly) dense, and one matmul of the
 flattened signal replaces im2col's padded copy, unfolded copy and col2im
-loop. At (256, 4, 16→32, k11), the second conv of a training step, this
-took forward from 338 to 91 µs and backward with the input gradient from
-1,959 to 229 µs (medians of three alternating runs, 1 BLAS thread, same
-machine). The band holds length²·cin·cout entries, so this suits only
+loop. The band holds length²·cin·cout entries, so this suits only
 signals about as short as the kernel (see Conv1D).
 """
 from __future__ import annotations
@@ -365,7 +357,6 @@ class Dense(Layer):
     def __init__(self, in_features: int, out_features: int,
                  rng: np.random.Generator, name: str = "fc"):
         self.in_features = in_features
-        self.out_features = out_features
         self.weight = Param(f"{name}.weight",
                             fan_in_uniform(rng, (in_features, out_features), in_features))
         self.bias = Param(f"{name}.bias", np.zeros(out_features))

@@ -212,20 +212,28 @@ class StackedAeModel:
         return _sequential_slots(self.stack)
 
 
+def check_spec(kind: str, branches: int) -> None:
+    """The model-spec rules: a known kind; the CNN reads 1..4 branches
+    (scales), the flat models exactly 1."""
+    if kind not in ("cnn", "pca-nn", "ae-nn"):
+        raise ValueError(f"unknown model kind {kind!r} (expected cnn, pca-nn, ae-nn)")
+    if kind == "cnn" and not 1 <= branches <= 4:
+        raise ValueError(f"model.branches must be in 1..4 for cnn, got {branches}")
+    if kind != "cnn" and branches != 1:
+        raise ValueError(f"model.branches must be 1 for {kind}, got {branches}")
+
+
 def build_model(kind: str, scales: int, input_length: int, n_classes: int,
                 seed: int, train_cfg: TrainConfig = TrainConfig()):
     """The untrained model of one spec (kind, scales, input length,
-    classes) and seed. The flat models read a single scale."""
+    classes) and seed; the spec must pass check_spec."""
     if input_length < 1:
         raise ValueError(f"input length {input_length}: need at least 1")
     if n_classes < 2:
         raise ValueError(f"{n_classes} classes: need at least 2")
+    check_spec(kind, scales)
     if kind == "cnn":
         return CnnModel(scales, input_length, n_classes, seed, train_cfg)
-    if kind not in ("pca-nn", "ae-nn"):
-        raise ValueError(f"unknown model kind {kind!r} (expected cnn, pca-nn, ae-nn)")
-    if scales != 1:
-        raise ValueError(f"{kind} reads 1 scale, not {scales}")
     if kind == "pca-nn":
         return PcaNnModel(input_length, n_classes, seed, train_cfg)
     return StackedAeModel(input_length, n_classes, seed, train_cfg)

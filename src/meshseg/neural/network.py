@@ -109,10 +109,6 @@ def build_multibranch(n_branches: int, input_length: int, n_classes: int,
     batch norm, leaky ReLU, pool 2. Head: flatten (channel-major),
     dense 172, leaky ReLU, dropout 0.5, dense n_classes.
     """
-    if not 1 <= n_branches <= 4:
-        raise ValueError("branch count must be in 1..4")
-    if n_classes < 2:
-        raise ValueError("need at least 2 classes")
     if input_length // 4 < 1:
         raise ValueError(f"input length {input_length} too short for two poolings")
     rng_root = SeededRng(seed)

@@ -22,7 +22,7 @@ class SparseSymmetric:
 
     Each input (row, col) entry is folded into the upper triangle, where
     duplicate pairs are coalesced by summation; the lower triangle is the
-    mirror of the upper one.
+    mirror of the upper one. Entries that sum to exactly 0 are not stored.
     """
 
     def __init__(self, n: int, rows, cols, vals):
@@ -33,23 +33,10 @@ class SparseSymmetric:
             raise ValueError("rows, cols, vals must have identical shapes")
         if rows.size and (rows.min() < 0 or cols.min() < 0 or max(rows.max(), cols.max()) >= n):
             raise ValueError(f"index out of range for dimension {n}")
-        # normalize to upper triangle, coalesce duplicates
-        r = np.minimum(rows, cols)
-        c = np.maximum(rows, cols)
-        upper = sparse.coo_matrix((vals, (r, c)), shape=(n, n)).tocsr().tocoo()
-        off = upper.row != upper.col
-        full = sparse.coo_matrix(
-            (
-                np.concatenate([upper.data, upper.data[off]]),
-                (
-                    np.concatenate([upper.row, upper.col[off]]),
-                    np.concatenate([upper.col, upper.row[off]]),
-                ),
-            ),
-            shape=(n, n),
-        )
+        upper = sparse.csr_matrix((vals, (np.minimum(rows, cols), np.maximum(rows, cols))),
+                                  shape=(n, n))
         self.n = n
-        self.csr = full.tocsr()
+        self.csr = (upper + sparse.triu(upper, k=1).T).tocsr()
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -57,8 +44,19 @@ class SparseSymmetric:
             raise ValueError(f"vector of length {self.n} expected, got shape {x.shape}")
         return self.csr @ x
 
-    def diagonal(self) -> np.ndarray:
-        return self.csr.diagonal()
+
+# Dot products longer than this are summed block by block: OpenBLAS splits
+# a long dot product across its threads, so its rounding would otherwise
+# depend on the thread count.
+DOT_BLOCK = 8192
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a @ b, summed over fixed blocks of DOT_BLOCK values in order."""
+    if len(a) <= DOT_BLOCK:
+        return float(a @ b)
+    return sum(float(a[i:i + DOT_BLOCK] @ b[i:i + DOT_BLOCK])
+               for i in range(0, len(a), DOT_BLOCK))
 
 
 def solve_singular_spd(A: SparseSymmetric, b: np.ndarray, tol: float = 1e-8,
@@ -75,11 +73,11 @@ def solve_singular_spd(A: SparseSymmetric, b: np.ndarray, tol: float = 1e-8,
     if max_iter is None:
         max_iter = 10 * A.n
     bp = b - b.mean()
-    bnorm = np.linalg.norm(bp)
+    bnorm = np.sqrt(_dot(bp, bp))
     if bnorm == 0.0:
         return np.zeros(A.n)
 
-    d = A.diagonal()
+    d = A.csr.diagonal()
     inv_d = np.where(np.abs(d) > 0, 1.0 / np.where(d == 0, 1.0, d), 1.0)
 
     x = np.zeros(A.n)
@@ -87,13 +85,13 @@ def solve_singular_spd(A: SparseSymmetric, b: np.ndarray, tol: float = 1e-8,
     z = inv_d * r
     z -= z.mean()
     p = z.copy()
-    rz = float(r @ z)
+    rz = _dot(r, z)
     for _ in range(max_iter):
-        if np.linalg.norm(r) <= tol * bnorm:
+        if np.sqrt(_dot(r, r)) <= tol * bnorm:
             x -= x.mean()
             return x
         Ap = A.matvec(p)
-        pAp = float(p @ Ap)
+        pAp = _dot(p, Ap)
         if pAp <= 0.0:
             raise SolverError("matrix is not positive definite on the zero-mean subspace")
         alpha = rz / pAp
@@ -101,10 +99,10 @@ def solve_singular_spd(A: SparseSymmetric, b: np.ndarray, tol: float = 1e-8,
         r -= alpha * Ap
         z = inv_d * r
         z -= z.mean()
-        rz_new = float(r @ z)
+        rz_new = _dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    resid = np.linalg.norm(r) / bnorm
+    resid = np.sqrt(_dot(r, r)) / bnorm
     if resid <= tol:
         x -= x.mean()
         return x

@@ -5,12 +5,12 @@ a seed draw through numpy Generators only.
 """
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 
 import numpy as np
 
+from meshseg.formats import dump_json, save_labels
 from meshseg.mesh import Mesh, save_off
 
 
@@ -97,8 +97,7 @@ def make_toy_dataset(out_dir, n_meshes: int = 10, subdivisions: int = 2,
         labels = dumbbell_labels(mesh)
         mesh_id = f"dumbbell-{k:02d}"
         save_off(mesh, out / f"{mesh_id}.off")
-        (out / f"{mesh_id}.seg").write_text(
-            "".join(f"{v}\n" for v in labels))
+        save_labels(out / f"{mesh_id}.seg", labels)
         entries.append({
             "id": mesh_id,
             "mesh": f"{mesh_id}.off",
@@ -110,5 +109,5 @@ def make_toy_dataset(out_dir, n_meshes: int = 10, subdivisions: int = 2,
         "meshes": entries,
     }
     path = out / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    path.write_text(dump_json(manifest))
     return path

@@ -418,6 +418,21 @@ def solve_zero_mean_dense(a_dense: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x - x.mean()
 
 
+def symmetric_fold(n: int, rows, cols, vals) -> sp.csr_matrix:
+    """Full CSR of a symmetric matrix from (row, col, value) triplets,
+    folded by hand: every entry moves to the upper triangle, duplicates
+    are summed there, and each strict-upper entry is copied below."""
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    upper = sp.coo_matrix((vals, (np.minimum(rows, cols), np.maximum(rows, cols))),
+                          shape=(n, n)).tocsr().tocoo()
+    off = upper.row != upper.col
+    return sp.coo_matrix(
+        (np.concatenate([upper.data, upper.data[off]]),
+         (np.concatenate([upper.row, upper.col[off]]),
+          np.concatenate([upper.col, upper.row[off]]))),
+        shape=(n, n)).tocsr()
+
+
 def edge_face_map(mesh) -> dict:
     """Each undirected mesh edge (i < j) mapped to the faces containing it,
     in face order."""

@@ -34,7 +34,7 @@ from meshseg.formats import (
     save_probabilities,
 )
 from meshseg.mesh import Mesh
-from meshseg.neural.models import CnnModel, PcaNnModel, StackedAeModel
+from meshseg.neural.models import CnnModel, PcaNnModel, StackedAeModel, build_model
 from meshseg.neural.training import TrainConfig
 from conftest import write_feature_cache
 
@@ -453,7 +453,7 @@ def _flip(blob: bytes, bit: int) -> bytes:
      r"\(8, 9\) into \(9, 9\)"),
     ("checkpoint-pca", b"pca.basis", 20, 6, "truncated"),  # (9 + 2**62, 9)
     # the cnn spec is "cnn 2 9 3": 2 branches of length 9, 3 classes
-    ("checkpoint-cnn", b"cnn 2 9 3", 4, 2, "branch count"),  # 2 -> 6 branches
+    ("checkpoint-cnn", b"cnn 2 9 3", 4, 2, r"1\.\.4 for cnn, got 6"),  # 2 -> 6 branches
     ("checkpoint-cnn", b"cnn 2 9 3", 8, 1, "1 classes: need at least 2"),  # 3 -> 1
     ("checkpoint-cnn", b"cnn 2 9 3", 5, 4,  # space -> "0": "cnn 209 3"
      "'cnn 209 3' is not 'kind scales input_length classes'"),
@@ -620,7 +620,7 @@ def test_manifest_loads_and_resolves_paths(tmp_path):
 def test_manifest_strictness(tmp_path):
     base = {"name": "toy", "classes": ["a"],
             "meshes": [{"id": "m0", "mesh": "x.off", "labels": "x.seg"}]}
-    with pytest.raises(FormatError, match="unknown manifest keys"):
+    with pytest.raises(FormatError, match=r"unknown keys \['extra'\]"):
         load_manifest(_write_manifest(tmp_path, {**base, "extra": 1}))
     with pytest.raises(FormatError, match="missing 'classes'"):
         load_manifest(_write_manifest(tmp_path, {k: v for k, v in base.items()
@@ -673,6 +673,18 @@ def test_config_branches_apply_to_the_cnn_only():
                                      "model": {"kind": kind, "branches": 3}})
     cfg = parse_experiment_config({"dataset": "d", "model": {"kind": "cnn"}})
     assert cfg.branches == 3
+
+
+@pytest.mark.parametrize("kind, branches", [
+    ("svm", 1), ("cnn", 0), ("cnn", 5), ("pca-nn", 3), ("ae-nn", 2)])
+def test_config_and_checkpoint_share_the_model_spec_rules(kind, branches):
+    # the config is refused with the message a checkpoint of that spec gets
+    with pytest.raises(ValueError) as built:
+        build_model(kind, branches, len(DEFAULT_CHANNELS), 2, seed=0)
+    with pytest.raises(FormatError) as parsed:
+        parse_experiment_config({"dataset": "d",
+                                 "model": {"kind": kind, "branches": branches}})
+    assert str(parsed.value).endswith(str(built.value))
 
 
 def test_config_rejects_unknown_keys_at_every_level():

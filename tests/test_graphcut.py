@@ -9,7 +9,6 @@ import meshseg.graphcut as graphcut
 from meshseg.mesh import build_dual_graph
 from meshseg.graphcut import (
     CAPACITY_LIMIT,
-    ExpansionResult,
     FlowNetwork,
     GraphCutProblem,
     alpha_expansion,
@@ -339,8 +338,8 @@ def test_expansion_flips_weak_face_to_match_neighbor():
     problem = GraphCutProblem(graph, probs, np.zeros(2), lam=1.0, omega=0.0)
     result = alpha_expansion(problem)
     assert result.labels.tolist() == [0, 0]
-    assert result.final_energy < result.initial_energy
-    assert result.final_energy == pytest.approx(-math.log(0.9) - math.log(0.45))
+    assert result.energy_trace[-1] < result.energy_trace[0]
+    assert result.energy_trace[-1] == pytest.approx(-math.log(0.9) - math.log(0.45))
 
 
 def test_expansion_reaches_exhaustive_optimum_on_tiny_problems():
@@ -350,8 +349,8 @@ def test_expansion_reaches_exhaustive_optimum_on_tiny_problems():
         problem = random_problem(rng)
         result = alpha_expansion(problem)
         best_labels, best = exhaustive_best_labeling(problem, problem.n_classes)
-        assert result.final_energy <= 2.0 * best + 1e-9
-        if result.final_energy <= best + 1e-9:
+        assert result.energy_trace[-1] <= 2.0 * best + 1e-9
+        if result.energy_trace[-1] <= best + 1e-9:
             optimal += 1
     assert optimal >= 16  # expansions that stop short of the optimum are rare
 
@@ -369,7 +368,7 @@ def test_expansion_on_edgeless_graph():
     probs = np.array([[0.8, 0.2], [0.3, 0.7], [0.6, 0.4]])
     result = alpha_expansion(GraphCutProblem(graph, probs, np.zeros(3)))
     assert result.labels.tolist() == [0, 1, 0]
-    assert result.initial_energy == pytest.approx(
+    assert result.energy_trace[0] == pytest.approx(
         -np.log([0.8, 0.7, 0.6]).sum())
 
 
@@ -419,12 +418,6 @@ def test_expansion_moves_match_dinic_on_dumbbells(subdivisions, flow_networks):
         assert_moves_match_dinic(problem, probs.argmax(axis=1), flow_networks)
 
 
-def test_expansion_result_properties():
-    res = ExpansionResult(labels=np.array([0, 1]), energy_trace=(5.0, 3.0, 1.0))
-    assert res.initial_energy == 5.0
-    assert res.final_energy == 1.0
-
-
 def test_expansion_improves_noisy_labels_on_mesh():
     mesh = synth.dumbbell(1)
     graph = build_dual_graph(mesh)
@@ -439,4 +432,4 @@ def test_expansion_improves_noisy_labels_on_mesh():
     before = (probs.argmax(axis=1) == labels).mean()
     after = (result.labels == labels).mean()
     assert after >= before
-    assert result.final_energy <= result.initial_energy
+    assert result.energy_trace[-1] <= result.energy_trace[0]

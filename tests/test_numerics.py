@@ -10,7 +10,10 @@ from meshseg.numerics import (
     pca_fit,
     solve_singular_spd,
 )
-from oracles import pca_svd, solve_zero_mean_dense
+from meshseg.features import conformal
+from meshseg.features.curvature import corner_terms
+from oracles import pca_svd, solve_zero_mean_dense, symmetric_fold
+from shapes import plane_grid
 
 
 def path_laplacian(n: int) -> SparseSymmetric:
@@ -75,7 +78,48 @@ def test_matvec_matches_dense():
              - np.eye(6, k=1) - np.eye(6, k=-1))
     v = rng.standard_normal(6)
     assert mat.matvec(v) == pytest.approx(dense @ v)
-    assert mat.diagonal() == pytest.approx(np.diag(dense))
+    assert mat.csr.diagonal() == pytest.approx(np.diag(dense))
+
+
+def _assert_fold_matches(mat: SparseSymmetric, want, rng) -> None:
+    assert np.array_equal(mat.csr.toarray(), want.toarray())
+    for _ in range(3):
+        x = rng.standard_normal(mat.n)
+        assert np.array_equal(mat.matvec(x), want @ x)
+
+
+def test_fold_matches_hand_fold_on_random_triplets():
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        n = int(rng.integers(1, 9))
+        m = int(rng.integers(0, 30))  # few indices: many duplicate pairs
+        rows, cols = rng.integers(0, n, size=(2, m))
+        vals = rng.standard_normal(m)
+        # pairs that cancel exactly, in either orientation
+        k = int(rng.integers(0, 6))
+        i, j = rng.integers(0, n, size=(2, k))
+        v = rng.standard_normal(k)
+        rows, cols = np.concatenate([rows, i, j]), np.concatenate([cols, j, i])
+        vals = np.concatenate([vals, v, -v])
+        _assert_fold_matches(SparseSymmetric(n, rows, cols, vals),
+                             symmetric_fold(n, rows, cols, vals), rng)
+
+
+def test_fold_matches_hand_fold_on_cotangent_laplacian(monkeypatch):
+    # the grid's diagonal edges face right angles, so their weights sum
+    # to exactly 0: entries the fold no longer stores
+    triplets = []
+
+    def record(*args):
+        triplets.append(args)
+        return SparseSymmetric(*args)
+
+    monkeypatch.setattr(conformal, "SparseSymmetric", record)
+    mesh = plane_grid(6, 6)
+    lap = conformal.cotangent_laplacian(mesh, corner_terms(mesh))
+    want = symmetric_fold(*triplets[0])
+    assert lap.csr.nnz < want.nnz
+    _assert_fold_matches(lap, want, np.random.default_rng(0))
 
 
 def test_solver_error_on_stagnation():
