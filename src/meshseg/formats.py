@@ -2,10 +2,11 @@
 checkpoints, label files, fixed splits, colored PLY export, dataset
 manifests, and the experiment config.
 
-Binary artifacts open with an 8-byte magic and a version; readers reject
-mismatches with a message naming the file and the expected format. Text
-formats defined by outside conventions (.seg labels, train:/test: split
-lists, OFF/OBJ/PLY) stay as their consumers expect.
+Binary artifacts share one layout (magic, FORMAT_VERSION, text fields,
+named tensors); readers reject mismatches with a message naming the file
+and the expected format. Text formats defined by outside conventions
+(.seg labels, train:/test: split lists, OFF/OBJ/PLY) stay as their
+consumers expect.
 """
 from __future__ import annotations
 
@@ -26,11 +27,7 @@ from meshseg.neural.layers import DTYPE
 from meshseg.neural.models import build_model, check_spec
 from meshseg.neural.training import TrainConfig
 
-FORMAT_VERSION = 1  # feature caches and probability grids
-# checkpoints: 2 put the normalization stats after the channel names, 3
-# dropped the conv biases, 4 stores the model spec in place of a descriptor,
-# 5 stores the state tensors as float32
-CKPT_VERSION = 5
+FORMAT_VERSION = 6  # of every binary artifact; 1 to 5 had a layout per artifact
 FEATURE_MAGIC = b"MSEGFEAT"
 PROB_MAGIC = b"MSEGPROB"
 CKPT_MAGIC = b"MSEGCKPT"
@@ -40,46 +37,64 @@ class FormatError(ValueError):
     """Malformed or mismatched artifact file."""
 
 
+# ---------------------------------------------------------------------------
+# binary artifacts: feature cache, probability grid, model checkpoint
+
+
 class _Reader:
-    def __init__(self, blob: bytes, where: str):
-        self.blob = blob
+    """The fields of the artifact at path; opening it checks magic and version."""
+
+    def __init__(self, path, magic: bytes, kind: str):
+        self.blob = Path(path).read_bytes()
         self.pos = 0
-        self.where = where
+        self.where = str(path)
+        got = self.take(len(magic))
+        if got != magic:
+            raise FormatError(f"{path}: not a {kind} file (magic {got!r}, expected {magic!r})")
+        (ver,) = self.unpack("<I")
+        if ver != FORMAT_VERSION:
+            raise FormatError(f"{path}: {kind} version {ver} unsupported (expected "
+                              f"{FORMAT_VERSION}); regenerate the file")
 
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise FormatError(f"{self.where}: truncated file")
-        out = self.blob[self.pos:self.pos + n]
         self.pos += n
-        return out
+        if self.pos > len(self.blob):
+            raise FormatError(f"{self.where}: truncated file")
+        return self.blob[self.pos - n:self.pos]
 
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def text(self) -> str:
         try:
-            return self.take(self.u32()).decode("utf-8")
+            return self.take(*self.unpack("<I")).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"{self.where}: text field is not UTF-8: {exc.reason}") from None
+
+    def channels(self, what: str) -> None:
+        names = self.text().split("\n")
+        if tuple(names) != DEFAULT_CHANNELS:
+            raise FormatError(f"{self.where}: {what} {names}, not {list(DEFAULT_CHANNELS)}")
+
+    def tensor(self, name: str, dtype: str, shape: tuple) -> np.ndarray:
+        """A copy of the next tensor, checked against name and shape (None: any size)."""
+        stored = self.text()
+        if stored != name:
+            raise FormatError(f"{self.where}: tensor {stored!r} where {name!r} expected")
+        dims = self.unpack(f"<{self.unpack('<I')[0]}Q")
+        data = self.take(np.dtype(dtype).itemsize * math.prod(dims))
+        if len(dims) != len(shape) or any(w not in (None, d) for d, w in zip(dims, shape)):
+            raise FormatError(f"{self.where}: tensor {name!r}: shape mismatch loading "
+                              f"tensor: {dims} into {shape}")
+        try:  # an empty tensor may still claim sizes no array can have
+            return np.frombuffer(data, dtype=dtype).reshape(dims).copy()
+        except ValueError as exc:
+            raise FormatError(f"{self.where}: tensor {name!r} of shape {dims}: {exc}") from None
 
     def finish(self) -> None:
         extra = len(self.blob) - self.pos
         if extra:
             raise FormatError(f"{self.where}: {extra} trailing bytes after the last tensor")
-
-    def check_magic(self, magic: bytes, version: int, kind: str) -> None:
-        got = self.take(len(magic))
-        if got != magic:
-            raise FormatError(
-                f"{self.where}: not a {kind} file (magic {got!r}, expected {magic!r})")
-        ver = self.u32()
-        if ver != version:
-            raise FormatError(
-                f"{self.where}: {kind} version {ver} unsupported (expected {version}); "
-                "regenerate the file")
 
 
 def _pack_text(s: str) -> bytes:
@@ -87,18 +102,19 @@ def _pack_text(s: str) -> bytes:
     return struct.pack("<I", len(raw)) + raw
 
 
-def _pack_floats(arr: np.ndarray, dtype: str = "<f8") -> bytes:
-    return np.ascontiguousarray(arr, dtype=dtype).tobytes()
+def _pack_tensor(name: str, arr: np.ndarray, dtype: str = "<f8") -> bytes:
+    arr = np.ascontiguousarray(arr, dtype=dtype)
+    return _pack_text(name) + struct.pack(f"<I{arr.ndim}Q", arr.ndim, *arr.shape) + arr.tobytes()
 
 
-def _write_atomic(path, parts) -> None:
-    """Write the byte parts to a fresh file beside path, then rename it
-    over path, so a write that fails partway leaves any old file intact."""
+def _write_atomic(path, magic: bytes, parts) -> None:
+    """Write magic, FORMAT_VERSION and the byte parts to a fresh file beside path,
+    then rename it over path: a write that fails partway keeps any old file."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
         with open(tmp, "xb") as f:
-            for part in parts:
+            for part in (magic, struct.pack("<I", FORMAT_VERSION), *parts):
                 f.write(part)
         os.replace(tmp, path)
     except BaseException:
@@ -106,77 +122,50 @@ def _write_atomic(path, parts) -> None:
         raise
 
 
-# ---------------------------------------------------------------------------
-# feature cache
-
-
 def save_feature_cache(path, values: np.ndarray, key: str) -> None:
-    """The DEFAULT_CHANNELS names, the face count, the key (see
-    `experiment.feature_cache_key`) and the (faces, channels) values."""
+    """The DEFAULT_CHANNELS names, the key (see `experiment.feature_cache_key`)
+    and the (faces, channels) values as the tensor `features`."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.shape[1] != len(DEFAULT_CHANNELS):
         raise ValueError(f"values must be (faces, {len(DEFAULT_CHANNELS)}), "
                          f"got {values.shape}")
-    blob = [FEATURE_MAGIC, struct.pack("<I", FORMAT_VERSION),
-            _pack_text("\n".join(DEFAULT_CHANNELS)),
-            struct.pack("<Q", len(values)),
-            _pack_text(key),
-            _pack_floats(values)]
-    _write_atomic(path, blob)
+    _write_atomic(path, FEATURE_MAGIC, [_pack_text("\n".join(DEFAULT_CHANNELS)),
+                                        _pack_text(key), _pack_tensor("features", values)])
 
 
 def load_feature_cache(path, key: str) -> np.ndarray:
     """The (faces, channels) values of a cache of the DEFAULT_CHANNELS
     stored under key; any other cache is a FormatError."""
-    r = _Reader(Path(path).read_bytes(), str(path))
-    r.check_magic(FEATURE_MAGIC, FORMAT_VERSION, "feature cache")
-    names = tuple(r.text().split("\n"))
-    if names != DEFAULT_CHANNELS:
-        raise FormatError(f"{path}: features of channels {list(names)}, "
-                          f"not {list(DEFAULT_CHANNELS)}")
-    faces = r.u64()
+    r = _Reader(path, FEATURE_MAGIC, "feature cache")
+    r.channels("features of channels")
     stored = r.text()
     if stored != key:
         raise FormatError(f"{path}: features of another mesh or channel set "
                           f"(key {stored}, expected {key})")
-    data = r.take(8 * faces * len(DEFAULT_CHANNELS))
+    values = r.tensor("features", "<f8", (None, len(DEFAULT_CHANNELS)))
     r.finish()
-    return np.frombuffer(data, dtype="<f8").reshape(faces, len(DEFAULT_CHANNELS)).copy()
-
-
-# ---------------------------------------------------------------------------
-# probability grid
+    return values
 
 
 def save_probabilities(path, probs: np.ndarray) -> None:
+    """The (faces, classes) probabilities as the tensor `probabilities`."""
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 2:
         raise ValueError("probabilities must be (faces, classes)")
-    blob = [PROB_MAGIC, struct.pack("<I", FORMAT_VERSION),
-            struct.pack("<Q", len(probs)),
-            struct.pack("<I", probs.shape[1]),
-            _pack_floats(probs)]
-    _write_atomic(path, blob)
+    _write_atomic(path, PROB_MAGIC, [_pack_tensor("probabilities", probs)])
 
 
 def load_probabilities(path) -> np.ndarray:
-    r = _Reader(Path(path).read_bytes(), str(path))
-    r.check_magic(PROB_MAGIC, FORMAT_VERSION, "probability")
-    faces = r.u64()
-    classes = r.u32()
-    data = r.take(8 * faces * classes)
+    r = _Reader(path, PROB_MAGIC, "probability")
+    probs = r.tensor("probabilities", "<f8", (None, None))
     r.finish()
-    return np.frombuffer(data, dtype="<f8").reshape(faces, classes).copy()
-
-
-# ---------------------------------------------------------------------------
-# model checkpoint
+    return probs
 
 
 def save_checkpoint(path, model, stats: NormalizationStats) -> None:
     """The model spec as text ("kind scales input_length classes", e.g.
-    "cnn 3 9 4"), the seed, the DEFAULT_CHANNELS names, the per-channel
-    normalization mean and scale (float64), then every state tensor
+    "cnn 3 9 4"), the u64 seed, the DEFAULT_CHANNELS names, the tensors
+    `norm.mean` and `norm.scale` (float64), then every state tensor
     (parameters, batch-norm stats, PCA bases) in declaration order, as
     float32 like the model holds it.
 
@@ -184,8 +173,18 @@ def save_checkpoint(path, model, stats: NormalizationStats) -> None:
     at most, and never asks for a huge architecture."""
     if not len(stats.mean) == len(stats.scale) == len(DEFAULT_CHANNELS):
         raise ValueError("normalization stats need one entry per channel")
-    _parse_spec(" ".join(map(str, model.spec)))
-    _write_atomic(path, _checkpoint_parts(model, stats))
+    spec = " ".join(map(str, model.spec))
+    _parse_spec(spec)
+    parts = [_pack_text(spec), struct.pack("<Q", int(model.seed)),
+             _pack_text("\n".join(DEFAULT_CHANNELS)),
+             _pack_tensor("norm.mean", stats.mean), _pack_tensor("norm.scale", stats.scale)]
+    for name, owner, attr, _ in model.state_slots():
+        arr = getattr(owner, attr)
+        if arr is None:
+            raise ValueError(f"{name}: batch norm has no running stats yet "
+                             "(untrained model)")
+        parts.append(_pack_tensor(name, arr, "<f4"))
+    _write_atomic(path, CKPT_MAGIC, parts)
 
 
 def _parse_spec(spec: str) -> tuple:
@@ -203,45 +202,17 @@ def _parse_spec(spec: str) -> tuple:
     return kind, scales, length, classes
 
 
-def _checkpoint_parts(model, stats):
-    slots = model.state_slots()
-    yield from (CKPT_MAGIC, struct.pack("<I", CKPT_VERSION),
-                _pack_text(" ".join(map(str, model.spec))),
-                struct.pack("<Q", int(model.seed)),
-                _pack_text("\n".join(DEFAULT_CHANNELS)),
-                struct.pack("<I", len(stats.mean)),
-                _pack_floats(stats.mean), _pack_floats(stats.scale),
-                struct.pack("<I", len(slots)))
-    for name, owner, attr, _ in slots:
-        arr = getattr(owner, attr)
-        if arr is None:
-            raise ValueError(f"{name}: batch norm has no running stats yet "
-                             "(untrained model)")
-        yield _pack_text(name)
-        yield struct.pack("<I", arr.ndim)
-        yield from (struct.pack("<Q", d) for d in arr.shape)
-        yield _pack_floats(arr, "<f4")
-
-
 def load_checkpoint(path):
     """Returns (model, normalization stats); the model is
     `build_model(*spec, seed)` filled with the stored tensors. A
     checkpoint of other channels, or whose model reads another number of
     them, is a FormatError."""
-    r = _Reader(Path(path).read_bytes(), str(path))
-    r.check_magic(CKPT_MAGIC, CKPT_VERSION, "checkpoint")
+    r = _Reader(path, CKPT_MAGIC, "checkpoint")
     spec = r.text()
-    seed = r.u64()
-    channel_names = tuple(r.text().split("\n"))
-    n_stats = r.u32()
-    if n_stats != len(channel_names):
-        raise FormatError(f"{path}: normalization stats for {n_stats} channels, "
-                          f"checkpoint names {len(channel_names)}")
-    if channel_names != DEFAULT_CHANNELS:
-        raise FormatError(f"{path}: trained on channels "
-                          f"{list(channel_names)}, not {list(DEFAULT_CHANNELS)}")
-    mean, scale = np.frombuffer(r.take(16 * n_stats), dtype="<f8").reshape(2, n_stats).copy()
-    stats = NormalizationStats(mean=mean, scale=scale)
+    (seed,) = r.unpack("<Q")
+    r.channels("trained on channels")
+    stats = NormalizationStats(*(r.tensor(f"norm.{k}", "<f8", (len(DEFAULT_CHANNELS),))
+                                 for k in ("mean", "scale")))
     try:
         kind, scales, length, classes = _parse_spec(spec)
         # the output bias alone stores one float32 per class
@@ -252,22 +223,8 @@ def load_checkpoint(path):
         model = build_model(kind, scales, length, classes, seed)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
-    slots = model.state_slots()
-    n = r.u32()
-    if n != len(slots):
-        raise FormatError(
-            f"{path}: checkpoint has {n} tensors, architecture needs {len(slots)}")
-    for name, owner, attr, want in slots:
-        stored = r.text()
-        if stored != name:
-            raise FormatError(f"{path}: tensor {stored!r} where {name!r} expected")
-        ndim = r.u32()
-        shape = tuple(r.u64() for _ in range(ndim))
-        data = r.take(4 * math.prod(shape))
-        if shape != want:
-            raise FormatError(f"{path}: tensor {name!r}: shape mismatch loading "
-                              f"tensor: {shape} into {want}")
-        setattr(owner, attr, np.frombuffer(data, dtype="<f4").reshape(shape).astype(DTYPE))
+    for name, owner, attr, want in model.state_slots():
+        setattr(owner, attr, r.tensor(name, "<f4", want).astype(DTYPE, copy=False))
     r.finish()
     return model, stats
 
@@ -441,9 +398,15 @@ def load_manifest(path) -> DatasetManifest:
                 raise ValueError(f"meshes[{i}] needs exactly id/mesh/labels")
             mesh_id, mesh, labels = (_json(rec[k], f"meshes[{i}].{k}", str)
                                      for k in ("id", "mesh", "labels"))
+            # ids name the run's output files, so they must stay inside its directory
+            if not mesh_id or any(c in mesh_id for c in "/\\\0"):
+                raise ValueError(f"meshes[{i}].id must be a nonempty name without "
+                                 f"'/', '\\' or NUL, got {mesh_id!r}")
             if mesh_id in entries:
                 raise ValueError(f"duplicate mesh id {mesh_id!r}")
             entries[mesh_id] = (mesh_id, path.parent / mesh, path.parent / labels)
+        if not entries:
+            raise ValueError("meshes must list at least one mesh")
         if len(classes) < 2:
             raise ValueError(f"need at least 2 classes, got {len(classes)}")
         return DatasetManifest(name=_json(doc["name"], "name", str),
@@ -507,7 +470,7 @@ def parse_experiment_config(doc: dict, where: str = "<config>") -> ExperimentCon
         train = TrainConfig(**{
             k: _json(train_doc[k], f"train.{k}", int if k in _TRAIN_INTEGERS else float)
             for k in _TRAIN_KEYS if k in train_doc})
-        return ExperimentConfig(
+        cfg = ExperimentConfig(
             dataset=_json(doc["dataset"], "dataset", str),
             protocol=_json(proto.get("kind", "kfold"), "protocol.kind", str),
             k=_json(proto.get("k", 5), "protocol.k", int),
@@ -523,12 +486,18 @@ def parse_experiment_config(doc: dict, where: str = "<config>") -> ExperimentCon
             seed=_json(doc.get("seed", 0), "seed", int),
             output_dir=_json(doc.get("output_dir", "out"), "output_dir", str),
         )
+        for key, kind in (("k", "kfold"), ("file", "fixed")):
+            if key in proto and cfg.protocol != kind:
+                raise ValueError(f"protocol.{key} applies to the {kind} protocol "
+                                 f"only, not to {cfg.protocol}")
+        return cfg
     except ValueError as exc:
         raise FormatError(f"{where}: {exc}") from None
 
 
 def experiment_config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Canonical full-form dict; parse(to_dict(cfg)) == cfg."""
+    """Canonical full-form dict; parse(to_dict(cfg)) == cfg for every cfg
+    that parse returns."""
     proto: dict = {"kind": cfg.protocol, "replicates": cfg.replicates}
     if cfg.protocol == "kfold":
         proto["k"] = cfg.k

@@ -158,23 +158,20 @@ class DualGraph:
 
     edge_dihedral holds the exterior dihedral angle: pi on flat edges,
     below pi at concavities, above pi at convexities.
-    edge_length is the length of the shared mesh edge.
     """
 
     n_faces: int
     edges: np.ndarray          # (E, 2) int64, u < v
     edge_dihedral: np.ndarray  # (E,) float64, in (0, 2*pi)
-    edge_length: np.ndarray    # (E,) float64
 
     def __post_init__(self):
-        for arr in (self.edges, self.edge_dihedral, self.edge_length):
+        for arr in (self.edges, self.edge_dihedral):
             arr.flags.writeable = False
 
     def __reduce__(self):
         # unpickle through __init__, so a graph sent back by a worker
         # process is read-only too
-        return DualGraph, (self.n_faces, self.edges, self.edge_dihedral,
-                           self.edge_length)
+        return DualGraph, (self.n_faces, self.edges, self.edge_dihedral)
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -198,8 +195,7 @@ def build_dual_graph(mesh: Mesh) -> DualGraph:
         i, j = mesh.half_edges[mesh.edge_start[e], :2]
         raise MeshError(f"non-manifold mesh edge ({i}, {j}) shared by {counts[e]} faces")
     rows = mesh.edges_with_faces(2)
-    i, j, u = mesh.half_edges[rows].T
-    v = mesh.half_edges[rows + 1, 2]
+    u, v = mesh.half_edges[rows, 2], mesh.half_edges[rows + 1, 2]
     nu, nv = mesh.face_normals[u], mesh.face_normals[v]
     cosang = np.clip(_row_dot(nu, nv), -1.0, 1.0)
     cross = np.cross(nu, nv)
@@ -208,12 +204,10 @@ def build_dual_graph(mesh: Mesh) -> DualGraph:
     alpha = np.fromiter(map(math.atan2, sinang.tolist(), cosang.tolist()),
                         dtype=np.float64, count=len(rows))  # in [0, pi]
     concave = _row_dot(mesh.face_centroids[v] - mesh.face_centroids[u], nu) > 0.0
-    span = mesh.vertices[i] - mesh.vertices[j]
     return DualGraph(
         n_faces=mesh.n_faces,
         edges=np.column_stack([u, v]),
         edge_dihedral=np.where(concave, math.pi - alpha, math.pi + alpha),
-        edge_length=np.sqrt(_row_dot(span, span)),
     )
 
 

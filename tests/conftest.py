@@ -4,7 +4,8 @@ import struct
 import numpy as np
 import pytest
 
-from meshseg.formats import FEATURE_MAGIC, FORMAT_VERSION
+from meshseg.features.matrix import DEFAULT_CHANNELS
+from meshseg.formats import FEATURE_MAGIC, FORMAT_VERSION, PROB_MAGIC
 from meshseg.graphcut import GraphCutProblem
 from meshseg.mesh import DualGraph, Mesh, build_dual_graph
 from meshseg.synth import icosphere
@@ -39,15 +40,35 @@ def strip5():
     return Mesh(verts, faces)
 
 
+def _text(s):
+    raw = s.encode()
+    return struct.pack("<I", len(raw)) + raw
+
+
 def write_feature_cache(path, names, values, key):
     """A feature cache file of any channel names, packed field by field
-    (`save_feature_cache` writes only the DEFAULT_CHANNELS)."""
-    names, key = "\n".join(names).encode(), key.encode()
+    (`save_feature_cache` writes only the DEFAULT_CHANNELS): the names and
+    the key as text, then the values as the tensor `features`."""
+    values = np.ascontiguousarray(values, dtype="<f8")
     path.write_bytes(FEATURE_MAGIC + struct.pack("<I", FORMAT_VERSION)
-                     + struct.pack("<I", len(names)) + names
-                     + struct.pack("<Q", len(values))
-                     + struct.pack("<I", len(key)) + key
-                     + np.ascontiguousarray(values, dtype="<f8").tobytes())
+                     + _text("\n".join(names)) + _text(key)
+                     + _text("features") + struct.pack("<IQQ", 2, *values.shape)
+                     + values.tobytes())
+
+
+def version_one_feature_cache(values, key):
+    """The bytes of a feature cache of the DEFAULT_CHANNELS as version 1
+    laid it out: the names, a u64 face count, the key, then the values."""
+    return (FEATURE_MAGIC + struct.pack("<I", 1) + _text("\n".join(DEFAULT_CHANNELS))
+            + struct.pack("<Q", len(values)) + _text(key)
+            + np.ascontiguousarray(values, dtype="<f8").tobytes())
+
+
+def version_one_probabilities(probs):
+    """The bytes of a probability grid as version 1 laid it out: a u64 face
+    count, a u32 class count, then the values."""
+    return (PROB_MAGIC + struct.pack("<IQI", 1, *probs.shape)
+            + np.ascontiguousarray(probs, dtype="<f8").tobytes())
 
 
 def same_mesh_in_other_files(off_path, out_dir):
@@ -84,13 +105,12 @@ def random_small_mesh(rng, max_faces=50):
 
 
 def synthetic_graph(n_faces, edges, dihedrals):
-    """Face-adjacency graph with unit edge lengths, built directly."""
+    """Face-adjacency graph, built directly."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     return DualGraph(
         n_faces=n_faces,
         edges=edges,
         edge_dihedral=np.asarray(dihedrals, dtype=np.float64),
-        edge_length=np.ones(len(edges)),
     )
 
 

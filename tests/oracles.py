@@ -454,12 +454,12 @@ def boundary_vertices_loops(mesh) -> np.ndarray:
 
 
 def dual_graph_loops(mesh):
-    """(edges, dihedrals, lengths) of the dual graph with scalar arithmetic
+    """(edges, dihedrals) of the dual graph with scalar arithmetic
     per mesh edge, in sorted (i, j) order; a mesh edge in more than two
     faces raises the package's MeshError."""
     from meshseg.mesh import MeshError
 
-    pairs, dihedrals, lengths = [], [], []
+    pairs, dihedrals = [], []
     for (i, j), fs in sorted(edge_face_map(mesh).items()):
         if len(fs) > 2:
             raise MeshError(f"non-manifold mesh edge ({i}, {j}) shared by {len(fs)} faces")
@@ -473,9 +473,7 @@ def dual_graph_loops(mesh):
         concave = float((mesh.face_centroids[v] - mesh.face_centroids[u]) @ nu) > 0.0
         pairs.append((u, v))
         dihedrals.append(math.pi - alpha if concave else math.pi + alpha)
-        lengths.append(float(np.linalg.norm(mesh.vertices[i] - mesh.vertices[j])))
-    return (np.array(pairs, dtype=np.int64).reshape(-1, 2), np.array(dihedrals),
-            np.array(lengths))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2), np.array(dihedrals)
 
 
 def umbrella_operator_pairs(mesh) -> sp.csr_matrix:

@@ -35,7 +35,12 @@ from meshseg.neural.models import CnnModel
 from meshseg.neural.training import TrainConfig
 from meshseg.numerics import SolverError
 from meshseg.synth import icosphere, make_toy_dataset
-from conftest import same_mesh_in_other_files, write_feature_cache
+from conftest import (
+    same_mesh_in_other_files,
+    version_one_feature_cache,
+    version_one_probabilities,
+    write_feature_cache,
+)
 
 
 def invoke(argv, capsys):
@@ -210,7 +215,7 @@ def test_segment_rejects_stats_channel_mismatch(ws, trained, tmp_path, capsys):
                            "-o", str(tmp_path / "junk.prob")], capsys)
     assert code == 3
     assert err["category"] == "invalid-input"
-    assert "normalization stats" in err["message"]
+    assert "trained on channels" in err["message"] and "'extra'" in err["message"]
 
 
 def _no_features(*args):
@@ -344,6 +349,29 @@ def test_refine_rejects_features_of_another_mesh(ws, tmp_path, capsys):
     assert err["category"] == "invalid-input"
     assert "another mesh" in err["message"]
     assert not (tmp_path / "r.seg").exists()
+
+
+def test_refine_rejects_files_of_version_one(ws, tmp_path, capsys):
+    probs = np.full((80, 2), 0.5)
+    probs_path, feat_path = tmp_path / "m0.prob", tmp_path / "m0.feat"
+    save_probabilities(probs_path, probs)
+    assert main(["features", str(ws["mesh0"]), "-o", str(feat_path)]) == 0
+    capsys.readouterr()
+    key = experiment.feature_cache_key(load_mesh_path(ws["mesh0"]))
+    values = load_feature_cache(feat_path, key)
+    for old, blob in ((probs_path, version_one_probabilities(probs)),
+                      (feat_path, version_one_feature_cache(values, key))):
+        new = old.read_bytes()
+        old.write_bytes(blob)
+        code, _, err = invoke(["refine", str(ws["mesh0"]), "--probs", str(probs_path),
+                               "--features", str(feat_path),
+                               "-o", str(tmp_path / "r.seg")], capsys)
+        assert code == 3
+        assert err["category"] == "invalid-input"
+        assert str(old) in err["message"] and "version 1" in err["message"]
+        assert "regenerate" in err["message"]
+        assert not (tmp_path / "r.seg").exists()
+        old.write_bytes(new)
 
 
 def test_refine_reuses_the_features_of_the_same_mesh_in_other_files(ws, tmp_path,
@@ -607,8 +635,10 @@ def test_run_rejects_numbers_too_large_for_a_float(ws, tmp_path, capsys,
     ("protocol", {"kind": "fixed", "file": 3}, "protocol.file"),
     ("protocol", {"kind": "kfold", "k": 1}, "protocol.k"),
     ("protocol", {"kind": "kfold", "k": 2, "replicates": 0}, "protocol.replicates"),
+    ("protocol", {"kind": "loo", "k": 3}, "protocol.k"),
+    ("protocol", {"kind": "kfold", "k": 2, "file": "split.txt"}, "protocol.file"),
 ], ids=["dataset-int", "output-dir-int", "model-list", "split-file-int",
-        "one-fold", "no-replicates"])
+        "one-fold", "no-replicates", "k-outside-kfold", "file-outside-fixed"])
 def test_bad_config_exits_three_for_every_command(ws, tmp_path, capsys, command,
                                                   key, value, field):
     cfg = write_config(tmp_path / "cfg.json", ws["manifest"], tmp_path / "out",
@@ -629,7 +659,12 @@ def test_bad_config_exits_three_for_every_command(ws, tmp_path, capsys, command,
     (lambda doc: doc["meshes"][0].update(mesh=5), "meshes[0].mesh"),
     (lambda doc: doc.update(name=7), "name"),
     (lambda doc: doc["meshes"][1].update(id=3), "meshes[1].id"),
-], ids=["meshes-int", "mesh-path-int", "name-int", "id-int-beside-str"])
+    (lambda doc: doc["meshes"][1].update(id="../../escaped"), "meshes[1].id"),
+    (lambda doc: doc["meshes"][0].update(id="sub/dir"), "meshes[0].id"),
+    (lambda doc: doc["meshes"][0].update(id=""), "meshes[0].id"),
+    (lambda doc: doc.update(meshes=[]), "meshes must list at least one mesh"),
+], ids=["meshes-int", "mesh-path-int", "name-int", "id-int-beside-str",
+        "id-leaves-output-dir", "id-with-slash", "id-empty", "no-meshes"])
 def test_bad_manifest_exits_three_for_every_command(ws, tmp_path, capsys, command,
                                                     edit, field):
     manifest = write_manifest(tmp_path / "m.json", ws, ws["mesh0"])
@@ -645,6 +680,7 @@ def test_bad_manifest_exits_three_for_every_command(ws, tmp_path, capsys, comman
     assert err["category"] == "invalid-input"
     assert str(manifest) in err["message"] and field in err["message"]
     assert not (tmp_path / "out").exists() and not ckpt.exists()
+    assert not list(tmp_path.glob("escaped.*"))
 
 
 @pytest.mark.parametrize("command", ["run", "train"])

@@ -36,7 +36,11 @@ from meshseg.formats import (
 from meshseg.mesh import Mesh
 from meshseg.neural.models import CnnModel, PcaNnModel, StackedAeModel, build_model
 from meshseg.neural.training import TrainConfig
-from conftest import write_feature_cache
+from conftest import (
+    version_one_feature_cache,
+    version_one_probabilities,
+    write_feature_cache,
+)
 
 
 # -------------------------------------------------------- feature cache key
@@ -92,6 +96,26 @@ def test_feature_cache_rejects_other_keys_and_channels(tmp_path, names, width, k
         load_feature_cache(path, "key")
 
 
+def test_feature_cache_layout(tmp_path):
+    # magic, version, the channel names and the key as text, then the
+    # tensor `features`: name, rank, dims, <f8 values
+    path = tmp_path / "m.feat"
+    values = np.random.default_rng(3).normal(size=(5, N))
+    save_feature_cache(path, values, "abc")
+    written = tmp_path / "by-hand.feat"
+    write_feature_cache(written, DEFAULT_CHANNELS, values, "abc")
+    assert path.read_bytes() == written.read_bytes()
+    assert path.read_bytes()[8:12] == struct.pack("<I", 6)
+
+
+def test_feature_cache_version_one_needs_regenerating(tmp_path):
+    path = tmp_path / "v1.feat"
+    path.write_bytes(version_one_feature_cache(np.ones((3, N)), "key"))
+    with pytest.raises(FormatError, match=re.escape(
+            f"{path}: feature cache version 1 unsupported (expected 6); regenerate")):
+        load_feature_cache(path, "key")
+
+
 def test_feature_cache_bad_magic(tmp_path):
     path = tmp_path / "bogus.feat"
     path.write_bytes(b"NOTAFEAT" + b"\x00" * 64)
@@ -137,6 +161,32 @@ def test_probabilities_round_trip(tmp_path):
     probs = np.random.default_rng(1).dirichlet(np.ones(4), size=9)
     save_probabilities(path, probs)
     assert np.array_equal(load_probabilities(path), probs)
+
+
+def test_probabilities_layout(tmp_path):
+    path = tmp_path / "m.prob"
+    probs = np.random.default_rng(5).dirichlet(np.ones(3), size=4)
+    save_probabilities(path, probs)
+    assert path.read_bytes() == (b"MSEGPROB" + struct.pack("<II", 6, 13) + b"probabilities"
+                                 + struct.pack("<IQQ", 2, 4, 3) + probs.astype("<f8").tobytes())
+
+
+@pytest.mark.parametrize("dims", [(0, 2 ** 62), (2 ** 64 - 1, 0)])
+def test_probabilities_of_no_values_but_impossible_sizes(tmp_path, dims):
+    path = tmp_path / "empty.prob"
+    path.write_bytes(b"MSEGPROB" + struct.pack("<II", 6, 13) + b"probabilities"
+                     + struct.pack("<IQQ", 2, *dims))
+    with pytest.raises(FormatError, match=re.escape(
+            f"{path}: tensor 'probabilities' of shape {dims}: ")):
+        load_probabilities(path)
+
+
+def test_probabilities_version_one_needs_regenerating(tmp_path):
+    path = tmp_path / "v1.prob"
+    path.write_bytes(version_one_probabilities(np.full((3, 2), 0.5)))
+    with pytest.raises(FormatError, match=re.escape(
+            f"{path}: probability version 1 unsupported (expected 6); regenerate")):
+        load_probabilities(path)
 
 
 def test_probabilities_reject_feature_file(tmp_path):
@@ -223,12 +273,13 @@ def test_checkpoint_stats_need_one_entry_per_channel(tmp_path):
         save_checkpoint(tmp_path / "m.ckpt", model, _stats(N - 1))
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, model, _stats())
-    # a tenth channel name behind nine stats entries
+    # a tenth channel name in front of nine stats entries
     names = "\n".join(DEFAULT_CHANNELS).encode()
     path.write_bytes(path.read_bytes().replace(
         struct.pack("<I", len(names)) + names,
         struct.pack("<I", len(names) + 3) + names + b"\nc4"))
-    with pytest.raises(FormatError, match=f"stats for {N} channels, checkpoint names {N + 1}"):
+    with pytest.raises(FormatError, match=re.escape(
+            f"{path}: trained on channels {list(DEFAULT_CHANNELS) + ['c4']}")):
         load_checkpoint(path)
 
 
@@ -330,6 +381,19 @@ def test_checkpoint_version_four_needs_regenerating(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_version_five_needs_regenerating(tmp_path):
+    # version 5 kept the stats and the tensors behind counts; version 6
+    # gives every artifact named tensor records
+    model, _ = _train_tiny_cnn()
+    path = tmp_path / "v5.ckpt"
+    save_checkpoint(path, model, _stats())
+    blob = path.read_bytes()
+    path.write_bytes(CKPT_MAGIC + struct.pack("<I", 5) + blob[len(CKPT_MAGIC) + 4:])
+    with pytest.raises(FormatError, match=re.escape(
+            f"{path}: checkpoint version 5 unsupported (expected 6); regenerate")):
+        load_checkpoint(path)
+
+
 def test_checkpoint_untrained_cnn_fails_loudly(tmp_path):
     model = CnnModel(1, N, 2, seed=0)
     with pytest.raises(ValueError, match="untrained"):
@@ -359,8 +423,7 @@ def test_checkpoint_bad_magic(tmp_path):
 # ------------------------------------------------------------ atomic writes
 
 def test_checkpoint_failing_partway_keeps_the_old_file(tmp_path):
-    # an untrained CNN raises at its first batch-norm running stat, after
-    # the header and the first conv tensors have been written
+    # an untrained CNN raises at its first batch-norm running stat
     model, _ = _train_tiny_cnn()
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, model, _stats())
@@ -633,10 +696,32 @@ def test_manifest_strictness(tmp_path):
     with pytest.raises(FormatError, match="duplicate mesh id"):
         load_manifest(_write_manifest(
             tmp_path, {**base, "meshes": base["meshes"] * 2}))
+    with pytest.raises(FormatError, match="meshes must list at least one mesh"):
+        load_manifest(_write_manifest(tmp_path, {**base, "meshes": []}))
     bad = tmp_path / "broken.json"
     bad.write_text("{nope")
     with pytest.raises(FormatError, match="invalid JSON"):
         load_manifest(bad)
+
+
+@pytest.mark.parametrize("mesh_id", [
+    "", "../../escaped", "sub/dir", "a\\b", "nul\0id", "/abs"])
+def test_manifest_ids_stay_inside_the_output_directory(tmp_path, mesh_id):
+    # run builds output file names from the ids
+    path = _write_manifest(tmp_path, {
+        "name": "toy", "classes": ["a", "b"],
+        "meshes": [{"id": mesh_id, "mesh": "x.off", "labels": "x.seg"}]})
+    with pytest.raises(FormatError, match=re.escape(
+            f"{path}: meshes[0].id must be a nonempty name without")):
+        load_manifest(path)
+
+
+def test_manifest_accepts_ids_with_dots_and_spaces(tmp_path):
+    path = _write_manifest(tmp_path, {
+        "name": "toy", "classes": ["a", "b"],
+        "meshes": [{"id": i, "mesh": "x.off", "labels": "x.seg"}
+                   for i in ("..", "a.b", "mesh 1")]})
+    assert [e[0] for e in load_manifest(path).entries] == ["..", "a.b", "mesh 1"]
 
 
 # --------------------------------------------------------- experiment config
@@ -685,6 +770,23 @@ def test_config_and_checkpoint_share_the_model_spec_rules(kind, branches):
         parse_experiment_config({"dataset": "d",
                                  "model": {"kind": kind, "branches": branches}})
     assert str(parsed.value).endswith(str(built.value))
+
+
+@pytest.mark.parametrize("protocol, key", [
+    ({"kind": "loo", "k": 3}, "k"), ({"kind": "fixed", "file": "s.txt", "k": 3}, "k"),
+    ({"kind": "loo", "file": "s.txt"}, "file"), ({"kind": "kfold", "file": "s.txt"}, "file"),
+])
+def test_config_rejects_protocol_keys_of_another_kind(protocol, key):
+    # to_dict leaves them out, so they could not be echoed back
+    with pytest.raises(FormatError, match=re.escape(f"cfg.json: protocol.{key} applies")):
+        parse_experiment_config({"dataset": "d", "protocol": protocol}, where="cfg.json")
+
+
+@pytest.mark.parametrize("protocol", [
+    {"kind": "loo"}, {"kind": "kfold", "k": 3}, {"kind": "fixed", "file": "s.txt"}])
+def test_config_round_trips_every_protocol(protocol):
+    cfg = parse_experiment_config({"dataset": "d", "protocol": protocol})
+    assert parse_experiment_config(experiment_config_to_dict(cfg)) == cfg
 
 
 def test_config_rejects_unknown_keys_at_every_level():

@@ -221,7 +221,7 @@ def test_dual_graph_stays_read_only_through_pickle(ico2):
     # feature worker processes send dual graphs back pickled
     graph = build_dual_graph(ico2)
     copy = pickle.loads(pickle.dumps(graph))
-    for name in ("edges", "edge_dihedral", "edge_length"):
+    for name in ("edges", "edge_dihedral"):
         assert np.array_equal(getattr(copy, name), getattr(graph, name))
         assert not getattr(copy, name).flags.writeable, name
     assert copy.n_faces == graph.n_faces

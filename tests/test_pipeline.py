@@ -15,6 +15,7 @@ from meshseg.experiment import (
     run_experiment,
 )
 from meshseg.formats import (
+    load_feature_cache,
     load_manifest,
     parse_experiment_config,
     save_feature_cache,
@@ -22,7 +23,7 @@ from meshseg.formats import (
 )
 from meshseg.mesh import build_dual_graph, load_mesh_path
 from meshseg.synth import make_toy_dataset
-from conftest import same_mesh_in_other_files
+from conftest import same_mesh_in_other_files, version_one_feature_cache
 
 
 @pytest.fixture(scope="module")
@@ -276,6 +277,37 @@ def test_artifacts_on_disk(toy_report):
     assert probs[0].endswith(".prob") and labels[0].endswith(".seg")
     cache = list((out / "cache").glob("*.feat"))
     assert len(cache) == 6
+
+
+def test_run_recomputes_and_rewrites_a_cache_of_version_one(toy_manifest, tmp_path,
+                                                             monkeypatch):
+    # a version 1 cache under the mesh's own key, holding the right values,
+    # is retired like any unreadable one
+    meshes = load_labeled_meshes(load_manifest(toy_manifest))
+    cache_dir = tmp_path / "out" / "cache"
+    cache_dir.mkdir(parents=True)
+    old = {}
+    for lm in meshes:
+        key = feature_cache_key(lm.mesh)
+        values, _ = experiment.compute_features(lm.mesh, build_dual_graph(lm.mesh))
+        old[key] = values
+        (cache_dir / f"{key}.feat").write_bytes(version_one_feature_cache(values, key))
+    calls = []
+    real = experiment.compute_features
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(experiment, "compute_features", counting)
+    cfg = _config(toy_manifest, tmp_path / "out",
+                  protocol={"kind": "kfold", "k": 3, "replicates": 1},
+                  model={"kind": "pca-nn"}, train={"epochs": 1, "batch_size": 64})
+    run_experiment(cfg, threads=1)
+    assert len(calls) == len(meshes)
+    assert sorted(p.stem for p in cache_dir.iterdir()) == sorted(old)
+    for key, values in old.items():
+        assert np.array_equal(load_feature_cache(cache_dir / f"{key}.feat", key), values)
 
 
 def test_run_reads_each_mesh_file_once(toy_manifest, tmp_path, monkeypatch):
