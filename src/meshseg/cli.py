@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from meshseg.evaluate import accuracy
@@ -23,11 +24,10 @@ from meshseg.experiment import (
     feature_cache_key,
     load_labeled_meshes,
     mesh_features,
-    normalized_training_set,
     predict,
     refine_labels,
     run_experiment,
-    train_model,
+    train_unit,
 )
 from meshseg.features.matrix import DEFAULT_CHANNELS, compute_features
 from meshseg.formats import (
@@ -48,9 +48,29 @@ from meshseg.numerics import SolverError
 from meshseg.smoothing import taubin_smooth
 
 
+def _check_faces(path, count, what, mesh_path, mesh) -> None:
+    """A file read beside a mesh holds one row per face; a mismatch names
+    both files and both counts before any stage sees them."""
+    if count != mesh.n_faces:
+        raise ValueError(f"{path}: {count} {what} for the {mesh.n_faces} "
+                         f"faces of {mesh_path}")
+
+
+@contextmanager
+def _deriving_from(mesh_path):
+    """An invalid-input error raised inside, where only the mesh at
+    mesh_path is read (a non-manifold edge, a vertex in no face), names
+    the file."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{mesh_path}: {exc}") from exc
+
+
 def cmd_features(args) -> dict:
     mesh = load_mesh_path(args.mesh)
-    values, sdf_fallback_faces = compute_features(mesh)
+    with _deriving_from(args.mesh):
+        values, sdf_fallback_faces = compute_features(mesh)
     save_feature_cache(args.output, values, feature_cache_key(mesh))
     return {"command": "features", "mesh": str(args.mesh),
             "output": str(args.output), "n_faces": mesh.n_faces,
@@ -60,8 +80,9 @@ def cmd_features(args) -> dict:
 
 def cmd_smooth(args) -> dict:
     mesh = load_mesh_path(args.mesh)
-    smoothed = taubin_smooth(mesh, iterations=args.iterations,
-                             lambda_shrink=args.lam, mu_inflate=args.mu)[-1]
+    with _deriving_from(args.mesh):
+        smoothed = taubin_smooth(mesh, iterations=args.iterations,
+                                 lambda_shrink=args.lam, mu_inflate=args.mu)[-1]
     save_off(smoothed, args.output)
     return {"command": "smooth", "mesh": str(args.mesh),
             "output": str(args.output), "iterations": args.iterations,
@@ -70,27 +91,29 @@ def cmd_smooth(args) -> dict:
 
 
 def cmd_train(args) -> dict:
-    """One model on every mesh of the dataset; normalization is fitted on
-    all of them (there is no held-out split here)."""
+    """`run`'s training unit under cfg.seed, trained on every mesh of the
+    dataset and tested on none."""
     cfg = load_experiment_config(args.config)
     manifest = load_manifest(cfg.dataset)
     meshes = load_labeled_meshes(manifest)
     bundles = _prepare_bundles(meshes, cfg, args.threads)
-    stats, x, y = normalized_training_set(bundles, [lm.mesh_id for lm in meshes])
-    model, final_losses = train_model(cfg, len(manifest.classes), cfg.seed, x, y)
+    unit = train_unit(cfg, len(manifest.classes), cfg.seed, bundles,
+                      [lm.mesh_id for lm in meshes], (), "every mesh")
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(out, model, stats)
+    save_checkpoint(out, unit.model, unit.stats)
     return {"command": "train", "config": str(args.config), "seed": cfg.seed,
             "checkpoint": str(out), "n_meshes": len(meshes),
-            "n_faces": int(len(y)), "final_losses": final_losses}
+            "n_faces": sum(lm.mesh.n_faces for lm in meshes),
+            "final_losses": unit.final_losses}
 
 
 def cmd_segment(args) -> dict:
     model, stats = load_checkpoint(args.checkpoint)
     mesh = load_mesh_path(args.mesh)
     _, scales, _, _ = model.spec
-    _, stack = mesh_features(mesh, scales)
+    with _deriving_from(args.mesh):
+        _, stack = mesh_features(mesh, scales)
     probs = predict(model, stats, stack)
     save_probabilities(args.output, probs)
     summary = {"command": "segment", "mesh": str(args.mesh),
@@ -106,9 +129,12 @@ def cmd_segment(args) -> dict:
 def cmd_refine(args) -> dict:
     mesh = load_mesh_path(args.mesh)
     probs = load_probabilities(args.probs)
-    features = load_feature_cache(args.features, feature_cache_key(mesh))
-    result = refine_labels(build_dual_graph(mesh), probs, features,
-                           args.lam, args.omega)
+    _check_faces(args.probs, len(probs), "probability rows", args.mesh, mesh)
+    features = load_feature_cache(args.features, feature_cache_key(mesh), args.mesh)
+    _check_faces(args.features, len(features), "feature rows", args.mesh, mesh)
+    with _deriving_from(args.mesh):
+        graph = build_dual_graph(mesh)
+    result = refine_labels(graph, probs, features, args.lam, args.omega)
     save_labels(args.output, result.labels)
     return {"command": "refine", "mesh": str(args.mesh),
             "output": str(args.output),
@@ -120,7 +146,9 @@ def cmd_refine(args) -> dict:
 def cmd_eval(args) -> dict:
     mesh = load_mesh_path(args.mesh)
     pred = load_labels(args.pred)
+    _check_faces(args.pred, len(pred), "labels", args.mesh, mesh)
     truth = load_labels(args.truth)
+    _check_faces(args.truth, len(truth), "labels", args.mesh, mesh)
     acc = accuracy(pred, truth, mesh.face_areas)
     return {"command": "eval", "mesh": str(args.mesh),
             "accuracy": acc, "n_faces": mesh.n_faces}
@@ -140,6 +168,7 @@ def cmd_run(args) -> dict:
 def cmd_export_colored(args) -> dict:
     mesh = load_mesh_path(args.mesh)
     labels = load_labels(args.labels)
+    _check_faces(args.labels, len(labels), "labels", args.mesh, mesh)
     export_colored_ply(mesh, labels, args.output)
     return {"command": "export-colored", "mesh": str(args.mesh),
             "labels": str(args.labels), "output": str(args.output),

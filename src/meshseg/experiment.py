@@ -1,10 +1,10 @@
 """Experiment orchestration: features with caching, split-wise training,
 prediction, graph-cut refinement, and a deterministic JSON-ready report.
 
-The stage functions here (`mesh_features`, `normalized_training_set`,
-`train_model`, `predict`, `refine_labels`) are the one implementation of
-each step; `run_experiment` and the single-step commands of the CLI both
-call them.
+The stage functions here (`mesh_features`, `train_unit`, `predict`,
+`refine_labels`) are the one implementation of each step; `run_experiment`
+and the single-step commands of the CLI both call them. `train_unit` is
+one (split, replicate) of `run` and, on every mesh, all of `train`.
 
 Raw per-face features are split-independent and cached per mesh keyed by
 a hash of the channel names and the parsed mesh's arrays. Normalization is
@@ -40,6 +40,7 @@ from meshseg.formats import (
     load_fixed_split,
     load_labels,
     load_manifest,
+    save_checkpoint,
     save_feature_cache,
     save_labels,
     save_probabilities,
@@ -149,24 +150,6 @@ def _prepare_bundles(meshes, cfg, threads, log=None):
     return {b.labeled.mesh_id: b for b in bundles}
 
 
-def normalized_training_set(bundles, mesh_ids):
-    """(stats, x, y): normalization fitted on the raw features (scale 0)
-    of mesh_ids, their normalized stacks and labels, stacked in order."""
-    stats = fit_stats(np.vstack([bundles[m].stack[:, 0] for m in mesh_ids]))
-    x = np.concatenate([stats.apply(bundles[m].stack) for m in mesh_ids], axis=0)
-    y = np.concatenate([bundles[m].labeled.labels for m in mesh_ids])
-    return stats, x, y
-
-
-def train_model(cfg: ExperimentConfig, n_classes, seed, x, y):
-    """(model, final loss per training stage) of one model fitted on the
-    normalized (faces, scales, channels) stack x and its labels y."""
-    model = build_model(cfg.model_kind, x.shape[1], x.shape[2], n_classes,
-                        seed, cfg.train)
-    curves = model.fit(x, y)
-    return model, {stage: curve[-1] for stage, curve in curves.items()}
-
-
 def predict(model, stats, stack) -> np.ndarray:
     """Class probabilities per face from a raw multi-scale stack."""
     return model.predict_proba(stats.apply(stack))
@@ -181,6 +164,44 @@ def refine_labels(graph, probs, features, lam, omega):
                                            feature=agd, lam=lam, omega=omega))
 
 
+@dataclass
+class TrainedUnit:
+    model: object
+    stats: object        # normalization fitted on the training meshes
+    final_losses: dict   # final loss per training stage
+    probs: dict          # test mesh id -> (faces, classes) probabilities
+    refined: dict        # test mesh id -> alpha-expansion result
+
+
+def train_unit(cfg: ExperimentConfig, n_classes, seed, bundles, train_ids,
+               test_ids, where) -> TrainedUnit:
+    """One model fitted under seed on train_ids, normalization fitted on
+    their raw features (scale 0), then each test mesh predicted and
+    refined. A failure is wrapped with `where`, the unit's name in
+    messages, e.g. "split 0 replicate 1"; its cause keeps the exit code."""
+    stats = fit_stats(np.vstack([bundles[m].stack[:, 0] for m in train_ids]))
+    x = np.concatenate([stats.apply(bundles[m].stack) for m in train_ids], axis=0)
+    y = np.concatenate([bundles[m].labeled.labels for m in train_ids])
+    try:
+        model = build_model(cfg.model_kind, x.shape[1], x.shape[2], n_classes,
+                            seed, cfg.train)
+        curves = model.fit(x, y)
+    except Exception as exc:
+        raise RuntimeError(f"training failed on {where}: {exc}") from exc
+    probs, refined = {}, {}
+    for mesh_id in test_ids:
+        b = bundles[mesh_id]
+        try:
+            probs[mesh_id] = predict(model, stats, b.stack)
+            refined[mesh_id] = refine_labels(b.graph, probs[mesh_id], b.stack[:, 0],
+                                             cfg.lam, cfg.omega)
+        except Exception as exc:
+            raise RuntimeError(
+                f"inference failed on {where} mesh {mesh_id!r}: {exc}") from exc
+    return TrainedUnit(model, stats, {stage: c[-1] for stage, c in curves.items()},
+                       probs, refined)
+
+
 def run_experiment(cfg: ExperimentConfig, threads: int = 1, log=None) -> dict:
     """Execute the full protocol and return the report dict.
 
@@ -188,8 +209,9 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1, log=None) -> dict:
     `_prepare_bundles`); everything after them runs in this process, and
     the report and artifacts are the same at any worker count.
 
-    Artifacts land under cfg.output_dir: feature caches, per-run
-    probability grids and refined label files, and report.json.
+    Artifacts land under cfg.output_dir: feature caches, a checkpoint
+    per (split, replicate) unit, per-record probability grids and refined
+    label files, and report.json.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -203,31 +225,21 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1, log=None) -> dict:
     bundles = _prepare_bundles(meshes, cfg, threads, log)
 
     out_dir = Path(cfg.output_dir)
-    (out_dir / "probs").mkdir(parents=True, exist_ok=True)
-    (out_dir / "labels").mkdir(parents=True, exist_ok=True)
+    for sub in ("probs", "labels", "models"):
+        (out_dir / sub).mkdir(parents=True, exist_ok=True)
     root = SeededRng(cfg.seed)
     record_rows = []
     for si, (train_ids, test_ids) in enumerate(splits):
-        stats, x_train, y_train = normalized_training_set(bundles, train_ids)
         for rep in range(cfg.replicates):
             seed = root.derive_seed(f"split{si}/rep{rep}")
-            try:
-                model, final_losses = train_model(cfg, n_classes, seed,
-                                                  x_train, y_train)
-            except Exception as exc:
-                raise RuntimeError(
-                    f"training failed on split {si} replicate {rep}: {exc}") from exc
+            unit = train_unit(cfg, n_classes, seed, bundles, train_ids, test_ids,
+                              f"split {si} replicate {rep}")
+            save_checkpoint(out_dir / "models" / f"split{si}.rep{rep}.ckpt",
+                            unit.model, unit.stats)
             for mesh_id in test_ids:
                 b = bundles[mesh_id]
-                try:
-                    probs = predict(model, stats, b.stack)
-                    pred_pre = np.asarray(probs.argmax(axis=1), dtype=np.int64)
-                    refined = refine_labels(b.graph, probs, b.stack[:, 0],
-                                            cfg.lam, cfg.omega)
-                except Exception as exc:
-                    raise RuntimeError(
-                        f"inference failed on split {si} replicate {rep} "
-                        f"mesh {mesh_id!r}: {exc}") from exc
+                probs, refined = unit.probs[mesh_id], unit.refined[mesh_id]
+                pred_pre = np.asarray(probs.argmax(axis=1), dtype=np.int64)
                 areas = b.labeled.mesh.face_areas
                 gt = b.labeled.labels
                 acc_pre = accuracy(pred_pre, gt, areas)
@@ -239,7 +251,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1, log=None) -> dict:
                     "mesh_id": mesh_id, "split": si, "replicate": rep,
                     "seed": seed, "n_faces": int(b.labeled.mesh.n_faces),
                     "accuracy_pre": acc_pre, "accuracy_post": acc_post,
-                    "final_losses": final_losses,
+                    "final_losses": unit.final_losses,
                     "refine_moves": len(refined.energy_trace) - 1,
                 })
                 if log:

@@ -133,17 +133,21 @@ def save_feature_cache(path, values: np.ndarray, key: str) -> None:
                                         _pack_text(key), _pack_tensor("features", values)])
 
 
-def load_feature_cache(path, key: str) -> np.ndarray:
+def load_feature_cache(path, key: str, mesh_path=None) -> np.ndarray:
     """The (faces, channels) values of a cache of the DEFAULT_CHANNELS
-    stored under key; any other cache is a FormatError."""
+    stored under key, the key of the mesh at mesh_path where that is
+    given; any other cache is a FormatError."""
     r = _Reader(path, FEATURE_MAGIC, "feature cache")
     r.channels("features of channels")
     stored = r.text()
     if stored != key:
-        raise FormatError(f"{path}: features of another mesh or channel set "
+        of = f" than {mesh_path}" if mesh_path else ""
+        raise FormatError(f"{path}: features of another mesh or channel set{of} "
                           f"(key {stored}, expected {key})")
     values = r.tensor("features", "<f8", (None, len(DEFAULT_CHANNELS)))
     r.finish()
+    if not np.isfinite(values).all():
+        raise FormatError(f"{path}: non-finite feature value")
     return values
 
 
@@ -156,9 +160,12 @@ def save_probabilities(path, probs: np.ndarray) -> None:
 
 
 def load_probabilities(path) -> np.ndarray:
+    """The (faces, classes) grid; each row must be nonnegative and sum to 1."""
     r = _Reader(path, PROB_MAGIC, "probability")
     probs = r.tensor("probabilities", "<f8", (None, None))
     r.finish()
+    if not ((probs >= 0).all() and np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)):
+        raise FormatError(f"{path}: probability rows must be nonnegative and sum to 1")
     return probs
 
 
@@ -239,7 +246,8 @@ def save_labels(path, labels) -> None:
 
 def load_labels(path) -> np.ndarray:
     out = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    text = Path(path).read_bytes().decode("utf-8", errors="replace")
+    for lineno, line in enumerate(text.splitlines(), start=1):
         s = line.strip()
         if not s:
             continue

@@ -336,17 +336,22 @@ def load_mesh_path(path) -> Mesh:
     """Load an OFF or OBJ triangle mesh, choosing the parser from the file
     extension.
 
-    Raises MeshError with a line number for malformed records, non-triangle
-    faces, out-of-range indices, and degenerate (zero-area) faces.
+    Raises MeshError, led by the path and then the line number where one is
+    known, for malformed records, non-triangle faces, out-of-range indices,
+    and degenerate (zero-area) faces.
     """
     p = Path(path)
     ext = p.suffix.lower()
     if ext not in (".off", ".obj"):
-        raise ValueError(f"cannot infer mesh format from extension {p.suffix!r}")
+        raise ValueError(f"{path}: cannot infer mesh format from extension {p.suffix!r}")
     lines = p.read_bytes().decode("utf-8", errors="replace").splitlines()
     parse = _parse_off if ext == ".off" else _parse_obj
-    verts, faces, face_lines = parse(lines)
-    return Mesh(verts, faces, _face_lines=face_lines)
+    try:
+        verts, faces, face_lines = parse(lines)
+        return Mesh(verts, faces, _face_lines=face_lines)
+    except MeshError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def save_off(mesh: Mesh, path) -> None:

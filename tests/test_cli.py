@@ -25,12 +25,14 @@ from meshseg.formats import (
     load_checkpoint,
     load_feature_cache,
     load_labels,
+    load_manifest,
     load_probabilities,
     save_checkpoint,
+    save_feature_cache,
     save_labels,
     save_probabilities,
 )
-from meshseg.mesh import load_mesh_path, save_off
+from meshseg.mesh import Mesh, load_mesh_path, save_off
 from meshseg.neural.models import CnnModel
 from meshseg.neural.training import TrainConfig
 from meshseg.numerics import SolverError
@@ -409,6 +411,44 @@ def test_run_writes_report(ws, tmp_path, capsys):
     assert len(report["records"]) == 4
 
 
+@pytest.mark.parametrize("kind, branches", [("cnn", 2), ("pca-nn", 1), ("ae-nn", 1)])
+def test_segment_and_refine_reproduce_every_record_of_run(ws, tmp_path, capsys,
+                                                         kind, branches):
+    # run keeps the model of each (split, replicate); the single-step
+    # commands, given it, run's feature cache and the config's weights,
+    # write run's bytes
+    out = tmp_path / "exp"
+    cfg = write_config(tmp_path / "cfg.json", ws["manifest"], out,
+                       protocol={"kind": "kfold", "k": 2, "replicates": 2},
+                       model={"kind": kind, "branches": branches},
+                       train={"epochs": 8, "batch_size": 64},
+                       **{"lambda": 0.5, "omega": 2.0})
+    assert main(["run", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    report = json.loads((out / "report.json").read_text())
+    meshes = {mesh_id: path for mesh_id, path, _ in load_manifest(ws["manifest"]).entries}
+    assert len(report["records"]) == 8
+    for rec in report["records"]:
+        unit = f"split{rec['split']}.rep{rec['replicate']}"
+        tag = f"{rec['mesh_id']}.{unit}"
+        mesh = meshes[rec["mesh_id"]]
+        key = experiment.feature_cache_key(load_mesh_path(mesh))
+        code, doc, _ = invoke(["segment", str(mesh),
+                               "--checkpoint", str(out / "models" / f"{unit}.ckpt"),
+                               "-o", str(tmp_path / f"{tag}.prob")], capsys)
+        assert code == 0 and doc["seed"] == rec["seed"]
+        code, doc, _ = invoke(["refine", str(mesh), "--probs", str(tmp_path / f"{tag}.prob"),
+                               "--features", str(out / "cache" / f"{key}.feat"),
+                               "--lambda", repr(report["config"]["lambda"]),
+                               "--omega", repr(report["config"]["omega"]),
+                               "-o", str(tmp_path / f"{tag}.seg")], capsys)
+        assert code == 0 and doc["accepted_moves"] == rec["refine_moves"]
+        assert ((tmp_path / f"{tag}.prob").read_bytes()
+                == (out / "probs" / f"{tag}.prob").read_bytes())
+        assert ((tmp_path / f"{tag}.seg").read_bytes()
+                == (out / "labels" / f"{tag}.seg").read_bytes())
+
+
 def test_run_verbose_logs_progress(ws, tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", ws["manifest"],
                        tmp_path / "exp")
@@ -750,6 +790,65 @@ def test_eval_length_mismatch_exit_three(ws, tmp_path, capsys):
                            "--truth", str(ws["truth0"])], capsys)
     assert code == 3
     assert err["category"] == "invalid-input"
+
+
+@pytest.mark.parametrize("command, flag, what", [
+    ("refine", "probs", "probability rows"),
+    ("refine", "features", "feature rows"),
+    ("eval", "pred", "labels"),
+    ("eval", "truth", "labels"),
+    ("export-colored", "labels", "labels"),
+])
+def test_checks_between_files_name_the_file_and_both_counts(ws, tmp_path, capsys,
+                                                            command, flag, what):
+    mesh = ws["mesh0"]
+    files = {name: tmp_path / f"{name}.{ext}" for name, ext in (
+        ("probs", "prob"), ("features", "feat"), ("pred", "seg"), ("truth", "seg"),
+        ("labels", "seg"))}
+    rows = {name: 5 if name == flag else 80 for name in files}
+    save_probabilities(files["probs"], np.full((rows["probs"], 2), 0.5))
+    save_feature_cache(files["features"], np.zeros((rows["features"], 9)),
+                       experiment.feature_cache_key(load_mesh_path(mesh)))
+    for name in ("pred", "truth", "labels"):
+        save_labels(files[name], np.zeros(rows[name], dtype=int))
+    out = tmp_path / "out"
+    argv = {"refine": ["refine", str(mesh), "--probs", str(files["probs"]),
+                       "--features", str(files["features"]), "-o", str(out)],
+            "eval": ["eval", "--mesh", str(mesh), "--pred", str(files["pred"]),
+                     "--truth", str(files["truth"])],
+            "export-colored": ["export-colored", str(out), "--mesh", str(mesh),
+                               "--labels", str(files["labels"])]}[command]
+    code, _, err = invoke(argv, capsys)
+    assert code == 3
+    assert err["message"] == f"{files[flag]}: 5 {what} for the 80 faces of {mesh}"
+    assert not out.exists()
+
+
+def test_refine_names_the_mesh_file_it_cannot_read(ws, tmp_path, capsys):
+    # refine reads three files, so a bad record names which one
+    bad = tmp_path / "bad.off"
+    bad.write_text("OFF\n3 1 0\n0 0 0\n1 0 x\n0 1 0\n3 0 1 2\n")
+    probs = tmp_path / "uniform.prob"
+    save_probabilities(probs, np.full((1, 2), 0.5))
+    code, _, err = invoke(["refine", str(bad), "--probs", str(probs),
+                           "--features", str(tmp_path / "any.feat"),
+                           "-o", str(tmp_path / "r.seg")], capsys)
+    assert code == 3
+    assert err["message"] == (f"{bad}: line 4: malformed vertex: could not convert "
+                              "string to float: 'x'")
+
+
+def test_features_names_a_non_manifold_mesh_file(tmp_path, capsys):
+    # the mesh parses; its dual graph is what fails
+    verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 1, 1], [0, -1, 0],
+                      [1, 1, 1], [-1, 1, 0], [1, -1, 2]], dtype=float)
+    faces = [[2, 3, 5], [0, 1, 2], [3, 2, 6], [0, 1, 3], [2, 3, 7], [1, 0, 4]]
+    path = tmp_path / "fan.off"
+    save_off(Mesh(verts, faces), path)
+    code, _, err = invoke(["features", str(path), "-o", str(tmp_path / "f.feat")], capsys)
+    assert code == 3
+    assert err["message"] == f"{path}: non-manifold mesh edge (0, 1) shared by 3 faces"
+    assert not (tmp_path / "f.feat").exists()
 
 
 def write_manifest(path, ws, mesh0):

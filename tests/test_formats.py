@@ -149,6 +149,24 @@ def test_feature_cache_rejects_trailing_bytes(tmp_path):
         load_feature_cache(path, "key")
 
 
+def test_feature_cache_rejects_a_non_finite_value(tmp_path):
+    path = tmp_path / "nan.feat"
+    values = np.ones((5, N))
+    values[3, 7] = np.nan
+    save_feature_cache(path, values, "key")
+    with pytest.raises(FormatError, match=re.escape(f"{path}: non-finite feature value")):
+        load_feature_cache(path, "key")
+
+
+def test_feature_cache_of_another_mesh_names_the_mesh_file(tmp_path):
+    path = tmp_path / "m.feat"
+    save_feature_cache(path, np.ones((5, N)), "key")
+    with pytest.raises(FormatError, match=re.escape(
+            f"{path}: features of another mesh or channel set than other.off "
+            "(key key, expected yek)")):
+        load_feature_cache(path, "yek", "other.off")
+
+
 def test_feature_cache_shape_validation(tmp_path):
     with pytest.raises(ValueError, match=rf"values must be \(faces, {N}\)"):
         save_feature_cache(tmp_path / "x.feat", np.zeros((4, 3)), "key")
@@ -193,6 +211,15 @@ def test_probabilities_reject_feature_file(tmp_path):
     path = tmp_path / "m.feat"
     save_feature_cache(path, np.zeros((2, N)), "key")
     with pytest.raises(FormatError, match="not a probability file"):
+        load_probabilities(path)
+
+
+@pytest.mark.parametrize("row", [[0.5, 0.6], [1.5, -0.5], [np.nan, 1.0], [np.inf, 0.0]])
+def test_probabilities_reject_a_row_that_is_not_a_distribution(tmp_path, row):
+    path = tmp_path / "m.prob"
+    save_probabilities(path, np.array([[0.25, 0.75], row]))
+    with pytest.raises(FormatError, match=re.escape(
+            f"{path}: probability rows must be nonnegative and sum to 1")):
         load_probabilities(path)
 
 
@@ -577,6 +604,14 @@ def test_labels_reject_negative(tmp_path):
     path = tmp_path / "m.seg"
     path.write_text("0\n\n-2\n1\n")
     with pytest.raises(FormatError, match="m.seg: line 3: negative label -2"):
+        load_labels(path)
+
+
+def test_labels_name_the_file_and_line_of_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "m.seg"
+    path.write_bytes(b"0\n1\n\xb3\n")
+    with pytest.raises(FormatError, match=re.escape(
+            f"{path}: line 3: not an integer label: '\ufffd'")):
         load_labels(path)
 
 

@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -51,14 +52,16 @@ def test_off_face_shortfall_names_missing_count(tmp_path):
 def test_off_vertex_count_larger_than_the_file_fails_before_allocating(tmp_path):
     # 99,999,999,999 vertices would need 2.18 TiB
     text = RIGHT_TRIANGLE_OFF.replace("3 1 0", "99999999999 1 0")
-    with pytest.raises(MeshError, match=r"^line 2: expected 99999999999 vertices, "
+    with pytest.raises(MeshError, match=rf"^{re.escape(str(tmp_path / 'mesh.off'))}: "
+                                        r"line 2: expected 99999999999 vertices, "
                                         r"found 4 lines after the counts line$"):
         _load_text(tmp_path, text)
 
 
 def test_off_face_count_larger_than_the_file_fails_before_allocating(tmp_path):
     text = RIGHT_TRIANGLE_OFF.replace("3 1 0", "3 99999999999 0")
-    with pytest.raises(MeshError, match=r"^line 2: expected 99999999999 faces, "
+    with pytest.raises(MeshError, match=rf"^{re.escape(str(tmp_path / 'mesh.off'))}: "
+                                        r"line 2: expected 99999999999 faces, "
                                         r"found 1 lines after the vertices$"):
         _load_text(tmp_path, text)
 

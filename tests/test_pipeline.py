@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,7 @@ from meshseg.formats import (
     save_labels,
 )
 from meshseg.mesh import build_dual_graph, load_mesh_path
+from meshseg.numerics import SolverError
 from meshseg.synth import make_toy_dataset
 from conftest import same_mesh_in_other_files, version_one_feature_cache
 
@@ -328,6 +330,25 @@ def test_run_reads_each_mesh_file_once(toy_manifest, tmp_path, monkeypatch):
     assert mesh_reads == mesh_files
 
 
+def test_inference_failure_names_its_unit_and_mesh(toy_manifest, tmp_path, monkeypatch):
+    def failing(problem):
+        raise SolverError("no cut")
+
+    monkeypatch.setattr(experiment, "alpha_expansion", failing)
+    cfg = _config(toy_manifest, tmp_path / "out",
+                  protocol={"kind": "kfold", "k": 3, "replicates": 1},
+                  model={"kind": "pca-nn"}, train={"epochs": 1, "batch_size": 64})
+    first_test_id = experiment.make_splits(
+        [lm.mesh_id for lm in load_labeled_meshes(load_manifest(toy_manifest))],
+        "kfold", 3, None, cfg.seed)[0][1][0]
+    with pytest.raises(RuntimeError, match=re.escape(
+            f"inference failed on split 0 replicate 0 mesh {first_test_id!r}: "
+            "no cut")) as got:
+        run_experiment(cfg, threads=1)
+    assert isinstance(got.value.__cause__, SolverError)
+    assert not list((tmp_path / "out" / "models").iterdir())
+
+
 def test_rerun_is_byte_identical(toy_report):
     cfg, out, _ = toy_report
     before = (out / "report.json").read_bytes()
@@ -336,11 +357,11 @@ def test_rerun_is_byte_identical(toy_report):
 
 
 def _artifacts(out_dir):
-    """Bytes of every feature cache, probability grid and label file under
-    out_dir, by path relative to it."""
+    """Bytes of every feature cache, probability grid, label file and
+    checkpoint under out_dir, by path relative to it."""
     return {str(p.relative_to(out_dir)): p.read_bytes()
             for p in sorted(out_dir.rglob("*"))
-            if p.suffix in (".feat", ".prob", ".seg")}
+            if p.suffix in (".feat", ".prob", ".seg", ".ckpt")}
 
 
 def test_threads_do_not_change_the_report(toy_manifest, tmp_path):
@@ -351,7 +372,8 @@ def test_threads_do_not_change_the_report(toy_manifest, tmp_path):
     r1["config"]["output_dir"] = r2["config"]["output_dir"] = ""
     assert r1 == r2
     a, b = _artifacts(tmp_path / "a"), _artifacts(tmp_path / "b")
-    assert len(a) == 6 + 12 + 12  # caches, then a .prob and a .seg per record
+    # caches, a .prob and a .seg per record, then a model per (split, replicate)
+    assert len(a) == 6 + 12 + 12 + 6
     assert a == b
 
 
