@@ -6,7 +6,7 @@ small category code:
 
     2  usage (argparse)
     3  invalid input (bad mesh, bad config, bad artifact contents)
-    4  missing file
+    4  missing file (or a directory where a file should be)
     5  numerical failure (solver divergence, non-finite values)
     1  anything else
 """
@@ -15,15 +15,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 from meshseg.evaluate import accuracy
 from meshseg.experiment import (
     _prepare_bundles,
+    check_faces,
     feature_cache_key,
     load_labeled_meshes,
     mesh_features,
+    naming,
     predict,
     refine_labels,
     run_experiment,
@@ -48,28 +49,9 @@ from meshseg.numerics import SolverError
 from meshseg.smoothing import taubin_smooth
 
 
-def _check_faces(path, count, what, mesh_path, mesh) -> None:
-    """A file read beside a mesh holds one row per face; a mismatch names
-    both files and both counts before any stage sees them."""
-    if count != mesh.n_faces:
-        raise ValueError(f"{path}: {count} {what} for the {mesh.n_faces} "
-                         f"faces of {mesh_path}")
-
-
-@contextmanager
-def _deriving_from(mesh_path):
-    """An invalid-input error raised inside, where only the mesh at
-    mesh_path is read (a non-manifold edge, a vertex in no face), names
-    the file."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ValueError(f"{mesh_path}: {exc}") from exc
-
-
 def cmd_features(args) -> dict:
     mesh = load_mesh_path(args.mesh)
-    with _deriving_from(args.mesh):
+    with naming(args.mesh):
         values, sdf_fallback_faces = compute_features(mesh)
     save_feature_cache(args.output, values, feature_cache_key(mesh))
     return {"command": "features", "mesh": str(args.mesh),
@@ -80,7 +62,7 @@ def cmd_features(args) -> dict:
 
 def cmd_smooth(args) -> dict:
     mesh = load_mesh_path(args.mesh)
-    with _deriving_from(args.mesh):
+    with naming(args.mesh):
         smoothed = taubin_smooth(mesh, iterations=args.iterations,
                                  lambda_shrink=args.lam, mu_inflate=args.mu)[-1]
     save_off(smoothed, args.output)
@@ -95,10 +77,12 @@ def cmd_train(args) -> dict:
     dataset and tested on none."""
     cfg = load_experiment_config(args.config)
     manifest = load_manifest(cfg.dataset)
-    meshes = load_labeled_meshes(manifest)
+    with naming(cfg.dataset):
+        meshes = load_labeled_meshes(manifest)
     bundles = _prepare_bundles(meshes, cfg, args.threads)
-    unit = train_unit(cfg, len(manifest.classes), cfg.seed, bundles,
-                      [lm.mesh_id for lm in meshes], (), "every mesh")
+    with naming("training on every mesh"):
+        unit = train_unit(cfg, len(manifest.classes), cfg.seed, bundles,
+                          [lm.mesh_id for lm in meshes], ())
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out, unit.model, unit.stats)
@@ -112,7 +96,7 @@ def cmd_segment(args) -> dict:
     model, stats = load_checkpoint(args.checkpoint)
     mesh = load_mesh_path(args.mesh)
     _, scales, _, _ = model.spec
-    with _deriving_from(args.mesh):
+    with naming(args.mesh):
         _, stack = mesh_features(mesh, scales)
     probs = predict(model, stats, stack)
     save_probabilities(args.output, probs)
@@ -129,11 +113,11 @@ def cmd_segment(args) -> dict:
 def cmd_refine(args) -> dict:
     mesh = load_mesh_path(args.mesh)
     probs = load_probabilities(args.probs)
-    _check_faces(args.probs, len(probs), "probability rows", args.mesh, mesh)
-    features = load_feature_cache(args.features, feature_cache_key(mesh), args.mesh)
-    _check_faces(args.features, len(features), "feature rows", args.mesh, mesh)
-    with _deriving_from(args.mesh):
+    check_faces(args.probs, len(probs), "probability rows", args.mesh, mesh)
+    with naming(args.mesh):
+        features = load_feature_cache(args.features, feature_cache_key(mesh))
         graph = build_dual_graph(mesh)
+    check_faces(args.features, len(features), "feature rows", args.mesh, mesh)
     result = refine_labels(graph, probs, features, args.lam, args.omega)
     save_labels(args.output, result.labels)
     return {"command": "refine", "mesh": str(args.mesh),
@@ -146,9 +130,9 @@ def cmd_refine(args) -> dict:
 def cmd_eval(args) -> dict:
     mesh = load_mesh_path(args.mesh)
     pred = load_labels(args.pred)
-    _check_faces(args.pred, len(pred), "labels", args.mesh, mesh)
+    check_faces(args.pred, len(pred), "labels", args.mesh, mesh)
     truth = load_labels(args.truth)
-    _check_faces(args.truth, len(truth), "labels", args.mesh, mesh)
+    check_faces(args.truth, len(truth), "labels", args.mesh, mesh)
     acc = accuracy(pred, truth, mesh.face_areas)
     return {"command": "eval", "mesh": str(args.mesh),
             "accuracy": acc, "n_faces": mesh.n_faces}
@@ -168,7 +152,7 @@ def cmd_run(args) -> dict:
 def cmd_export_colored(args) -> dict:
     mesh = load_mesh_path(args.mesh)
     labels = load_labels(args.labels)
-    _check_faces(args.labels, len(labels), "labels", args.mesh, mesh)
+    check_faces(args.labels, len(labels), "labels", args.mesh, mesh)
     export_colored_ply(mesh, labels, args.output)
     return {"command": "export-colored", "mesh": str(args.mesh),
             "labels": str(args.labels), "output": str(args.output),
@@ -251,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _CATEGORIES = (
-    (FileNotFoundError, 4, "missing-file"),
+    # a directory, or a path through a file, where a file should be
+    ((FileNotFoundError, IsADirectoryError, NotADirectoryError), 4, "missing-file"),
     (ValueError, 3, "invalid-input"),
     ((SolverError, FloatingPointError), 5, "numeric"),
 )

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -26,11 +27,13 @@ def accuracy(pred, gt, areas) -> float:
 @dataclass(frozen=True)
 class LabeledMesh:
     """A mesh with per-face ground truth indexed against the set-wide
-    class vocabulary; `load_labels` has already rejected negative labels."""
+    class vocabulary; `load_labels` has already rejected negative labels.
+    path is the mesh's file, which messages name."""
 
     mesh_id: str
     mesh: Mesh
     labels: np.ndarray
+    path: Path
 
     def __post_init__(self):
         if len(self.labels) != self.mesh.n_faces:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -54,22 +55,39 @@ REPORT_FORMAT = "meshseg-report"
 REPORT_VERSION = 1
 
 
+@contextmanager
+def naming(what):
+    """Re-raise any error of the body as a RuntimeError led by what, the
+    input or unit at fault. The error stays its cause, so it keeps its exit
+    code (see `cli._category`)."""
+    try:
+        yield
+    except Exception as exc:
+        raise RuntimeError(f"{what}: {exc}") from exc
+
+
+def check_faces(path, count, what, mesh_path, mesh) -> None:
+    """A file read beside a mesh holds one row per face; a mismatch names
+    both files and both counts before any stage sees them."""
+    if count != mesh.n_faces:
+        raise ValueError(f"{path}: {count} {what} for the {mesh.n_faces} "
+                         f"faces of {mesh_path}")
+
+
 def load_labeled_meshes(manifest: DatasetManifest) -> list:
-    """LabeledMesh per manifest entry, labels checked against the class
-    vocabulary; failures carry the mesh id."""
+    """LabeledMesh per manifest entry, labels checked against the mesh and
+    the class vocabulary; failures name the mesh id."""
     out = []
     n_classes = len(manifest.classes)
     for mesh_id, mesh_path, labels_path in manifest.entries:
-        try:
+        with naming(f"mesh {mesh_id!r}"):
             mesh = load_mesh_path(mesh_path)
             labels = load_labels(labels_path)
-        except Exception as exc:
-            raise RuntimeError(f"loading mesh {mesh_id!r}: {exc}") from exc
-        if len(labels) and int(labels.max()) >= n_classes:
-            raise ValueError(
-                f"mesh {mesh_id!r}: label {int(labels.max())} outside the "
-                f"{n_classes}-class vocabulary")
-        out.append(LabeledMesh(mesh_id=mesh_id, mesh=mesh, labels=labels))
+            check_faces(labels_path, len(labels), "labels", mesh_path, mesh)
+            if len(labels) and int(labels.max()) >= n_classes:
+                raise ValueError(f"{labels_path}: label {int(labels.max())} outside "
+                                 f"the {n_classes}-class vocabulary")
+        out.append(LabeledMesh(mesh_id, mesh, labels, mesh_path))
     return sorted(out, key=lambda lm: lm.mesh_id)
 
 
@@ -132,22 +150,23 @@ def _prepare_bundles(meshes, cfg, threads, log=None):
     which fails in a caller script without a `__main__` guard, and fork
     skips re-importing numpy and scipy. Where fork is missing, or one
     worker would do, the features are built in this process. Bundles come
-    out in the order of `meshes` either way.
+    out in the order of `meshes` either way, and an error names the mesh
+    it came from by id and file.
     """
     build = partial(mesh_features, scales=cfg.branches,
                     cache_dir=Path(cfg.output_dir) / "cache")
     workers = min(threads, len(meshes))
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        with ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            parts = list(pool.map(build, [lm.mesh for lm in meshes]))
-    else:
-        parts = map(build, [lm.mesh for lm in meshes])
-    bundles = [_MeshBundle(lm, *p) for lm, p in zip(meshes, parts)]
-    for b in bundles:
-        if log:
-            log(f"features ready: {b.labeled.mesh_id} ({b.labeled.mesh.n_faces} faces)")
-    return {b.labeled.mesh_id: b for b in bundles}
+    fork = workers > 1 and "fork" in multiprocessing.get_all_start_methods()
+    bundles = {}
+    with (ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+          if fork else nullcontext()) as pool:
+        parts = (pool.map if pool else map)(build, [lm.mesh for lm in meshes])
+        for lm in meshes:  # named here: named in a worker, an error loses its cause
+            with naming(f"mesh {lm.mesh_id!r}: {lm.path}"):
+                bundles[lm.mesh_id] = _MeshBundle(lm, *next(parts))
+            if log:
+                log(f"features ready: {lm.mesh_id} ({lm.mesh.n_faces} faces)")
+    return bundles
 
 
 def predict(model, stats, stack) -> np.ndarray:
@@ -174,30 +193,22 @@ class TrainedUnit:
 
 
 def train_unit(cfg: ExperimentConfig, n_classes, seed, bundles, train_ids,
-               test_ids, where) -> TrainedUnit:
+               test_ids) -> TrainedUnit:
     """One model fitted under seed on train_ids, normalization fitted on
     their raw features (scale 0), then each test mesh predicted and
-    refined. A failure is wrapped with `where`, the unit's name in
-    messages, e.g. "split 0 replicate 1"; its cause keeps the exit code."""
+    refined. Errors come out bare; the caller names the unit."""
     stats = fit_stats(np.vstack([bundles[m].stack[:, 0] for m in train_ids]))
     x = np.concatenate([stats.apply(bundles[m].stack) for m in train_ids], axis=0)
     y = np.concatenate([bundles[m].labeled.labels for m in train_ids])
-    try:
-        model = build_model(cfg.model_kind, x.shape[1], x.shape[2], n_classes,
-                            seed, cfg.train)
-        curves = model.fit(x, y)
-    except Exception as exc:
-        raise RuntimeError(f"training failed on {where}: {exc}") from exc
+    model = build_model(cfg.model_kind, x.shape[1], x.shape[2], n_classes,
+                        seed, cfg.train)
+    curves = model.fit(x, y)
     probs, refined = {}, {}
     for mesh_id in test_ids:
         b = bundles[mesh_id]
-        try:
-            probs[mesh_id] = predict(model, stats, b.stack)
-            refined[mesh_id] = refine_labels(b.graph, probs[mesh_id], b.stack[:, 0],
-                                             cfg.lam, cfg.omega)
-        except Exception as exc:
-            raise RuntimeError(
-                f"inference failed on {where} mesh {mesh_id!r}: {exc}") from exc
+        probs[mesh_id] = predict(model, stats, b.stack)
+        refined[mesh_id] = refine_labels(b.graph, probs[mesh_id], b.stack[:, 0],
+                                         cfg.lam, cfg.omega)
     return TrainedUnit(model, stats, {stage: c[-1] for stage, c in curves.items()},
                        probs, refined)
 
@@ -216,12 +227,14 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1, log=None) -> dict:
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     manifest = load_manifest(cfg.dataset)
-    meshes = load_labeled_meshes(manifest)
+    with naming(cfg.dataset):
+        meshes = load_labeled_meshes(manifest)
     n_classes = len(manifest.classes)
 
     fixed = load_fixed_split(cfg.fixed_split_file) if cfg.protocol == "fixed" else None
-    splits = make_splits([lm.mesh_id for lm in meshes], cfg.protocol, cfg.k,
-                         fixed, cfg.seed)
+    with naming(f"{cfg.fixed_split_file} against {cfg.dataset}" if fixed else cfg.dataset):
+        splits = make_splits([lm.mesh_id for lm in meshes], cfg.protocol, cfg.k,
+                             fixed, cfg.seed)
     bundles = _prepare_bundles(meshes, cfg, threads, log)
 
     out_dir = Path(cfg.output_dir)
@@ -232,8 +245,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1, log=None) -> dict:
     for si, (train_ids, test_ids) in enumerate(splits):
         for rep in range(cfg.replicates):
             seed = root.derive_seed(f"split{si}/rep{rep}")
-            unit = train_unit(cfg, n_classes, seed, bundles, train_ids, test_ids,
-                              f"split {si} replicate {rep}")
+            with naming(f"split {si} replicate {rep}"):
+                unit = train_unit(cfg, n_classes, seed, bundles, train_ids, test_ids)
             save_checkpoint(out_dir / "models" / f"split{si}.rep{rep}.ckpt",
                             unit.model, unit.stats)
             for mesh_id in test_ids:

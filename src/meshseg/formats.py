@@ -16,8 +16,9 @@ import os
 import struct
 import uuid
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -133,16 +134,14 @@ def save_feature_cache(path, values: np.ndarray, key: str) -> None:
                                         _pack_text(key), _pack_tensor("features", values)])
 
 
-def load_feature_cache(path, key: str, mesh_path=None) -> np.ndarray:
+def load_feature_cache(path, key: str) -> np.ndarray:
     """The (faces, channels) values of a cache of the DEFAULT_CHANNELS
-    stored under key, the key of the mesh at mesh_path where that is
-    given; any other cache is a FormatError."""
+    stored under key; any other cache is a FormatError."""
     r = _Reader(path, FEATURE_MAGIC, "feature cache")
     r.channels("features of channels")
     stored = r.text()
     if stored != key:
-        of = f" than {mesh_path}" if mesh_path else ""
-        raise FormatError(f"{path}: features of another mesh or channel set{of} "
+        raise FormatError(f"{path}: features of another mesh or channel set "
                           f"(key {stored}, expected {key})")
     values = r.tensor("features", "<f8", (None, len(DEFAULT_CHANNELS)))
     r.finish()
@@ -265,12 +264,21 @@ def load_labels(path) -> np.ndarray:
 # fixed split file: `train:` / `test:` sections listing mesh ids
 
 
+def _read_text(path) -> str:
+    """The text of the file at path, which must be UTF-8 (split files,
+    manifests and configs)."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 at byte {exc.start}: {exc.reason}") from None
+
+
 def load_fixed_split(path):
     """(train ids, test ids) of a split file."""
     sections: dict[str, list] = {}
     listed_under: dict[str, str] = {}  # mesh id -> its section
     current = None
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         s = line.split("#", 1)[0].strip()
         if not s:
             continue
@@ -346,7 +354,7 @@ def _read_json(path, what: str) -> dict:
     """The JSON object in the file at path; `what` names the file's role
     in the error."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -425,18 +433,19 @@ def load_manifest(path) -> DatasetManifest:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A parsed config; its defaults live in `parse_experiment_config`."""
     dataset: str
-    protocol: str = "kfold"  # loo | kfold | fixed
-    k: int = 5
-    fixed_split_file: str | None = None
-    replicates: int = 3
-    model_kind: str = "cnn"  # cnn | pca-nn | ae-nn
-    branches: int = 3
-    train: TrainConfig = TrainConfig()
-    lam: float = 1.0
-    omega: float = 1.0
-    seed: int = 0
-    output_dir: str = "out"
+    protocol: str  # loo | kfold | fixed
+    k: int
+    fixed_split_file: str | None
+    replicates: int
+    model_kind: str  # cnn | pca-nn | ae-nn
+    branches: int
+    train: TrainConfig
+    lam: float
+    omega: float
+    seed: int
+    output_dir: str
 
     def __post_init__(self):
         if self.protocol not in ("loo", "kfold", "fixed"):
@@ -458,8 +467,7 @@ class ExperimentConfig:
             raise ValueError(f"omega must be finite, got {self.omega}")
 
 
-_TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig))
-_TRAIN_INTEGERS = ("epochs", "batch_size")
+_TRAIN_KINDS = get_type_hints(TrainConfig)  # key -> int or float
 
 
 def parse_experiment_config(doc: dict, where: str = "<config>") -> ExperimentConfig:
@@ -472,12 +480,11 @@ def parse_experiment_config(doc: dict, where: str = "<config>") -> ExperimentCon
     model = doc.get("model", {"kind": "cnn"})
     _check_keys(model, ("kind", "branches"), f"{where}.model")
     train_doc = doc.get("train", {})
-    _check_keys(train_doc, _TRAIN_KEYS, f"{where}.train")
+    _check_keys(train_doc, _TRAIN_KINDS, f"{where}.train")
     try:
         kind = _json(model.get("kind", "cnn"), "model.kind", str)
-        train = TrainConfig(**{
-            k: _json(train_doc[k], f"train.{k}", int if k in _TRAIN_INTEGERS else float)
-            for k in _TRAIN_KEYS if k in train_doc})
+        train = TrainConfig(**{k: _json(train_doc[k], f"train.{k}", want)
+                               for k, want in _TRAIN_KINDS.items() if k in train_doc})
         cfg = ExperimentConfig(
             dataset=_json(doc["dataset"], "dataset", str),
             protocol=_json(proto.get("kind", "kfold"), "protocol.kind", str),
@@ -515,7 +522,7 @@ def experiment_config_to_dict(cfg: ExperimentConfig) -> dict:
         "dataset": cfg.dataset,
         "protocol": proto,
         "model": {"kind": cfg.model_kind, "branches": cfg.branches},
-        "train": {k: getattr(cfg.train, k) for k in _TRAIN_KEYS},
+        "train": {k: getattr(cfg.train, k) for k in _TRAIN_KINDS},
         "lambda": cfg.lam,
         "omega": cfg.omega,
         "seed": cfg.seed,

@@ -16,13 +16,11 @@ import scipy.sparse as sp
 
 
 class MeshError(ValueError):
-    """Invalid mesh data. Carries the offending source line when known."""
+    """Invalid mesh data; `face` is the index of the face at fault, if one is."""
 
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
+    def __init__(self, message: str, face: int | None = None):
         super().__init__(message)
-        self.line = line
+        self.face = face
 
 
 def _check_finite(vertices):
@@ -44,7 +42,7 @@ class Mesh:
     edge_start : (E + 1,) int64, first half-edge row of each mesh edge
     """
 
-    def __init__(self, vertices, faces, _face_lines=None):
+    def __init__(self, vertices, faces):
         vertices = np.ascontiguousarray(vertices, dtype=np.float64)
         faces = np.ascontiguousarray(faces, dtype=np.int64)
         if vertices.ndim != 2 or vertices.shape[1] != 3:
@@ -53,20 +51,16 @@ class Mesh:
             raise MeshError("faces must be vertex-index triples")
         _check_finite(vertices)
         nv = len(vertices)
-
-        def face_line(f):
-            return None if _face_lines is None else _face_lines[f]
-
         a, b, c = faces.T
         repeats = (a == b) | (b == c) | (a == c)
         bad = np.nonzero(repeats | ((faces < 0) | (faces >= nv)).any(axis=1))[0]
         if bad.size:  # the first bad face; a repeat wins within one face
             f = int(bad[0])
             if repeats[f]:
-                raise MeshError(f"face {f} repeats a vertex index", face_line(f))
-            raise MeshError(f"face {f} references vertex out of range [0, {nv})", face_line(f))
+                raise MeshError(f"face {f} repeats a vertex index", f)
+            raise MeshError(f"face {f} references vertex out of range [0, {nv})", f)
 
-        self._set_geometry(vertices, faces, face_line)
+        self._set_geometry(vertices, faces)
         # undirected edge e owns half_edges[edge_start[e]:edge_start[e + 1]]
         nxt = np.roll(faces, -1, axis=1)
         half = np.column_stack([np.minimum(faces, nxt).ravel(), np.maximum(faces, nxt).ravel(),
@@ -88,12 +82,12 @@ class Mesh:
                             f"got {vertices.shape}")
         _check_finite(vertices)
         mesh = object.__new__(Mesh)
-        mesh._set_geometry(vertices, self.faces, lambda f: None)
+        mesh._set_geometry(vertices, self.faces)
         mesh.half_edges, mesh.edge_start = self.half_edges, self.edge_start
         mesh._freeze()
         return mesh
 
-    def _set_geometry(self, vertices, faces, face_line):
+    def _set_geometry(self, vertices, faces):
         """Set the vertices, faces and per-face geometry, rejecting
         degenerate faces."""
         e1 = vertices[faces[:, 1]] - vertices[faces[:, 0]]
@@ -109,7 +103,7 @@ class Mesh:
         degenerate = np.nonzero(areas <= 1e-14 * scale2)[0]
         if degenerate.size:
             f = int(degenerate[0])
-            raise MeshError(f"face {f} is degenerate (zero area)", face_line(f))
+            raise MeshError(f"face {f} is degenerate (zero area)", f)
 
         self.vertices = vertices
         self.faces = faces
@@ -233,41 +227,41 @@ def face_balls(graph: DualGraph, hops: int) -> sp.csr_matrix:
 
 def _parse_floats(parts, n, lineno, what):
     if len(parts) < n:
-        raise MeshError(f"expected {n} numbers for {what}, found {len(parts)}", lineno)
+        raise MeshError(f"line {lineno}: expected {n} numbers for {what}, found {len(parts)}")
     try:
         return [float(p) for p in parts[:n]]
     except ValueError as exc:
-        raise MeshError(f"malformed {what}: {exc}", lineno) from None
+        raise MeshError(f"line {lineno}: malformed {what}: {exc}") from None
 
 
 def _parse_off(lines: list[str]):
     content = [(idx + 1, ln.split("#", 1)[0].strip()) for idx, ln in enumerate(lines)]
     content = [(no, ln) for no, ln in content if ln]
     if not content:
-        raise MeshError("empty OFF stream", 1)
+        raise MeshError("line 1: empty OFF stream")
     no, ln = content[0]
     if ln.upper() != "OFF":
-        raise MeshError(f"missing OFF header, found {ln!r}", no)
+        raise MeshError(f"line {no}: missing OFF header, found {ln!r}")
     if len(content) < 2:
-        raise MeshError("missing counts line", no)
+        raise MeshError(f"line {no}: missing counts line")
     no, ln = content[1]
     parts = ln.split()
     if len(parts) < 2:
-        raise MeshError(f"counts line needs vertex and face counts, found {ln!r}", no)
+        raise MeshError(f"line {no}: counts line needs vertex and face counts, found {ln!r}")
     try:
         nv, nf = int(parts[0]), int(parts[1])
     except ValueError:
-        raise MeshError(f"malformed counts line {ln!r}", no) from None
+        raise MeshError(f"line {no}: malformed counts line {ln!r}") from None
     if nv < 0 or nf < 0:
-        raise MeshError(f"negative vertex or face count in counts line {ln!r}", no)
+        raise MeshError(f"line {no}: negative vertex or face count in counts line {ln!r}")
     # one line per record: counts the file cannot hold fail before allocating
     records = content[2:]
     if nv > len(records):
-        raise MeshError(f"expected {nv} vertices, found {len(records)} lines "
-                        "after the counts line", no)
+        raise MeshError(f"line {no}: expected {nv} vertices, found {len(records)} lines "
+                        "after the counts line")
     if nf > len(records) - nv:
-        raise MeshError(f"expected {nf} faces, found {len(records) - nv} lines "
-                        "after the vertices", no)
+        raise MeshError(f"line {no}: expected {nf} faces, found {len(records) - nv} lines "
+                        "after the vertices")
 
     verts = np.zeros((nv, 3))
     for k, (no, ln) in enumerate(records[:nv]):
@@ -280,15 +274,15 @@ def _parse_off(lines: list[str]):
         try:
             cnt = int(parts[0])
         except (ValueError, IndexError):
-            raise MeshError(f"malformed face record {ln!r}", no) from None
+            raise MeshError(f"line {no}: malformed face record {ln!r}") from None
         if cnt != 3:
-            raise MeshError(f"only triangles are supported, face has {cnt} vertices", no)
+            raise MeshError(f"line {no}: only triangles are supported, face has {cnt} vertices")
         if len(parts) < 4:
-            raise MeshError(f"face record lists {len(parts) - 1} of 3 indices", no)
+            raise MeshError(f"line {no}: face record lists {len(parts) - 1} of 3 indices")
         try:
             faces[k] = [int(p) for p in parts[1:4]]
         except ValueError as exc:
-            raise MeshError(f"malformed face index: {exc}", no) from None
+            raise MeshError(f"line {no}: malformed face index: {exc}") from None
         face_lines.append(no)
     return verts, faces, face_lines
 
@@ -309,24 +303,24 @@ def _parse_obj(lines: list[str]):
         elif tag == "f":
             refs = parts[1:]
             if len(refs) != 3:
-                raise MeshError(f"only triangles are supported, face has {len(refs)} vertices", lineno)
+                raise MeshError(f"line {lineno}: only triangles are supported, face has {len(refs)} vertices")
             idxs = []
             for r in refs:
                 tok = r.split("/", 1)[0]
                 try:
                     i = int(tok)
                 except ValueError:
-                    raise MeshError(f"malformed face index {r!r}", lineno) from None
+                    raise MeshError(f"line {lineno}: malformed face index {r!r}") from None
                 if i < 0:
-                    raise MeshError("negative (relative) OBJ indices are unsupported", lineno)
+                    raise MeshError(f"line {lineno}: negative (relative) OBJ indices are unsupported")
                 if i == 0:
-                    raise MeshError("OBJ indices are 1-based; 0 is invalid", lineno)
+                    raise MeshError(f"line {lineno}: OBJ indices are 1-based; 0 is invalid")
                 idxs.append(i - 1)
             faces.append(idxs)
             face_lines.append(lineno)
         # vn/vt/o/g/s/usemtl/mtllib records carry no geometry we use
     if not verts:
-        raise MeshError("no vertices in OBJ stream", 1)
+        raise MeshError("line 1: no vertices in OBJ stream")
     return (np.array(verts, dtype=np.float64),
             np.array(faces, dtype=np.int64).reshape(-1, 3),
             face_lines)
@@ -348,9 +342,10 @@ def load_mesh_path(path) -> Mesh:
     parse = _parse_off if ext == ".off" else _parse_obj
     try:
         verts, faces, face_lines = parse(lines)
-        return Mesh(verts, faces, _face_lines=face_lines)
-    except MeshError as exc:
-        exc.args = (f"{path}: {exc}",)
+        return Mesh(verts, faces)
+    except MeshError as exc:  # a parse error has no face and names its line
+        line = "" if exc.face is None else f"line {face_lines[exc.face]}: "
+        exc.args = (f"{path}: {line}{exc}",)
         raise
 
 

@@ -349,7 +349,8 @@ def test_refine_rejects_features_of_another_mesh(ws, tmp_path, capsys):
                            "-o", str(tmp_path / "r.seg")], capsys)
     assert code == 3
     assert err["category"] == "invalid-input"
-    assert "another mesh" in err["message"]
+    assert err["message"].startswith(
+        f"{ws['mesh0']}: {feat_path}: features of another mesh or channel set")
     assert not (tmp_path / "r.seg").exists()
 
 
@@ -766,6 +767,60 @@ def test_run_rejects_mesh_listed_twice_in_split(ws, tmp_path, capsys, split):
     assert not (tmp_path / "out").exists()
 
 
+def fixed_split_config(tmp_path, manifest, split_text):
+    """A fixed-protocol config over manifest, with its split file."""
+    split = tmp_path / "split.txt"
+    split.write_text(split_text)
+    return write_config(tmp_path / "cfg.json", manifest, tmp_path / "out",
+                        protocol={"kind": "fixed", "file": str(split),
+                                  "replicates": 1}), split
+
+
+@pytest.mark.parametrize("command, name", [
+    ("run", "config"), ("run", "manifest"), ("run", "split"),
+    ("train", "config"), ("train", "manifest")])
+def test_a_text_input_that_is_not_utf8_is_named(ws, tmp_path, capsys, command, name):
+    manifest = write_manifest(tmp_path / "m.json", ws, ws["mesh0"])
+    cfg, split = fixed_split_config(tmp_path, manifest,
+                                    "train:\ndumbbell-00\ntest:\ndumbbell-01\n")
+    path = {"config": cfg, "manifest": manifest, "split": split}[name]
+    path.write_bytes(path.read_bytes() + b"\xb3")
+    ckpt = tmp_path / "m.ckpt"
+    extra = ["-o", str(ckpt)] if command == "train" else []
+    code, _, err = invoke([command, "--config", str(cfg), *extra], capsys)
+    assert code == 3
+    assert err["message"].startswith(f"{path}: not UTF-8 at byte ")
+    assert not (tmp_path / "out").exists() and not ckpt.exists()
+
+
+def test_run_names_the_split_file_of_an_unknown_mesh_id(ws, tmp_path, capsys):
+    cfg, split = fixed_split_config(tmp_path, ws["manifest"],
+                                    "train:\ndumbbell-00\ntest:\ndumbbell-07\n")
+    code, _, err = invoke(["run", "--config", str(cfg)], capsys)
+    assert code == 3
+    assert err["message"] == (f"{split} against {ws['manifest']}: fixed split "
+                              "references unknown mesh ids ['dumbbell-07']")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "train"])
+@pytest.mark.parametrize("labels, message", [
+    (np.zeros(79, dtype=int), "{seg}: 79 labels for the 80 faces of {mesh}"),
+    (np.r_[np.zeros(79, dtype=int), 7], "{seg}: label 7 outside the 2-class vocabulary"),
+], ids=["one-row-short", "out-of-vocabulary"])
+def test_run_and_train_name_the_label_file_at_fault(ws, tmp_path, capsys, command,
+                                                   labels, message):
+    seg = tmp_path / "bad.seg"
+    save_labels(seg, labels)
+    manifest = write_manifest(tmp_path / "m.json", ws, ws["mesh0"], seg)
+    cfg = write_config(tmp_path / "cfg.json", manifest, tmp_path / "out")
+    extra = ["-o", str(tmp_path / "m.ckpt")] if command == "train" else []
+    code, _, err = invoke([command, "--config", str(cfg), *extra], capsys)
+    assert code == 3
+    assert err["message"] == (f"{manifest}: mesh 'dumbbell-00': "
+                              + message.format(seg=seg, mesh=ws["mesh0"]))
+
+
 def test_refine_rejects_nan_omega(ws, tmp_path, capsys):
     probs_path = tmp_path / "uniform.prob"
     save_probabilities(probs_path, np.full((80, 2), 0.5))
@@ -838,28 +893,77 @@ def test_refine_names_the_mesh_file_it_cannot_read(ws, tmp_path, capsys):
                               "string to float: 'x'")
 
 
-def test_features_names_a_non_manifold_mesh_file(tmp_path, capsys):
-    # the mesh parses; its dual graph is what fails
+def write_fan(path):
+    """An OFF mesh that parses but whose dual graph fails: the edge (0, 1)
+    is shared by three of its six faces."""
     verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 1, 1], [0, -1, 0],
                       [1, 1, 1], [-1, 1, 0], [1, -1, 2]], dtype=float)
     faces = [[2, 3, 5], [0, 1, 2], [3, 2, 6], [0, 1, 3], [2, 3, 7], [1, 0, 4]]
-    path = tmp_path / "fan.off"
     save_off(Mesh(verts, faces), path)
+    return path
+
+
+def write_far_vertex(path, ws):
+    """dumbbell-00 with its first vertex a million units away: a valid mesh
+    whose conformal-factor solve breaks down (exit 5)."""
+    lines = ws["mesh0"].read_text().splitlines()
+    lines[2] = " ".join(["1e6", *lines[2].split()[1:]])
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_features_names_a_non_manifold_mesh_file(tmp_path, capsys):
+    # the mesh parses; its dual graph is what fails
+    path = write_fan(tmp_path / "fan.off")
     code, _, err = invoke(["features", str(path), "-o", str(tmp_path / "f.feat")], capsys)
     assert code == 3
     assert err["message"] == f"{path}: non-manifold mesh edge (0, 1) shared by 3 faces"
     assert not (tmp_path / "f.feat").exists()
 
 
-def write_manifest(path, ws, mesh0):
-    """The toy manifest with absolute paths and dumbbell-00's mesh replaced."""
+def write_manifest(path, ws, mesh0, labels0=None):
+    """The toy manifest with absolute paths and dumbbell-00's mesh (and
+    labels, where given) replaced."""
     doc = json.loads(ws["manifest"].read_text())
     for rec in doc["meshes"]:
         rec["mesh"] = str(ws["data"] / rec["mesh"])
         rec["labels"] = str(ws["data"] / rec["labels"])
     doc["meshes"][0]["mesh"] = str(mesh0)
+    if labels0:
+        doc["meshes"][0]["labels"] = str(labels0)
     path.write_text(json.dumps(doc))
     return path
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("command", ["run", "train"])
+def test_run_and_train_name_a_mesh_whose_features_fail(ws, tmp_path, capsys,
+                                                       command, threads):
+    fan = write_fan(tmp_path / "fan.off")
+    save_labels(tmp_path / "fan.seg", np.zeros(6, dtype=int))
+    manifest = write_manifest(tmp_path / "m.json", ws, fan, tmp_path / "fan.seg")
+    cfg = write_config(tmp_path / "cfg.json", manifest, tmp_path / "out")
+    extra = ["-o", str(tmp_path / "m.ckpt")] if command == "train" else []
+    code, _, err = invoke([command, "--config", str(cfg), "--threads", threads, *extra],
+                          capsys)
+    assert code == 3
+    assert err["message"] == (f"mesh 'dumbbell-00': {fan}: non-manifold mesh edge "
+                              "(0, 1) shared by 3 faces")
+
+
+@pytest.mark.parametrize("command", ["features", "run"])
+def test_a_failed_conformal_solve_names_its_mesh(ws, tmp_path, capsys, command):
+    far = write_far_vertex(tmp_path / "far.off", ws)
+    if command == "features":
+        argv, named = ["features", str(far), "-o", str(tmp_path / "f.feat")], f"{far}: "
+    else:
+        manifest = write_manifest(tmp_path / "m.json", ws, far)
+        cfg = write_config(tmp_path / "cfg.json", manifest, tmp_path / "out")
+        argv, named = ["run", "--config", str(cfg)], f"mesh 'dumbbell-00': {far}: "
+    code, _, err = invoke(argv, capsys)
+    assert code == 5
+    assert err["category"] == "numeric"
+    assert err["message"].startswith(named)
 
 
 def test_run_missing_mesh_exit_four(ws, tmp_path, capsys):
@@ -868,7 +972,19 @@ def test_run_missing_mesh_exit_four(ws, tmp_path, capsys):
     code, _, err = invoke(["run", "--config", str(cfg)], capsys)
     assert code == 4
     assert err["category"] == "missing-file"
-    assert "loading mesh 'dumbbell-00'" in err["message"]
+    assert err["message"].startswith(f"{manifest}: mesh 'dumbbell-00': ")
+    assert str(tmp_path / "ghost.off") in err["message"]
+
+
+def test_a_directory_where_a_file_should_be_exits_four(ws, tmp_path, capsys):
+    code, _, err = invoke(["eval", "--mesh", str(ws["mesh0"]), "--pred", str(tmp_path),
+                           "--truth", str(ws["truth0"])], capsys)
+    assert code == 4 and err["category"] == "missing-file"
+    cfg = write_config(tmp_path / "cfg.json", tmp_path, tmp_path / "out")
+    code, _, err = invoke(["run", "--config", str(cfg)], capsys)
+    assert code == 4 and str(tmp_path) in err["message"]
+    code, _, err = invoke(["run", "--config", str(cfg / "nested.json")], capsys)
+    assert code == 4 and err["category"] == "missing-file"
 
 
 def test_train_missing_mesh_exit_four(ws, tmp_path, capsys):
@@ -904,7 +1020,7 @@ def test_run_diverging_training_exit_five(ws, tmp_path, capsys):
         code, _, err = invoke(["run", "--config", str(cfg)], capsys)
     assert code == 5
     assert err["category"] == "numeric"
-    assert "training failed on split 0" in err["message"]
+    assert err["message"].startswith("split 0 replicate 0: non-finite loss")
 
 
 @pytest.mark.parametrize("error, code, category", [
@@ -929,8 +1045,10 @@ def test_feature_worker_failure_keeps_exit_code(ws, tmp_path, monkeypatch, capsy
                                           "--threads", threads], capsys)
         assert got == code
         pids[threads] = {int(pid) for pid in record.read_text().split()}
+    # each worker count names the first mesh, by id and file
     assert errors["1"] == errors["2"] == {
-        "status": "error", "category": category, "message": str(error)}
+        "status": "error", "category": category,
+        "message": f"mesh 'dumbbell-00': {ws['mesh0']}: {error}"}
     assert multiprocessing.active_children() == []
     assert pids["1"] == {os.getpid()}
     assert pids["2"] and os.getpid() not in pids["2"]
@@ -951,7 +1069,7 @@ def test_numeric_failure_exit_five(ws, tmp_path, monkeypatch, capsys):
                                      ws, tmp_path, monkeypatch, capsys)
     assert code == 5 and out is None
     assert err == {"status": "error", "category": "numeric",
-                   "message": "iteration diverged"}
+                   "message": f"{ws['sphere']}: iteration diverged"}
 
 
 def test_unexpected_error_exit_one(ws, tmp_path, monkeypatch, capsys):
@@ -960,4 +1078,4 @@ def test_unexpected_error_exit_one(ws, tmp_path, monkeypatch, capsys):
         code, out, err = _smooth_raising(exc, ws, tmp_path, monkeypatch, capsys)
         assert code == 1 and out is None
         assert err == {"status": "error", "category": "internal",
-                       "message": str(exc)}
+                       "message": f"{ws['sphere']}: {exc}"}

@@ -52,9 +52,9 @@ def test_accuracy_validation():
 # ------------------------------------------------------------ labeled mesh
 
 def test_labeled_mesh_validation(tet):
-    LabeledMesh("tet", tet, np.zeros(4, dtype=int))
+    LabeledMesh("tet", tet, np.zeros(4, dtype=int), "tet.off")
     with pytest.raises(ValueError, match="4 faces"):
-        LabeledMesh("tet", tet, np.zeros(3, dtype=int))
+        LabeledMesh("tet", tet, np.zeros(3, dtype=int), "tet.off")
 
 
 # ------------------------------------------------------------------ splits

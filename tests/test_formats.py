@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -158,13 +159,13 @@ def test_feature_cache_rejects_a_non_finite_value(tmp_path):
         load_feature_cache(path, "key")
 
 
-def test_feature_cache_of_another_mesh_names_the_mesh_file(tmp_path):
+def test_feature_cache_of_another_mesh_names_both_keys(tmp_path):
     path = tmp_path / "m.feat"
     save_feature_cache(path, np.ones((5, N)), "key")
     with pytest.raises(FormatError, match=re.escape(
-            f"{path}: features of another mesh or channel set than other.off "
+            f"{path}: features of another mesh or channel set "
             "(key key, expected yek)")):
-        load_feature_cache(path, "yek", "other.off")
+        load_feature_cache(path, "yek")
 
 
 def test_feature_cache_shape_validation(tmp_path):
@@ -865,6 +866,19 @@ def test_config_echoes_integers_a_float_can_hold():
     assert doc["omega"] == -3.0 and type(doc["omega"]) is float
     for key, value in (("lr_start", 1), ("lr_end", big), ("momentum", 0)):
         assert doc["train"][key] == value and type(doc["train"][key]) is int
+
+
+def test_config_train_keys_take_the_type_of_their_default():
+    # a train key added to TrainConfig later gets the same rule
+    defaults = TrainConfig()
+    for f in dataclasses.fields(TrainConfig):
+        doc = {"dataset": "d", "train": {f.name: 0.5}}
+        if type(getattr(defaults, f.name)) is int:
+            with pytest.raises(FormatError, match=re.escape(
+                    f"train.{f.name} must be an integer, got 0.5")):
+                parse_experiment_config(doc)
+        else:
+            assert getattr(parse_experiment_config(doc).train, f.name) == 0.5
 
 
 def test_load_experiment_config_from_file(tmp_path):

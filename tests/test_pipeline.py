@@ -62,12 +62,15 @@ def test_load_labeled_meshes_rejects_out_of_vocabulary(toy_manifest, tmp_path):
     manifest = load_manifest(toy_manifest)
     mesh_id, mesh_path, labels_path = manifest.entries[0]
     bad_labels = tmp_path / "bad.seg"
-    save_labels(bad_labels, np.full(320, 7))
+    save_labels(bad_labels, np.full(load_mesh_path(mesh_path).n_faces, 7))
     patched = manifest.__class__(
         name=manifest.name, classes=manifest.classes,
         entries=((mesh_id, mesh_path, bad_labels),))
-    with pytest.raises(ValueError, match=f"{mesh_id!r}.*vocabulary"):
+    with pytest.raises(RuntimeError, match=re.escape(
+            f"mesh {mesh_id!r}: {bad_labels}: label 7 outside the 2-class "
+            "vocabulary")) as got:
         load_labeled_meshes(patched)
+    assert isinstance(got.value.__cause__, ValueError)
 
 
 def test_load_labeled_meshes_names_failing_mesh(toy_manifest, tmp_path):
@@ -76,8 +79,9 @@ def test_load_labeled_meshes_names_failing_mesh(toy_manifest, tmp_path):
     patched = manifest.__class__(
         name=manifest.name, classes=manifest.classes,
         entries=((mesh_id, tmp_path / "missing.off", labels_path),))
-    with pytest.raises(RuntimeError, match=f"loading mesh {mesh_id!r}"):
+    with pytest.raises(RuntimeError, match=f"^mesh {mesh_id!r}: .*missing.off") as got:
         load_labeled_meshes(patched)
+    assert isinstance(got.value.__cause__, FileNotFoundError)
 
 
 # ------------------------------------------------------------ feature cache
@@ -330,7 +334,7 @@ def test_run_reads_each_mesh_file_once(toy_manifest, tmp_path, monkeypatch):
     assert mesh_reads == mesh_files
 
 
-def test_inference_failure_names_its_unit_and_mesh(toy_manifest, tmp_path, monkeypatch):
+def test_inference_failure_names_its_unit(toy_manifest, tmp_path, monkeypatch):
     def failing(problem):
         raise SolverError("no cut")
 
@@ -338,12 +342,8 @@ def test_inference_failure_names_its_unit_and_mesh(toy_manifest, tmp_path, monke
     cfg = _config(toy_manifest, tmp_path / "out",
                   protocol={"kind": "kfold", "k": 3, "replicates": 1},
                   model={"kind": "pca-nn"}, train={"epochs": 1, "batch_size": 64})
-    first_test_id = experiment.make_splits(
-        [lm.mesh_id for lm in load_labeled_meshes(load_manifest(toy_manifest))],
-        "kfold", 3, None, cfg.seed)[0][1][0]
-    with pytest.raises(RuntimeError, match=re.escape(
-            f"inference failed on split 0 replicate 0 mesh {first_test_id!r}: "
-            "no cut")) as got:
+    # the unit raises bare errors; run_experiment names the unit
+    with pytest.raises(RuntimeError, match="^split 0 replicate 0: no cut$") as got:
         run_experiment(cfg, threads=1)
     assert isinstance(got.value.__cause__, SolverError)
     assert not list((tmp_path / "out" / "models").iterdir())
