@@ -17,8 +17,11 @@ from scipy.sparse.csgraph import dijkstra
 from meshseg.mesh import DualGraph, Mesh
 
 WEIGHT_GRID_BITS = 30
-# source rows per dijkstra call: memory is O(AGD_BLOCK * F), never F x F
-AGD_BLOCK = 256
+# bytes of float64 distances per dijkstra call: each call gets
+# max(1, AGD_BLOCK_BYTES // (8 * F)) source rows, so the (rows, F) blocks
+# it holds (the distances, dijkstra's working copy, the zeroed copy) stay
+# near 1 MB each at every mesh size, never F x F
+AGD_BLOCK_BYTES = 1 << 20
 
 
 def quantize_weights(weights: np.ndarray, scale: float) -> np.ndarray:
@@ -51,8 +54,9 @@ def average_geodesic_distance(mesh: Mesh, graph: DualGraph) -> np.ndarray:
     adj = sp.csr_matrix((w, (graph.edges[:, 0], graph.edges[:, 1])), shape=(n, n))
     adj = (adj + adj.T).tocsr()  # symmetric once, not per dijkstra call
     agd = np.empty(n)
-    for lo in range(0, n, AGD_BLOCK):
-        rows = np.arange(lo, min(lo + AGD_BLOCK, n))
+    block = max(1, AGD_BLOCK_BYTES // (8 * n))
+    for lo in range(0, n, block):
+        rows = np.arange(lo, min(lo + block, n))
         dist = dijkstra(adj, directed=True, indices=rows)
         finite = np.isfinite(dist)
         agd[rows] = np.where(finite, dist, 0.0).sum(axis=1) / finite.sum(axis=1)

@@ -11,8 +11,8 @@ leaf) stored as flat arrays. Rays walk it breadth-first as a batched
 frontier of (ray, node) pairs, one slab axis at a time: a node is dropped
 when the ray misses its box. Every leaf a ray reaches is collected, with
 no cut at the ray's best hit so far (a median split puts the leaves at
-one depth, so such a cut would almost never fire), and each chunk's
-(ray, triangle) pairs run the Möller–Trumbore test in one batch. That
+one depth, so such a cut would almost never fire), and the (ray,
+triangle) pairs of those leaves run the Möller–Trumbore test in batches. That
 test works on per-axis component rows with exactly the arithmetic of an
 all-pairs sweep (np.cross's products, einsum's summation order), and the
 minimum over accepted pairs is taken without arithmetic, so the nearest
@@ -21,11 +21,17 @@ accepts to lie inside its leaf's box, rounding included; each box is
 therefore padded by BOX_PAD times the bounding-box diagonal, orders of
 magnitude above the rounding error of a hit point.
 
+shape_diameter walks the faces in batches of RAY_CHUNK // N_RAYS: each
+batch builds its own ray fans, gathers its origins and source ids by face,
+traces them and reduces its (faces, N_RAYS) distances to thicknesses, so
+only per-face vectors grow with the mesh. Every hit is computed on its
+own, so where a batch boundary falls cannot change a bit.
+
 Every array the walk and the test fill, one entry per (ray, node) or per
-(ray, triangle) pair, is a view of a scratch array that one nearest_hits
-call allocates and reuses for all its chunks: gathers write into it with
+(ray, triangle) pair, is a view of a scratch array that one shape_diameter
+call allocates and reuses for all its batches: gathers write into it with
 take(..., out=, mode="clip") and the arithmetic with ufunc out=. With a
-fresh array per temporary, each chunk's arrays went back to the operating
+fresh array per temporary, each batch's arrays went back to the operating
 system when it ended and were paged in again by the next: SDF on 24
 dumbbells of 320 faces took about 340k minor page faults and a third of
 its time in the kernel. The scratch lives in one call and is never shared,
@@ -49,10 +55,13 @@ N_RAYS = 30
 CONE_HALF_ANGLE = math.radians(60.0)
 ALPHA = 4.0
 EPS_FACTOR = 1e-6
-# rays traced per batch, and (ray, triangle) pairs per Möller–Trumbore
-# batch. They bound the scratch arrays, about 3.5 MB that each call pages
-# in once: a batch of rays reaches up to 13 frontier entries per ray at
-# one level. Measured on 2 vCPUs (24 dumbbells of 320 faces on 2 threads;
+# rays per batch (whole faces of N_RAYS rays: 68 faces, 2040 rays), and
+# (ray, triangle) pairs per Möller–Trumbore batch. They bound the working
+# memory of a shape_diameter call whatever the mesh size: its scratch
+# arrays page in 3.5-3.9 MB once, from 320 to 20,480 faces (a batch of
+# rays reaches up to 13 frontier entries per ray at one level), within
+# about 11 MB of address space that tracemalloc counts in full.
+# Measured on 2 vCPUs (24 dumbbells of 320 faces on 2 threads;
 # one of 20,480 faces), 2048 rays beat 512 and 1024 by making fewer numpy
 # calls per ray at each level; 8192 pairs beat 4096 (more calls), and
 # 16384 faulted in more pages per call for no clear gain.
@@ -147,33 +156,31 @@ def build_bvh(mesh: Mesh) -> TriangleBvh:
 
 
 def nearest_hits(bvh: TriangleBvh, origins: np.ndarray, dirs: np.ndarray,
-                 source: np.ndarray, eps: float) -> np.ndarray:
+                 source: np.ndarray, eps: float, scratch: _Scratch) -> np.ndarray:
     """Distance to the nearest triangle along each ray, inf on a miss.
 
-    A ray ignores its source triangle and hits closer than eps.
+    A ray ignores its source triangle and hits closer than eps. The rays
+    are traced as one batch, so the work arrays in scratch grow with their
+    number; shape_diameter passes one batch of faces at a time.
     """
     best = np.full(len(origins), np.inf)
-    o_all = np.ascontiguousarray(origins.T)
-    d_all = np.ascontiguousarray(dirs.T)
+    o = np.ascontiguousarray(origins.T)
+    d = np.ascontiguousarray(dirs.T)
     with np.errstate(divide="ignore"):
-        inv_all = 1.0 / d_all
-    scratch = _Scratch()  # one per call: concurrent calls never share it
-    for lo in range(0, len(origins), RAY_CHUNK):
-        sl = slice(lo, lo + RAY_CHUNK)
-        o, d = o_all[:, sl], d_all[:, sl]
-        ray, leaf = _trace(bvh, o, inv_all[:, sl], scratch)
-        # Möller–Trumbore in batches of about PAIR_CHUNK (ray, triangle)
-        # pairs; pairs[-1:].sum() is the chunk's pair count, 0 with no leaf
-        pairs = np.cumsum(bvh.count.take(leaf))
-        cuts = np.searchsorted(pairs, np.arange(PAIR_CHUNK, pairs[-1:].sum(), PAIR_CHUNK),
-                               side="right")
-        for a, b in zip([0, *cuts], [*cuts, len(leaf)]):
-            _intersect_leaves(bvh, o, d, source[sl], eps, best[sl], ray[a:b], leaf[a:b], scratch)
+        inv_d = 1.0 / d
+    ray, leaf = _trace(bvh, o, inv_d, scratch)
+    # Möller–Trumbore in batches of about PAIR_CHUNK (ray, triangle) pairs;
+    # pairs[-1:].sum() is the batch's pair count, 0 with no leaf
+    pairs = np.cumsum(bvh.count.take(leaf))
+    cuts = np.searchsorted(pairs, np.arange(PAIR_CHUNK, pairs[-1:].sum(), PAIR_CHUNK),
+                           side="right")
+    for a, b in zip([0, *cuts], [*cuts, len(leaf)]):
+        _intersect_leaves(bvh, o, d, source, eps, best, ray[a:b], leaf[a:b], scratch)
     return best
 
 
 class _Scratch:
-    """Work arrays of one nearest_hits call, reused by all its ray chunks.
+    """Work arrays of one shape_diameter call, reused by all its batches.
 
     scratch(name, (..., n), dtype) returns an array of that shape. It is a
     view of the array kept under name, which is reallocated only when a
@@ -349,19 +356,24 @@ def shape_diameter(mesh: Mesh) -> SdfResult:
     """
     nf = mesh.n_faces
     eps = EPS_FACTOR * mesh.bbox_diagonal()
-
+    bvh = build_bvh(mesh)
     local = cone_directions(N_RAYS, CONE_HALF_ANGLE)
     axis = -mesh.face_normals
     t1, t2 = tangent_frames(axis)
-    # world-space ray directions, (faces, rays, 3)
-    dirs = (local[None, :, 0, None] * t1[:, None, :]
-            + local[None, :, 1, None] * t2[:, None, :]
-            + local[None, :, 2, None] * axis[:, None, :])
-    dist = nearest_hits(build_bvh(mesh),
-                        np.repeat(mesh.face_centroids, N_RAYS, axis=0),
-                        dirs.reshape(-1, 3), np.repeat(np.arange(nf), N_RAYS),
-                        eps).reshape(nf, N_RAYS)
-    raw, hits = robust_thickness(dist)
+    raw = np.empty(nf)
+    hits = np.empty(nf, dtype=np.int64)
+    scratch = _Scratch()  # one per call: concurrent calls never share it
+    step = max(1, RAY_CHUNK // N_RAYS)
+    for lo in range(0, nf, step):
+        f = slice(lo, lo + step)
+        # world-space ray directions of the batch's faces, (faces, rays, 3)
+        dirs = (local[None, :, 0, None] * t1[f, None, :]
+                + local[None, :, 1, None] * t2[f, None, :]
+                + local[None, :, 2, None] * axis[f, None, :])
+        source = np.repeat(np.arange(lo, min(lo + step, nf)), N_RAYS)
+        dist = nearest_hits(bvh, mesh.face_centroids[source], dirs.reshape(-1, 3),
+                            source, eps, scratch)
+        raw[f], hits[f] = robust_thickness(dist.reshape(-1, N_RAYS))
 
     fallback = np.nonzero(hits == 0)[0]
     if fallback.size and fallback.size < nf:

@@ -17,8 +17,12 @@ from meshseg.numerics import SeededRng
 from meshseg.neural.layers import mean_squared_error, softmax_cross_entropy
 
 # evaluation runs in batches of PREDICT_BATCH rows, each padded to a
-# multiple of ROW_BLOCK rows
-PREDICT_BATCH = 1024
+# multiple of ROW_BLOCK rows. Every layer caches its input, so a pass
+# holds arrays of the batch's size: at the training batch, 256 rows,
+# prediction needs no more memory than training does (1024 rows set the
+# peak RSS of a run whose features are computed in bounded batches). A
+# row's logits do not depend on the batch it sits in.
+PREDICT_BATCH = 256
 ROW_BLOCK = 64
 
 

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,3 +132,14 @@ def random_problem(rng, max_faces=6, max_classes=3):
     return GraphCutProblem(graph, probs, feature,
                            lam=float(rng.uniform(0.0, 2.0)),
                            omega=float(rng.uniform(0.0, 2.0)))
+
+
+def traced_peak_mb(call, *args):
+    """Peak of the memory that tracemalloc sees allocated during one call,
+    in MB (1e6 bytes); numpy reports its array buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()

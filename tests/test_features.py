@@ -33,7 +33,7 @@ from meshseg.features.sdf import (
     tangent_frames,
 )
 import shapes
-from conftest import random_small_mesh
+from conftest import random_small_mesh, traced_peak_mb
 from oracles import (
     agd_reference,
     feature_matrix_reference,
@@ -285,20 +285,35 @@ def test_agd_matches_all_pairs_oracle():
 
 
 def test_agd_row_blocks_match_all_pairs_oracle(monkeypatch):
-    # 320 faces span two 256-row blocks; a block of 7 rows splits the
-    # small meshes, some of them disconnected, at many places
+    # blocks of 1 and 7 rows, and of 200 rows, so that dumbbell(2)'s 320
+    # faces span two blocks; 7 rows split the small meshes, some of them
+    # disconnected, at many places
+    def rows_per_block(rows, n_faces):
+        monkeypatch.setattr(geodesic, "AGD_BLOCK_BYTES", rows * 8 * n_faces)
+
     mesh = synth.dumbbell(2)
     graph = build_dual_graph(mesh)
-    assert graph.n_faces > geodesic.AGD_BLOCK
-    assert np.array_equal(average_geodesic_distance(mesh, graph),
-                          agd_reference(mesh, graph))
-    monkeypatch.setattr(geodesic, "AGD_BLOCK", 7)
+    want = agd_reference(mesh, graph)
+    assert np.array_equal(average_geodesic_distance(mesh, graph), want)
+    for rows in (1, 7, 200):
+        rows_per_block(rows, graph.n_faces)
+        assert np.array_equal(average_geodesic_distance(mesh, graph), want)
     rng = np.random.default_rng(23)
     for _ in range(5):
         mesh = random_small_mesh(rng)
         graph = build_dual_graph(mesh)
-        assert np.array_equal(average_geodesic_distance(mesh, graph),
-                              agd_reference(mesh, graph))
+        want = agd_reference(mesh, graph)
+        for rows in (1, 7):
+            rows_per_block(rows, graph.n_faces)
+            assert np.array_equal(average_geodesic_distance(mesh, graph), want)
+
+
+def test_agd_memory_is_bounded_by_the_row_block():
+    # blocks of 256 source rows, whatever the row length, peaked at 5.7 MB
+    # at 1,280 faces
+    mesh = synth.dumbbell(3)
+    graph = build_dual_graph(mesh)
+    assert traced_peak_mb(average_geodesic_distance, mesh, graph) <= 3.0
 
 
 # --------------------------------------------------------------------- sdf
@@ -394,11 +409,21 @@ def _bvh_ray_distances(mesh, dirs, faces, eps):
     return nearest_hits(
         build_bvh(mesh), np.repeat(mesh.face_centroids[faces], n_rays, axis=0),
         dirs[faces].reshape(-1, 3), np.repeat(faces, n_rays),
-        eps).reshape(len(faces), n_rays)
+        eps, sdf._Scratch()).reshape(len(faces), n_rays)
+
+
+def _brute_force_sdf(mesh, want):
+    """(raw, hit counts, fallback faces) from all-pairs ray distances,
+    reduced face by face."""
+    raw, hits = sdf_robust_thickness(want)
+    fallback = np.nonzero(hits == 0)[0]
+    if fallback.size and fallback.size < mesh.n_faces:
+        raw[fallback] = np.median(raw[hits > 0])
+    return raw, hits, fallback
 
 
 @pytest.mark.parametrize("name", sorted(SDF_SHAPES))
-def test_sdf_bvh_equals_brute_force(name):
+def test_sdf_bvh_equals_brute_force(name, monkeypatch):
     mesh = SDF_SHAPES[name]()
     dirs = _ray_directions(mesh)
     eps = 1e-6 * mesh.bbox_diagonal()
@@ -406,14 +431,20 @@ def test_sdf_bvh_equals_brute_force(name):
     got = _bvh_ray_distances(mesh, dirs, np.arange(mesh.n_faces), eps)
     assert np.array_equal(got, want)  # bit for bit, misses included
 
-    raw, hits = sdf_robust_thickness(want)
-    fallback = np.nonzero(hits == 0)[0]
-    if fallback.size and fallback.size < mesh.n_faces:
-        raw[fallback] = np.median(raw[hits > 0])
-    result = shape_diameter(mesh)
-    assert np.array_equal(result.raw, raw)
-    assert np.array_equal(result.hit_counts, hits)
-    assert np.array_equal(result.fallback_faces, fallback)
+    raw, hits, fallback = _brute_force_sdf(mesh, want)
+    default = shape_diameter(mesh)
+    assert np.array_equal(default.raw, raw)
+    assert np.array_equal(default.hit_counts, hits)
+    assert np.array_equal(default.fallback_faces, fallback)
+    # face batches move no bit: 1, 29 and 31 rays per batch give one face
+    # per batch (RAY_CHUNK // N_RAYS, at least 1), 10**6 the whole mesh;
+    # equal to the default run is equal to brute force too
+    for ray_chunk in (1, 29, 31, 10**6):
+        monkeypatch.setattr(sdf, "RAY_CHUNK", ray_chunk)
+        result = shape_diameter(mesh)
+        for field in ("raw", "normalized", "hit_counts", "fallback_faces"):
+            assert np.array_equal(getattr(result, field), getattr(default, field)), \
+                (ray_chunk, field)
 
 
 def test_sdf_bvh_equals_brute_force_at_5120_faces():
@@ -464,14 +495,14 @@ def test_sdf_bvh_axis_aligned_rays_on_the_cube():
 
 
 def test_sdf_bvh_ray_chunk_does_not_change_hits(monkeypatch):
+    # 7 rays per batch: one face per batch, so 320 batches share one scratch
     mesh = synth.dumbbell(2)
-    dirs = _ray_directions(mesh)
-    eps = 1e-6 * mesh.bbox_diagonal()
-    faces = np.arange(mesh.n_faces)
-    want = _bvh_ray_distances(mesh, dirs, faces, eps)
+    want = shape_diameter(mesh)
     monkeypatch.setattr(sdf, "RAY_CHUNK", 7)
-    assert np.array_equal(_bvh_ray_distances(mesh, dirs, faces, eps), want)
-    assert np.isfinite(want).all()
+    got = shape_diameter(mesh)
+    for field in ("raw", "normalized", "hit_counts", "fallback_faces"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert np.all(want.hit_counts == sdf.N_RAYS)
 
 
 class _GrowthSpy(sdf._Scratch):
@@ -498,33 +529,47 @@ def _pairs_per_ray(bvh, origins, dirs):
                           (512, 1, False), (10**6, 8192, False), (10**6, 100, False)])
 def test_sdf_scratch_reuse_across_chunks_equals_brute_force(monkeypatch, ray_chunk,
                                                             pair_chunk, grows):
-    # 40 faces of dumbbell(2), each casting its fan outward and inward,
-    # the rays sorted by how many (ray, triangle) pairs they reach (5 to
-    # 70): the first batch needs the fewest, so with whole ray chunks as
-    # batches a later one outgrows the scratch arrays the first sized
-    mesh = synth.dumbbell(2)
-    bvh = build_bvh(mesh)
-    faces = np.sort(np.random.default_rng(40).choice(mesh.n_faces, 40, replace=False))
-    inward = _ray_directions(mesh)
-    dirs = np.concatenate([-inward, inward], axis=1)  # (F, 60, 3)
-    eps = 1e-6 * mesh.bbox_diagonal()
-    want = sdf_ray_distances(mesh, dirs, eps, faces).ravel()
-    assert np.isfinite(want).mean() == 0.5  # every inward ray hits, no outward one
-
-    origins = np.repeat(mesh.face_centroids[faces], 60, axis=0)
-    flat_dirs = dirs[faces].reshape(-1, 3)
+    # dumbbell(1) beside an open 4x4 grid whose rays all escape, faces
+    # sorted by how many (ray, triangle) pairs their fans reach (210 to
+    # 1,295): the first face batch needs the fewest, so a later one
+    # outgrows the scratch arrays the first sized
+    grid, bell = shapes.plane_grid(4, 4), synth.dumbbell(1)
+    mesh = Mesh(np.concatenate([grid.vertices + [10.0, 0.0, 0.0], bell.vertices]),
+                np.concatenate([grid.faces, bell.faces + len(grid.vertices)]))
+    origins = np.repeat(mesh.face_centroids, sdf.N_RAYS, axis=0)
     with np.errstate(divide="ignore"):
-        order = np.argsort(_pairs_per_ray(bvh, origins, flat_dirs), kind="stable")
+        pairs = _pairs_per_ray(build_bvh(mesh), origins,
+                               _ray_directions(mesh).reshape(-1, 3))
+    order = np.argsort(pairs.reshape(-1, sdf.N_RAYS).sum(axis=1), kind="stable")
+    mesh = Mesh(mesh.vertices, mesh.faces[order])
+    want = sdf_ray_distances(mesh, _ray_directions(mesh), 1e-6 * mesh.bbox_diagonal())
+    raw, hits, fallback = _brute_force_sdf(mesh, want)
+    assert np.array_equal(fallback, np.arange(grid.n_faces))  # no grid ray hits
+
     monkeypatch.setattr(sdf, "RAY_CHUNK", ray_chunk)
     monkeypatch.setattr(sdf, "PAIR_CHUNK", pair_chunk)
     monkeypatch.setattr(sdf, "_Scratch", _GrowthSpy)
     monkeypatch.setattr(_GrowthSpy, "regrown", [])
-    got = np.empty(len(order))
-    got[order] = nearest_hits(bvh, origins[order], flat_dirs[order],
-                              np.repeat(faces, 60)[order], eps)
-    assert np.array_equal(got, want)
+    batches = []  # each batch's (faces, N_RAYS) distances, as reduced
+
+    def recording_thickness(dist):
+        batches.append(dist.copy())
+        return robust_thickness(dist)
+
+    monkeypatch.setattr(sdf, "robust_thickness", recording_thickness)
+    got = shape_diameter(mesh)
+    assert np.array_equal(np.concatenate(batches), want)  # ray by ray, misses included
+    assert np.array_equal(got.raw, raw)
+    assert np.array_equal(got.hit_counts, hits)
+    assert np.array_equal(got.fallback_faces, fallback)
     if grows:
         assert "vectors" in _GrowthSpy.regrown  # pair-sized arrays grew mid-call
+
+
+def test_sdf_memory_is_bounded_by_the_ray_batch():
+    # fans, origins and directions of all 153,600 rays at once peaked at
+    # 34 MB at 5,120 faces
+    assert traced_peak_mb(shape_diameter, synth.dumbbell(4)) <= 20.0
 
 
 def test_sdf_rays_that_reach_no_leaf_miss():
@@ -532,7 +577,8 @@ def test_sdf_rays_that_reach_no_leaf_miss():
     bvh = build_bvh(shapes.cube())
     origins = np.tile([10.0, 10.0, 10.0], (5, 1))
     dirs = np.tile([1.0, 0.0, 0.0], (5, 1))
-    got = nearest_hits(bvh, origins, dirs, np.zeros(5, dtype=np.int64), 1e-9)
+    got = nearest_hits(bvh, origins, dirs, np.zeros(5, dtype=np.int64), 1e-9,
+                       sdf._Scratch())
     assert np.array_equal(got, np.full(5, np.inf))
 
 

@@ -34,6 +34,7 @@ from meshseg.neural.models import (
     StackedAeModel,
     build_model,
 )
+from conftest import traced_peak_mb
 from gradcheck import (
     H_SCALE,
     _numeric_grad,
@@ -664,6 +665,33 @@ def test_prediction_of_a_row_does_not_depend_on_its_position(seed):
     x[64] = x[0]
     probs = predict_probabilities(net, x)
     assert np.array_equal(probs[64], probs[0])
+
+
+@pytest.mark.parametrize("kind", ["cnn", "pca-nn", "ae-nn"])
+def test_prediction_bytes_do_not_depend_on_predict_batch(kind, monkeypatch):
+    # 1,100 rows leave a ragged last batch at 64, 256 and 1,024 rows; 100
+    # is no multiple of ROW_BLOCK, so every batch is padded
+    rng = RNG(6)
+    scales = 3 if kind == "cnn" else 1
+    x = rng.normal(size=(1100, scales, 9))
+    model = build_model(kind, scales, 9, 3, seed=2,
+                        train_cfg=TrainConfig(epochs=1, batch_size=64))
+    model.fit(x, rng.integers(0, 3, len(x)))
+    probs = set()
+    for batch in (64, 100, 256, 1024):
+        monkeypatch.setattr(training, "PREDICT_BATCH", batch)
+        probs.add(model.predict_proba(x).tobytes())
+    assert len(probs) == 1
+
+
+def test_prediction_memory_is_bounded_by_the_predict_batch():
+    # 1,024-row batches kept every layer's cache of a batch that size,
+    # 9.5 MB at its peak
+    rng = RNG(4)
+    x = rng.normal(size=(4096, 3, 9))
+    model = build_model("cnn", 3, 9, 3, seed=1, train_cfg=TrainConfig(epochs=1))
+    model.fit(x[:256], rng.integers(0, 3, 256))
+    assert traced_peak_mb(model.predict_proba, x) <= 4.0
 
 
 def _patch_reference_training(monkeypatch):
